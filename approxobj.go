@@ -204,61 +204,47 @@ func checkMultCounter(s Spec) error {
 // wall clock — keeping fixed-workload runs reproducible.
 var randomizedSeed atomic.Int64
 
-// counterShardOptions translates a counter spec into the sharded
-// runtime's configuration: the accuracy selects the per-shard backend,
-// shards and batch pass through. For Randomized the user's delta is a
+// counterBackend picks the counter's per-shard backend (and the k it
+// runs with) from the accuracy. For Randomized the user's delta is a
 // whole-object budget, split evenly over the S shards and (for windowed
 // counters) the epoch ring: the plane recomposes per-shard deltas by
 // union bound (x S) and the window by epoch count (x epochs), so the
 // Bounds an object reports carries the delta the user asked for, not a
 // multiple of it.
-func counterShardOptions(s Spec) (k uint64, opts []shard.Option) {
-	var be shard.Backend
+func counterBackend(s Spec) (uint64, shard.Backend) {
 	switch s.acc.mode {
 	case accAdditive:
-		be, k = shard.AdditiveBackend(), s.acc.k
+		return s.acc.k, shard.AdditiveBackend()
 	case accMultiplicative:
-		be, k = shard.MultBackend(), s.acc.k
+		return s.acc.k, shard.MultBackend()
 	case accRandomized:
 		per := s.acc.delta / float64(s.shards*max(1, s.windowEpochs))
-		be, k = shard.RandomizedBackend(per, randomizedSeed.Add(1)*(1<<32)), s.acc.k
+		return s.acc.k, shard.RandomizedBackend(per, randomizedSeed.Add(1)*(1<<32))
 	default:
-		be, k = shard.AACHBackend(), 1
+		return 1, shard.AACHBackend()
 	}
-	opts = []shard.Option{shard.Shards(s.shards), shard.Batch(s.batch), shard.WithBackend(be)}
-	if s.readStale > 0 {
-		opts = append(opts, shard.ReadCache(s.readStale))
-	}
-	if s.tel != nil {
-		opts = append(opts, shard.Telemetry(s.tel.sink))
-	}
-	return k, opts
-}
-
-// counterRT is the runtime surface shared by the cumulative and
-// windowed counter backends: the handle methods the public layer (slot
-// handles, pooled handles, registry snapshot reads) programs against.
-// *shard.Handle and *shard.WCounterHandle both satisfy it.
-type counterRT interface {
-	Inc()
-	Read() uint64
-	Steps() uint64
-	Flush()
 }
 
 // Counter is any member of the counter family — exact, k-additive, or
 // k-multiplicative, optionally sharded, batched, and windowed — built
 // by NewCounter from a spec. All members run on the sharded runtime (an
 // unsharded counter is the S=1 case; a windowed one is a rotating ring
-// of plane instances) and report their accuracy envelope via Bounds.
+// of plane instances).
+//
+// Its Bounds: a Read may return any x with
+// (v-Buffer)/Mult - Add <= x <= Mult*v + Add for the true count v, where
+// Buffer = (B-1)*N for WithBatch(B). Exact counters report the zero
+// envelope. With WithReadCache the Stale term carries the staleness
+// window: the envelope then holds against some true count in the
+// regularity window opened Stale before the read began. With
+// WithWindow(d, n) the true count is the count of the live window and
+// the Window term carries the one-epoch truncation skew d/n; the
+// additive slack sums over the ring (Add x n). Randomized counters
+// additionally carry the Delta term: the whole envelope holds only with
+// probability >= 1-Delta per read, with Delta the delta passed to
+// Randomized (budget-split over shards and epochs, then recomposed).
 type Counter struct {
-	spec Spec
-	c    *shard.Counter         // cumulative runtime, nil when windowed
-	wc   *shard.WindowedCounter // windowed runtime, nil when cumulative
-
-	slots slotPool[*pooledCounterHandle]
-
-	snap counterRT // registry snapshot handle (slot procs), else nil
+	objectCore[BatchedCounterHandle]
 }
 
 var _ instance = (*Counter)(nil)
@@ -277,110 +263,22 @@ func NewCounter(opts ...Option) (*Counter, error) {
 }
 
 func newCounter(spec Spec) (*Counter, error) {
-	k, sopts := counterShardOptions(spec)
-	c := &Counter{spec: spec}
-	if spec.Windowed() {
-		wc, err := shard.NewWindowedCounter(spec.totalProcs(), k, spec.windowDur, spec.windowEpochs, sopts...)
-		if err != nil {
-			return nil, err
-		}
-		c.wc = wc
-	} else {
-		sc, err := shard.New(spec.totalProcs(), k, sopts...)
-		if err != nil {
-			return nil, err
-		}
-		c.c = sc
-	}
-	c.slots.init(spec.procs, c.newPooledHandle)
-	instrumentObject(spec, c.slots.free, c.BaseObjects)
-	if spec.snapshotSlot {
-		c.snap = c.runtimeHandle(spec.procs)
+	k, be := counterBackend(spec)
+	c := &Counter{}
+	err := initObject(&c.objectCore, spec,
+		func() (*shard.Counter, error) { return shard.New(spec.totalProcs(), k, be, shardConfig(spec)) },
+		func(h *shard.Handle) BatchedCounterHandle { return h },
+		func(h *shard.WindowHandle[*shard.Counter, *shard.Handle, uint64]) BatchedCounterHandle {
+			return shard.WCounterHandle{WindowHandle: h}
+		})
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-// runtimeHandle binds a slot on whichever runtime backs the counter.
-func (c *Counter) runtimeHandle(i int) counterRT {
-	if c.wc != nil {
-		return c.wc.Handle(i)
-	}
-	return c.c.Handle(i)
-}
-
-// Spec returns the validated spec the counter was built from.
-func (c *Counter) Spec() Spec { return c.spec }
-
-// N returns the number of process slots available to callers.
-func (c *Counter) N() int { return c.spec.procs }
-
 // K returns the accuracy parameter (1 for exact counters).
 func (c *Counter) K() uint64 { return c.spec.acc.K() }
-
-// Accuracy returns the accuracy selection.
-func (c *Counter) Accuracy() Accuracy { return c.spec.acc }
-
-// Shards returns the shard count.
-func (c *Counter) Shards() int { return c.spec.shards }
-
-// Batch returns the per-handle buffer size (1 means unbuffered).
-func (c *Counter) Batch() uint64 { return uint64(c.spec.batch) }
-
-// Bounds returns the counter's read envelope: a Read may return any x
-// with (v-Buffer)/Mult - Add <= x <= Mult*v + Add for the true count v,
-// where Buffer = (B-1)*N for WithBatch(B). Exact counters report the
-// zero envelope. With WithReadCache the Stale term carries the
-// staleness window: the envelope then holds against some true count in
-// the regularity window opened Stale before the read began. With
-// WithWindow(d, n) the true count is the count of the live window and
-// the Window term carries the one-epoch truncation skew d/n; the
-// additive slack sums over the ring (Add x n). Randomized counters
-// additionally carry the Delta term: the whole envelope holds only with
-// probability >= 1-Delta per read, with Delta the delta passed to
-// Randomized (budget-split over shards and epochs, then recomposed).
-func (c *Counter) Bounds() Bounds {
-	if c.wc != nil {
-		return scaledBounds(c.wc.Bounds(), c.spec)
-	}
-	return scaledBounds(c.c.Bounds(), c.spec)
-}
-
-// BaseObjects returns the number of base objects (registers, TAS
-// instances) the counter has allocated across its shards — and, for
-// windowed counters, its live epoch ring. It is the counter's space
-// cost in the paper's model; the frontier bench (E19) reports it to
-// compare deterministic and randomized state at equal target error.
-func (c *Counter) BaseObjects() uint64 {
-	if c.wc != nil {
-		return c.wc.BaseObjects()
-	}
-	return c.c.BaseObjects()
-}
-
-// Close stops the counter's background goroutines — the read cache's
-// combiner when WithReadCache is set, and the epoch rotator when
-// WithWindow is set (the window freezes: no further aging; reads keep
-// serving the frozen ring and Reset returns an error). Idempotent, and
-// a no-op otherwise; handles stay usable afterwards.
-func (c *Counter) Close() {
-	if c.wc != nil {
-		c.wc.Close()
-		return
-	}
-	c.c.Close()
-}
-
-// Reset replaces the whole window with fresh epochs — the counter
-// restarts from zero. Only windowed counters (WithWindow) support it;
-// it is an error otherwise, and after Close. Reset is not atomic with
-// concurrent mutations: an Inc racing it lands on either side, exactly
-// like an Inc racing a rotation.
-func (c *Counter) Reset() error {
-	if c.wc == nil {
-		return fmt.Errorf("approxobj: Reset needs a windowed counter (WithWindow); this one is cumulative")
-	}
-	return c.wc.Reset()
-}
 
 // Snapshot reads the counter through a pooled handle and, when reset
 // is true, resets the window afterwards — the go-metrics read idiom
@@ -417,20 +315,11 @@ func scaledBounds(b Bounds, spec Spec) Bounds {
 // managing slot assignment themselves. Each concurrent goroutine must use
 // its own slot; do not mix Handle(i) with Acquire/Do on the same slot
 // range. The returned handle implements BatchedCounterHandle.
-func (c *Counter) Handle(i int) CounterHandle {
-	if i < 0 || i >= c.spec.procs {
-		panic("approxobj: counter handle slot out of range")
-	}
-	return c.runtimeHandle(i)
-}
+func (c *Counter) Handle(i int) CounterHandle { return c.handle(i) }
 
-// snapshotValue, snapshotBounds, snapshotSteps, and snapshotDetail
-// implement the registry's kind-agnostic instance view; see
-// Registry.Snapshot.
-func (c *Counter) snapshotValue() uint64            { return c.snap.Read() }
-func (c *Counter) snapshotBounds() Bounds           { return c.Bounds() }
-func (c *Counter) snapshotSteps() uint64            { return c.snap.Steps() }
-func (c *Counter) snapshotDetail() *HistogramDetail { return nil }
+// snapshotValue reads the counter through the registry's snapshot slot;
+// see Registry.Snapshot.
+func (c *Counter) snapshotValue() uint64 { return c.snap.Read() }
 
 // maxRegisterDescriptor registers the max-register family in the
 // backend-plane table: reads take the max over shards (no envelope
@@ -460,43 +349,19 @@ var maxRegisterDescriptor = &kindDescriptor{
 	build:            func(s Spec) (instance, error) { return newMaxRegister(s) },
 }
 
-// maxRegShardOptions translates a max-register spec into the sharded
-// runtime's configuration: accuracy and bound select the per-shard
-// backend, shards and batch (the write-elision window) pass through.
-func maxRegShardOptions(s Spec) (k uint64, opts []shard.MaxRegOption) {
-	var be shard.MaxRegBackend
+// maxRegBackend picks the max register's per-shard backend (and the k
+// it runs with) from the accuracy and the bound.
+func maxRegBackend(s Spec) (uint64, shard.MaxRegBackend) {
 	switch {
 	case s.acc.IsExact() && s.boundSet:
-		be, k = shard.ExactBoundedMaxBackend(s.bound), 1
+		return 1, shard.ExactBoundedMaxBackend(s.bound)
 	case s.acc.IsExact():
-		be, k = shard.ExactMaxBackend(), 1
+		return 1, shard.ExactMaxBackend()
 	case s.boundSet:
-		be, k = shard.MultBoundedMaxBackend(s.bound), s.acc.k
+		return s.acc.k, shard.MultBoundedMaxBackend(s.bound)
 	default:
-		be, k = shard.MultMaxBackend(), s.acc.k
+		return s.acc.k, shard.MultMaxBackend()
 	}
-	opts = []shard.MaxRegOption{
-		shard.MaxRegShards(s.shards),
-		shard.MaxRegBatch(s.batch),
-		shard.WithMaxRegBackend(be),
-	}
-	if s.readStale > 0 {
-		opts = append(opts, shard.MaxRegReadCache(s.readStale))
-	}
-	if s.tel != nil {
-		opts = append(opts, shard.MaxRegTelemetry(s.tel.sink))
-	}
-	return k, opts
-}
-
-// maxRegRT is the runtime surface shared by the cumulative and
-// windowed max-register backends; *shard.MaxRegHandle and
-// *shard.WMaxRegHandle both satisfy it.
-type maxRegRT interface {
-	Write(v uint64)
-	Read() uint64
-	Steps() uint64
-	Flush()
 }
 
 // MaxRegister is any member of the max-register family — exact or
@@ -504,16 +369,19 @@ type maxRegRT interface {
 // write elision, and windowed — built by NewMaxRegister from a spec.
 // Like Counter, all members run on the unified sharded runtime (an
 // unsharded register is the S=1 case; a windowed one — an expiring
-// high-water mark — is a rotating ring of plane instances) and report
-// their accuracy envelope via Bounds.
+// high-water mark — is a rotating ring of plane instances).
+//
+// Its Bounds: a Read may return any x with (v-Buffer)/Mult <= x <= Mult*v
+// for the true maximum v, where Buffer = B-1 for WithBatch(B) (per
+// handle — the maximum lives in one handle, so elision headroom does not
+// scale with N or S). Exact unbatched registers report the zero
+// envelope. With WithReadCache the Stale term carries the staleness
+// window of cached reads. With WithWindow(d, n) the true maximum is the
+// maximum of the live window (an expiring high-water mark) and the
+// Window term carries the one-epoch truncation skew d/n; nothing else
+// widens.
 type MaxRegister struct {
-	spec Spec
-	m    *shard.MaxReg         // cumulative runtime, nil when windowed
-	wm   *shard.WindowedMaxReg // windowed runtime, nil when cumulative
-
-	slots slotPool[*pooledMaxRegHandle]
-
-	snap maxRegRT // registry snapshot handle (slot procs), else nil
+	objectCore[BatchedMaxRegisterHandle]
 }
 
 var _ instance = (*MaxRegister)(nil)
@@ -534,108 +402,26 @@ func NewMaxRegister(opts ...Option) (*MaxRegister, error) {
 }
 
 func newMaxRegister(spec Spec) (*MaxRegister, error) {
-	k, mopts := maxRegShardOptions(spec)
-	r := &MaxRegister{spec: spec}
-	if spec.Windowed() {
-		wm, err := shard.NewWindowedMaxReg(spec.totalProcs(), k, spec.windowDur, spec.windowEpochs, mopts...)
-		if err != nil {
-			return nil, err
-		}
-		r.wm = wm
-	} else {
-		sm, err := shard.NewMaxReg(spec.totalProcs(), k, mopts...)
-		if err != nil {
-			return nil, err
-		}
-		r.m = sm
-	}
-	r.slots.init(spec.procs, r.newPooledHandle)
-	instrumentObject(spec, r.slots.free, r.BaseObjects)
-	if spec.snapshotSlot {
-		r.snap = r.runtimeHandle(spec.procs)
+	k, be := maxRegBackend(spec)
+	r := &MaxRegister{}
+	err := initObject(&r.objectCore, spec,
+		func() (*shard.MaxReg, error) { return shard.NewMaxReg(spec.totalProcs(), k, be, shardConfig(spec)) },
+		func(h *shard.MaxRegHandle) BatchedMaxRegisterHandle { return h },
+		func(h *shard.WindowHandle[*shard.MaxReg, *shard.MaxRegHandle, uint64]) BatchedMaxRegisterHandle {
+			return shard.WMaxRegHandle{WindowHandle: h}
+		})
+	if err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// runtimeHandle binds a slot on whichever runtime backs the register.
-func (r *MaxRegister) runtimeHandle(i int) maxRegRT {
-	if r.wm != nil {
-		return r.wm.Handle(i)
-	}
-	return r.m.Handle(i)
-}
-
-// Spec returns the validated spec the register was built from.
-func (r *MaxRegister) Spec() Spec { return r.spec }
-
-// N returns the number of process slots available to callers.
-func (r *MaxRegister) N() int { return r.spec.procs }
-
 // K returns the accuracy parameter (1 for exact registers).
 func (r *MaxRegister) K() uint64 { return r.spec.acc.K() }
-
-// Accuracy returns the accuracy selection.
-func (r *MaxRegister) Accuracy() Accuracy { return r.spec.acc }
 
 // Bound returns the value bound m (writes must be < m), or 0 for
 // unbounded registers.
 func (r *MaxRegister) Bound() uint64 { return r.spec.bound }
-
-// Shards returns the shard count.
-func (r *MaxRegister) Shards() int { return r.spec.shards }
-
-// Batch returns the per-handle write-elision window (1 means every
-// value-raising write is published immediately).
-func (r *MaxRegister) Batch() uint64 { return uint64(r.spec.batch) }
-
-// Bounds returns the register's read envelope: a Read may return any x
-// with (v-Buffer)/Mult <= x <= Mult*v for the true maximum v, where
-// Buffer = B-1 for WithBatch(B) (per handle — the maximum lives in one
-// handle, so elision headroom does not scale with N or S). Exact
-// unbatched registers report the zero envelope. With WithReadCache the
-// Stale term carries the staleness window of cached reads. With
-// WithWindow(d, n) the true maximum is the maximum of the live window
-// (an expiring high-water mark) and the Window term carries the
-// one-epoch truncation skew d/n; nothing else widens.
-func (r *MaxRegister) Bounds() Bounds {
-	if r.wm != nil {
-		return scaledBounds(r.wm.Bounds(), r.spec)
-	}
-	return scaledBounds(r.m.Bounds(), r.spec)
-}
-
-// BaseObjects returns the number of base objects (registers, TAS
-// instances) the register has allocated across its shards — and, for
-// windowed registers, its live epoch ring: the register's space cost
-// in the paper's model.
-func (r *MaxRegister) BaseObjects() uint64 {
-	if r.wm != nil {
-		return r.wm.BaseObjects()
-	}
-	return r.m.BaseObjects()
-}
-
-// Close stops the register's background goroutines — the read cache's
-// combiner when WithReadCache is set, and the epoch rotator when
-// WithWindow is set (the window freezes; see Counter.Close).
-// Idempotent, and a no-op otherwise; handles stay usable afterwards.
-func (r *MaxRegister) Close() {
-	if r.wm != nil {
-		r.wm.Close()
-		return
-	}
-	r.m.Close()
-}
-
-// Reset replaces the whole window with fresh epochs — the high-water
-// mark restarts from zero. Only windowed registers (WithWindow)
-// support it; it is an error otherwise, and after Close.
-func (r *MaxRegister) Reset() error {
-	if r.wm == nil {
-		return fmt.Errorf("approxobj: Reset needs a windowed max register (WithWindow); this one is cumulative")
-	}
-	return r.wm.Reset()
-}
 
 // Snapshot reads the register through a pooled handle and, when reset
 // is true, resets the window afterwards (see Counter.Snapshot for the
@@ -653,14 +439,6 @@ func (r *MaxRegister) Snapshot(reset bool) (uint64, error) {
 // managing slot assignment themselves. Each concurrent goroutine must use
 // its own slot; do not mix Handle(i) with Acquire/Do on the same slot
 // range. The returned handle implements BatchedMaxRegisterHandle.
-func (r *MaxRegister) Handle(i int) MaxRegisterHandle {
-	if i < 0 || i >= r.spec.procs {
-		panic("approxobj: max-register handle slot out of range")
-	}
-	return r.runtimeHandle(i)
-}
+func (r *MaxRegister) Handle(i int) MaxRegisterHandle { return r.handle(i) }
 
-func (r *MaxRegister) snapshotValue() uint64            { return r.snap.Read() }
-func (r *MaxRegister) snapshotBounds() Bounds           { return r.Bounds() }
-func (r *MaxRegister) snapshotSteps() uint64            { return r.snap.Steps() }
-func (r *MaxRegister) snapshotDetail() *HistogramDetail { return nil }
+func (r *MaxRegister) snapshotValue() uint64 { return r.snap.Read() }

@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's results (one per experiment table;
-// see DESIGN.md for the index) plus ablation benches for the design
-// decisions called out there. Step-complexity metrics are reported through
+// `approxbench -list` prints the index) plus ablation benches for the
+// design decisions of the primitive layer and Algorithm 1. Step-complexity metrics are reported through
 // b.ReportMetric as steps/op alongside wall-clock ns/op, since step counts
 // — not time — are the paper's measure (GC and the Go scheduler blur
 // wall-clock numbers).
@@ -245,9 +245,10 @@ func BenchmarkF1ReadCases(b *testing.B) {
 	}
 }
 
-// Ablations (DESIGN.md section 4).
+// Ablations: each quantifies one design decision against the simpler
+// alternative it replaced.
 
-// BenchmarkAblationGateOverhead quantifies decision 1: the cost of routing
+// BenchmarkAblationGateOverhead quantifies the gate decision: the cost of routing
 // primitives through prim.Proc (nil gate) versus a bare atomic operation.
 func BenchmarkAblationGateOverhead(b *testing.B) {
 	b.Run("prim.Reg", func(b *testing.B) {
@@ -268,7 +269,7 @@ func BenchmarkAblationGateOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationReadMemoization quantifies decision 4: a persistent
+// BenchmarkAblationReadMemoization quantifies read memoization: a persistent
 // handle resumes its switch scan at last_i; a fresh handle per read rescans
 // from switch_0 every time.
 func BenchmarkAblationReadMemoization(b *testing.B) {

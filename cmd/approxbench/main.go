@@ -1,6 +1,6 @@
 // Command approxbench regenerates every experiment table of the
-// reproduction (see DESIGN.md for the experiment index and EXPERIMENTS.md
-// for recorded results).
+// reproduction (-list prints the experiment index; the committed
+// BENCH_pr*.json files record the results).
 //
 // Usage:
 //
@@ -32,7 +32,10 @@
 //
 // -compare diffs this run's records against a committed record file and
 // exits 1 on regressions, which makes BENCH_*.json files checkable
-// instead of write-only. Four checks run, all on machine-independent
+// instead of write-only. A baseline of the other mode (-quick against a
+// full run, or the reverse) is refused outright: amortized steps/op
+// depends on run length, so such a pair compares nothing. Otherwise
+// four checks run, all on machine-independent
 // data: (1) every scenario present in the baseline must be emitted by
 // this run — a superset is fine (new scenarios accrue), a missing one is
 // a lost trajectory (on an -exp subset, only scenarios the selected
@@ -278,7 +281,7 @@ func main() {
 			}
 			inScope = func(sc string) bool { return ran[sc] }
 		}
-		problems := compareRecords(base.Records, out.Records, *compareTol, inScope)
+		problems := compareRuns(base, out, *compareTol, inScope)
 		if len(problems) > 0 {
 			for _, p := range problems {
 				fmt.Fprintf(os.Stderr, "approxbench: compare vs %s: %s\n", *compare, p)
@@ -360,6 +363,28 @@ func recordKey(r bench.Record) string {
 		fmt.Fprintf(&b, "|%s=%s", k, r.Params[k])
 	}
 	return b.String()
+}
+
+// compareRuns checks a run against a baseline record file. Records are
+// comparable only between runs of one mode: amortized steps/op depends
+// on run length, so a -quick run against a full baseline (or the
+// reverse) would flag false per-cell regressions. A mode mismatch is
+// therefore the one problem reported, and the per-cell checks are
+// skipped.
+func compareRuns(base, run resultFile, tol float64, inScope func(string) bool) []string {
+	if base.Quick != run.Quick {
+		return []string{fmt.Sprintf("baseline is a %s run but this is a %s run; records compare only within one mode (compare against a %s baseline)",
+			runMode(base.Quick), runMode(run.Quick), runMode(run.Quick))}
+	}
+	return compareRecords(base.Records, run.Records, tol, inScope)
+}
+
+// runMode names a record file's mode for compareRuns' message.
+func runMode(quick bool) string {
+	if quick {
+		return "-quick"
+	}
+	return "full"
 }
 
 // compareRecords diffs a run's records against a baseline: every

@@ -95,6 +95,35 @@ func TestCompareRecordsAccumulatesAllProblems(t *testing.T) {
 	}
 }
 
+// TestCompareRunsModeMismatch checks that -compare refuses a baseline of
+// the other mode with one message naming both modes, instead of flagging
+// per-cell steps/op "regressions" that only reflect run length (a full
+// E21 baseline read 0.0002 steps/op where a -quick run reads 0.0016).
+// Runs of one mode still get the per-cell checks.
+func TestCompareRunsModeMismatch(t *testing.T) {
+	all := func(string) bool { return true }
+	full := resultFile{Quick: false, Records: []bench.Record{
+		{Scenario: "E21", Params: map[string]string{"batch": "64"}, StepsPerOp: 0.0002},
+	}}
+	quick := resultFile{Quick: true, Records: []bench.Record{
+		{Scenario: "E21", Params: map[string]string{"batch": "64"}, StepsPerOp: 0.0016},
+	}}
+	for _, tc := range []struct{ base, run resultFile }{{full, quick}, {quick, full}} {
+		problems := compareRuns(tc.base, tc.run, 50, all)
+		if len(problems) != 1 {
+			t.Fatalf("mode mismatch: want exactly one problem, got %d:\n%s", len(problems), strings.Join(problems, "\n"))
+		}
+		if p := problems[0]; !strings.Contains(p, "full") || !strings.Contains(p, "-quick") || strings.Contains(p, "steps/op") {
+			t.Errorf("mode mismatch message %q must name both modes and no per-cell regression", p)
+		}
+	}
+	same := quick
+	same.Records = full.Records
+	if problems := compareRuns(same, quick, 50, all); len(problems) != 1 || !strings.Contains(problems[0], "steps/op regressed") {
+		t.Errorf("same-mode runs must still compare per cell, got %v", problems)
+	}
+}
+
 // TestCompareRecordsClean checks the no-regression path: identical
 // records produce no problems.
 func TestCompareRecordsClean(t *testing.T) {

@@ -12,28 +12,37 @@ import (
 // Slot ownership transfers through the pool's channel, which also gives
 // the happens-before edge that lets successive owners reuse a slot's
 // cached handle (and its persistent per-process algorithm state) without
-// extra synchronization. All three families share the slot-ownership and
-// step-accounting logic through the generic slotPool below; each family
-// contributes only its typed Acquire/TryAcquire/Do wrappers and its
-// pooled handle type.
+// extra synchronization. Every family shares the slot-ownership and
+// step-accounting logic through the generic slotPool below, whose
+// handles are the kind's runtime handles themselves; each family
+// contributes only its typed Acquire/TryAcquire/Do wrappers.
 
-// retirable is a pooled handle: retire flushes its buffered mutations
-// and credits its steps-since-last-retire to the object's retired-step
-// counter.
-type retirable interface {
+// pooledHandle is what the pool needs of a slot's handle: release
+// flushes its buffered mutations and credits its steps.
+type pooledHandle interface {
 	comparable
-	retire(credit *atomic.Uint64)
+	Flush()
+	Steps() uint64
 }
 
 // slotPool is the pooled-handle plumbing every object family embeds: the
 // slot free list, the per-slot handle cache, and retired-step
 // accounting.
-type slotPool[H retirable] struct {
+type slotPool[H pooledHandle] struct {
 	free    *pool.Pool
 	handles []H              // lazily built, one per pool slot
-	gens    []atomic.Uint64  // per-slot lease generation (see lease)
+	leases  []slotLease      // per-slot lease state (see lease)
 	mk      func(slot int) H // builds a slot's handle on first lease
 	retired atomic.Uint64    // steps credited by released pooled handles
+}
+
+// slotLease is one slot's lease state: its monotonic generation (the
+// release idempotence guard, see lease) and the steps its cached handle
+// has already credited to the retired counter — handles survive across
+// leases, so each release credits only the delta.
+type slotLease struct {
+	gen      atomic.Uint64
+	credited uint64
 }
 
 // init sizes the pool in place (slotPool embeds an atomic and must not
@@ -42,7 +51,7 @@ type slotPool[H retirable] struct {
 func (p *slotPool[H]) init(slots int, mk func(slot int) H) {
 	p.free = pool.New(slots)
 	p.handles = make([]H, slots)
-	p.gens = make([]atomic.Uint64, slots)
+	p.leases = make([]slotLease, slots)
 	p.mk = mk
 }
 
@@ -65,8 +74,8 @@ func (p *slotPool[H]) tryAcquire() (h H, release func(), ok bool) {
 // lease hands out slot's cached handle, building it on first use (safe
 // without a lock — the pool hands each slot to one goroutine at a
 // time, and releases happen-before the next acquire), and returns it
-// with an idempotent release that retires the handle (flushing and
-// step-crediting) and frees the slot.
+// with an idempotent release that flushes the handle, credits its steps
+// since the slot's last release, and frees the slot.
 //
 // The idempotence guard is the slot's monotonic generation counter:
 // each lease bumps it to g and release succeeds only by advancing g to
@@ -82,32 +91,23 @@ func (p *slotPool[H]) lease(slot int) (H, func()) {
 		h = p.mk(slot)
 		p.handles[slot] = h
 	}
-	gen := &p.gens[slot]
-	g := gen.Add(1)
+	l := &p.leases[slot]
+	g := l.gen.Add(1)
 	return h, func() {
-		if !gen.CompareAndSwap(g, g+1) {
+		if !l.gen.CompareAndSwap(g, g+1) {
 			return
 		}
-		h.retire(&p.retired)
+		h.Flush()
+		steps := h.Steps()
+		p.retired.Add(steps - l.credited)
+		l.credited = steps
 		p.free.Release(slot)
 	}
 }
 
-// stepsRetired returns the cumulative steps credited by released pooled
-// handles.
-func (p *slotPool[H]) stepsRetired() uint64 { return p.retired.Load() }
-
 func isNil[H comparable](h H) bool {
 	var zero H
 	return h == zero
-}
-
-// creditSteps retires one pooled handle's step delta into the object's
-// retired counter: handles survive across acquisitions, so only the
-// steps since the last retire are added.
-func creditSteps(credit *atomic.Uint64, steps uint64, credited *uint64) {
-	credit.Add(steps - *credited)
-	*credited = steps
 }
 
 // Acquire borrows an exclusive handle from the counter's slot pool,
@@ -139,33 +139,6 @@ func (c *Counter) Do(f func(CounterHandle)) {
 	f(h)
 }
 
-// StepsRetired returns the cumulative shared-memory steps credited by
-// released pooled handles. Steps of handles still held, or of manual
-// Handle(i) handles, are not included (their counters are owned by the
-// holding goroutine and cannot be read safely mid-flight).
-func (c *Counter) StepsRetired() uint64 { return c.slots.stepsRetired() }
-
-func (c *Counter) newPooledHandle(slot int) *pooledCounterHandle {
-	return &pooledCounterHandle{h: c.runtimeHandle(slot)}
-}
-
-// pooledCounterHandle wraps a slot's underlying handle with step
-// accounting across acquisitions. It implements BatchedCounterHandle.
-type pooledCounterHandle struct {
-	h        counterRT
-	credited uint64 // steps already added to the object's retired counter
-}
-
-func (h *pooledCounterHandle) Inc()          { h.h.Inc() }
-func (h *pooledCounterHandle) Read() uint64  { return h.h.Read() }
-func (h *pooledCounterHandle) Steps() uint64 { return h.h.Steps() }
-func (h *pooledCounterHandle) Flush()        { h.h.Flush() }
-
-func (h *pooledCounterHandle) retire(credit *atomic.Uint64) {
-	h.h.Flush()
-	creditSteps(credit, h.h.Steps(), &h.credited)
-}
-
 // Acquire borrows an exclusive handle from the register's slot pool,
 // blocking until a slot is free. The returned release function flushes
 // any elided writes, credits the handle's steps to the object's
@@ -193,31 +166,6 @@ func (r *MaxRegister) Do(f func(MaxRegisterHandle)) {
 	h, release := r.Acquire()
 	defer release()
 	f(h)
-}
-
-// StepsRetired returns the cumulative shared-memory steps credited by
-// released pooled handles (see Counter.StepsRetired).
-func (r *MaxRegister) StepsRetired() uint64 { return r.slots.stepsRetired() }
-
-func (r *MaxRegister) newPooledHandle(slot int) *pooledMaxRegHandle {
-	return &pooledMaxRegHandle{h: r.runtimeHandle(slot)}
-}
-
-// pooledMaxRegHandle wraps a slot's underlying handle with step
-// accounting across acquisitions. It implements BatchedMaxRegisterHandle.
-type pooledMaxRegHandle struct {
-	h        maxRegRT
-	credited uint64 // steps already added to the object's retired counter
-}
-
-func (h *pooledMaxRegHandle) Write(v uint64) { h.h.Write(v) }
-func (h *pooledMaxRegHandle) Read() uint64   { return h.h.Read() }
-func (h *pooledMaxRegHandle) Steps() uint64  { return h.h.Steps() }
-func (h *pooledMaxRegHandle) Flush()         { h.h.Flush() }
-
-func (h *pooledMaxRegHandle) retire(credit *atomic.Uint64) {
-	h.h.Flush()
-	creditSteps(credit, h.h.Steps(), &h.credited)
 }
 
 // Acquire borrows an exclusive handle from the snapshot's slot pool,
@@ -251,37 +199,6 @@ func (s *Snapshot) Do(f func(SnapshotHandle)) {
 	f(h)
 }
 
-// StepsRetired returns the cumulative shared-memory steps credited by
-// released pooled handles (see Counter.StepsRetired).
-func (s *Snapshot) StepsRetired() uint64 { return s.slots.stepsRetired() }
-
-func (s *Snapshot) newPooledHandle(slot int) *pooledSnapshotHandle {
-	return &pooledSnapshotHandle{h: s.runtimeHandle(slot), n: s.spec.procs}
-}
-
-// pooledSnapshotHandle wraps a slot's underlying handle with step
-// accounting across acquisitions, truncating scans to the caller-visible
-// components. It implements BatchedSnapshotHandle.
-type pooledSnapshotHandle struct {
-	h        snapshotRT
-	n        int
-	credited uint64 // steps already added to the object's retired counter
-}
-
-func (h *pooledSnapshotHandle) Update(v uint64) { h.h.Update(v) }
-func (h *pooledSnapshotHandle) Scan() []uint64  { return h.h.Scan()[:h.n] }
-func (h *pooledSnapshotHandle) ScanInto(dst []uint64) []uint64 {
-	return h.h.ScanInto(dst)[:h.n]
-}
-func (h *pooledSnapshotHandle) Component() int { return h.h.Component() }
-func (h *pooledSnapshotHandle) Steps() uint64  { return h.h.Steps() }
-func (h *pooledSnapshotHandle) Flush()         { h.h.Flush() }
-
-func (h *pooledSnapshotHandle) retire(credit *atomic.Uint64) {
-	h.h.Flush()
-	creditSteps(credit, h.h.Steps(), &h.credited)
-}
-
 // Acquire borrows an exclusive handle from the histogram's slot pool,
 // blocking until a slot is free. The returned release function flushes
 // any buffered observations, credits the handle's steps to the object's
@@ -309,24 +226,4 @@ func (h *Histogram) Do(f func(HistogramHandle)) {
 	hh, release := h.Acquire()
 	defer release()
 	f(hh)
-}
-
-// StepsRetired returns the cumulative shared-memory steps credited by
-// released pooled handles (see Counter.StepsRetired).
-func (h *Histogram) StepsRetired() uint64 { return h.slots.stepsRetired() }
-
-func (h *Histogram) newPooledHandle(slot int) *pooledHistogramHandle {
-	return &pooledHistogramHandle{histSlotHandle: histSlotHandle{h: h.runtimeHandle(slot), bk: h.bk}}
-}
-
-// pooledHistogramHandle wraps a slot's underlying handle with step
-// accounting across acquisitions. It implements BatchedHistogramHandle.
-type pooledHistogramHandle struct {
-	histSlotHandle
-	credited uint64 // steps already added to the object's retired counter
-}
-
-func (h *pooledHistogramHandle) retire(credit *atomic.Uint64) {
-	h.h.Flush()
-	creditSteps(credit, h.h.Steps(), &h.credited)
 }

@@ -123,28 +123,36 @@ func checkExactHistogram(s Spec) error {
 // Histogram is the approximate histogram family — rounded buckets with
 // deterministic per-value multiplicative error, optionally sharded and
 // with observation batching — built by NewHistogram from a spec. Like
-// the other families it runs on the unified sharded runtime and reports
-// its accuracy envelope via Bounds; unlike them its read side is a query
-// engine (see HistogramHandle).
+// the other families it runs on the unified sharded runtime; unlike them
+// its read side is a query engine (see HistogramHandle).
+//
+// Its Bounds has two terms in different domains: Mult = k bounds the
+// value-domain rounding (every recorded value is represented by a
+// bucket within factor k, so Quantile answers and Rank/CDF value
+// arguments round by at most k), and Buffer = (B-1)·N bounds the
+// rank-domain staleness (how many observations, system-wide, may be
+// parked in handle-local buffers and invisible to queries). See
+// HistogramHandle for the per-query bounds this envelope composes into.
+// Unbatched exact histograms report the zero envelope. With
+// WithReadCache the Stale term carries the staleness window: every
+// query then folds a pre-combined bucket read whose regularity window
+// opened at most Stale before the read began. With WithWindow(d, n)
+// queries fold the observations of the live window (per-bucket sums
+// across the epoch ring) and the Window term carries the one-epoch
+// truncation skew d/n; rounding (Mult) and rank slack (Buffer) are
+// unchanged — a handle's pending observations live in at most one epoch
+// at a time.
 type Histogram struct {
-	spec Spec
-	bk   histogram.Buckets
-	h    *shard.Histogram         // cumulative runtime, nil when windowed
-	wh   *shard.WindowedHistogram // windowed runtime, nil when cumulative
-
-	slots slotPool[*pooledHistogramHandle]
-
-	snap    histRT   // registry snapshot handle (slot procs), else nil
-	snapBuf []uint64 // snap's reused bucket read (serialized by the registry's per-entry snapMu)
+	objectCore[*histSlotHandle]
+	bk histogram.Buckets
 }
 
-// histRT is the runtime surface shared by the cumulative and windowed
-// histogram backends; *shard.HistHandle and *shard.WHistHandle both
-// satisfy it.
+// histRT is the runtime surface the query adapter programs against,
+// shared by the cumulative and windowed histogram handles
+// (*shard.HistHandle and shard.WHistHandle).
 type histRT interface {
 	AddN(bucket int, d uint64)
-	Buckets() []uint64
-	BucketsInto(dst []uint64) []uint64
+	ReadInto(dst []uint64) []uint64
 	Steps() uint64
 	Flush()
 }
@@ -171,126 +179,31 @@ func newHistogram(spec Spec) (*Histogram, error) {
 	if err != nil {
 		return nil, err
 	}
-	hopts := []shard.HistOption{shard.HistShards(spec.shards), shard.HistBatch(spec.batch)}
-	if spec.readStale > 0 {
-		hopts = append(hopts, shard.HistReadCache(spec.readStale))
-	}
-	if spec.tel != nil {
-		hopts = append(hopts, shard.HistTelemetry(spec.tel.sink))
-	}
-	h := &Histogram{spec: spec, bk: bk}
-	if spec.Windowed() {
-		wh, err := shard.NewWindowedHistogram(spec.totalProcs(), spec.acc.K(), bk.N(), spec.windowDur, spec.windowEpochs, hopts...)
-		if err != nil {
-			return nil, err
-		}
-		h.wh = wh
-	} else {
-		sh, err := shard.NewHistogram(spec.totalProcs(), spec.acc.K(), bk.N(), hopts...)
-		if err != nil {
-			return nil, err
-		}
-		h.h = sh
-	}
-	h.slots.init(spec.procs, h.newPooledHandle)
-	instrumentObject(spec, h.slots.free, h.BaseObjects)
-	if spec.snapshotSlot {
-		h.snap = h.runtimeHandle(spec.procs)
+	h := &Histogram{bk: bk}
+	err = initObject(&h.objectCore, spec,
+		func() (*shard.Histogram, error) {
+			return shard.NewHistogram(spec.totalProcs(), spec.acc.K(), bk.N(), shardConfig(spec))
+		},
+		func(rt *shard.HistHandle) *histSlotHandle { return &histSlotHandle{h: rt, bk: bk} },
+		func(rt *shard.WindowHandle[*shard.Histogram, *shard.HistHandle, []uint64]) *histSlotHandle {
+			return &histSlotHandle{h: shard.WHistHandle{WindowHandle: rt}, bk: bk}
+		})
+	if err != nil {
+		return nil, err
 	}
 	return h, nil
 }
-
-// runtimeHandle binds a slot on whichever runtime backs the histogram.
-func (h *Histogram) runtimeHandle(i int) histRT {
-	if h.wh != nil {
-		return h.wh.Handle(i)
-	}
-	return h.h.Handle(i)
-}
-
-// Spec returns the validated spec the histogram was built from.
-func (h *Histogram) Spec() Spec { return h.spec }
-
-// N returns the number of process slots available to callers.
-func (h *Histogram) N() int { return h.spec.procs }
 
 // K returns the accuracy factor the bucket boundaries are spaced by (1
 // for exact histograms).
 func (h *Histogram) K() uint64 { return h.spec.acc.K() }
 
-// Accuracy returns the accuracy selection.
-func (h *Histogram) Accuracy() Accuracy { return h.spec.acc }
-
 // Bound returns the value bound m (observations must be < m), or 0 for
 // histograms over the full uint64 domain.
 func (h *Histogram) Bound() uint64 { return h.spec.bound }
 
-// Shards returns the shard count.
-func (h *Histogram) Shards() int { return h.spec.shards }
-
-// Batch returns the per-handle observation buffer (1 means every
-// observation is published immediately).
-func (h *Histogram) Batch() uint64 { return uint64(h.spec.batch) }
-
 // Buckets returns the number of buckets the value domain rounds into.
 func (h *Histogram) Buckets() int { return h.bk.N() }
-
-// Bounds returns the histogram's accuracy envelope. Its two terms live
-// in different domains: Mult = k bounds the value-domain rounding
-// (every recorded value is represented by a bucket within factor k, so
-// Quantile answers and Rank/CDF value arguments round by at most k),
-// and Buffer = (B-1)·N bounds the rank-domain staleness (how many
-// observations, system-wide, may be parked in handle-local buffers and
-// invisible to queries). See HistogramHandle for the per-query bounds
-// this envelope composes into. Unbatched exact histograms report the
-// zero envelope. With WithReadCache the Stale term carries the
-// staleness window: every query then folds a pre-combined bucket read
-// whose regularity window opened at most Stale before the read began.
-// With WithWindow(d, n) queries fold the observations of the live
-// window (per-bucket sums across the epoch ring) and the Window term
-// carries the one-epoch truncation skew d/n; rounding (Mult) and rank
-// slack (Buffer) are unchanged — a handle's pending observations live
-// in at most one epoch at a time.
-func (h *Histogram) Bounds() Bounds {
-	if h.wh != nil {
-		return scaledBounds(h.wh.Bounds(), h.spec)
-	}
-	return scaledBounds(h.h.Bounds(), h.spec)
-}
-
-// BaseObjects returns the number of base objects (registers, TAS
-// instances) the histogram has allocated across its shards — and, for
-// windowed histograms, its live epoch ring: the histogram's space cost
-// in the paper's model.
-func (h *Histogram) BaseObjects() uint64 {
-	if h.wh != nil {
-		return h.wh.BaseObjects()
-	}
-	return h.h.BaseObjects()
-}
-
-// Close stops the histogram's background goroutines — the read cache's
-// combiner when WithReadCache is set, and the epoch rotator when
-// WithWindow is set (the window freezes; see Counter.Close).
-// Idempotent, and a no-op otherwise; handles stay usable afterwards
-// (cached bucket reads refresh inline).
-func (h *Histogram) Close() {
-	if h.wh != nil {
-		h.wh.Close()
-		return
-	}
-	h.h.Close()
-}
-
-// Reset replaces the whole window with fresh epochs — the distribution
-// restarts empty. Only windowed histograms (WithWindow) support it; it
-// is an error otherwise, and after Close.
-func (h *Histogram) Reset() error {
-	if h.wh == nil {
-		return fmt.Errorf("approxobj: Reset needs a windowed histogram (WithWindow); this one is cumulative")
-	}
-	return h.wh.Reset()
-}
 
 // Snapshot freezes one consistent bucket read into a queryable
 // HistogramSnapshot and, when reset is true, resets the window
@@ -299,7 +212,7 @@ func (h *Histogram) Reset() error {
 // query on the returned snapshot folds the same frozen counts.
 func (h *Histogram) Snapshot(reset bool) (HistogramSnapshot, error) {
 	ph, release := h.slots.acquire()
-	counts := ph.h.Buckets()
+	counts := ph.h.ReadInto(nil)
 	release()
 	snap := HistogramSnapshot{bk: h.bk, counts: counts}
 	if reset {
@@ -343,19 +256,14 @@ func (s HistogramSnapshot) CDF(v uint64) float64 { return histogram.CDF(s.bk, s.
 // goroutine must use its own slot; do not mix Handle(i) with Acquire/Do
 // on the same slot range. The returned handle implements
 // BatchedHistogramHandle.
-func (h *Histogram) Handle(i int) HistogramHandle {
-	if i < 0 || i >= h.spec.procs {
-		panic("approxobj: histogram handle slot out of range")
-	}
-	return &histSlotHandle{h: h.runtimeHandle(i), bk: h.bk}
-}
+func (h *Histogram) Handle(i int) HistogramHandle { return h.handle(i) }
 
 // histSlotHandle adapts a runtime histogram handle to the public query
 // interface: observations round through the bucket layout on the way
 // in, and every query folds one merged bucket read through
 // internal/histogram's query engine. The read lands in the handle's
 // reused counts buffer (handles are single-goroutine by contract), so
-// steady-state queries allocate nothing.
+// steady-state queries allocate nothing. It is also the pooled handle.
 type histSlotHandle struct {
 	h      histRT
 	bk     histogram.Buckets
@@ -368,7 +276,7 @@ var _ BatchedHistogramHandle = (*histSlotHandle)(nil)
 // Each query reads once, so its answer is consistent within itself;
 // the buffer is overwritten by the next query.
 func (h *histSlotHandle) read() []uint64 {
-	h.counts = h.h.BucketsInto(h.counts)
+	h.counts = h.h.ReadInto(h.counts)
 	return h.counts
 }
 
@@ -394,10 +302,7 @@ func (h *histSlotHandle) Flush()               { h.h.Flush() }
 // snapshotValue reports the observation count — the scalar the registry
 // exports for this kind; pair it with Quantile queries through a
 // HistogramObject handle for the distribution itself.
-func (h *Histogram) snapshotValue() uint64 {
-	h.snapBuf = h.snap.BucketsInto(h.snapBuf)
-	return histogram.Count(h.snapBuf)
-}
+func (h *Histogram) snapshotValue() uint64 { return histogram.Count(h.snap.read()) }
 
 // snapshotBounds narrows the envelope to the one that bounds the
 // exported Value: the observation count lives purely in the rank
@@ -411,16 +316,13 @@ func (h *Histogram) snapshotBounds() Bounds {
 	return b
 }
 
-func (h *Histogram) snapshotSteps() uint64 { return h.snap.Steps() }
-
 // snapshotDetail folds one consistent bucket read into the registry's
 // kind-agnostic distribution detail: cumulative counts at the upper
 // boundary of each occupied bucket (the Prometheus bucket shape — see
 // package expose). Only occupied buckets are emitted, which keeps the
 // detail compact even for exact layouts with one bucket per value.
 func (h *Histogram) snapshotDetail() *HistogramDetail {
-	h.snapBuf = h.snap.BucketsInto(h.snapBuf)
-	counts := h.snapBuf
+	counts := h.snap.read()
 	d := &HistogramDetail{
 		Count: histogram.Count(counts),
 		Sum:   histogram.Sum(h.bk, counts),

@@ -9,7 +9,7 @@ import (
 )
 
 // E9Boundary reproduces the accuracy gap this project found in the paper's
-// Claim III.6 (see DESIGN.md and the core package docs): with the paper's
+// Claim III.6 (see the internal/core package docs): with the paper's
 // verbatim first threshold t1 = k, n processes that lose switch_0 each hold
 // up to k-1 unannounced increments, so a read that sees only switch_0
 // returns k while the true count reaches 1 + n(k-1) > k^2 whenever

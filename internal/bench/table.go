@@ -1,8 +1,8 @@
 // Package bench is the experiment harness: it regenerates, as text tables,
 // every result of the paper's evaluation (each theorem's bound plus the
-// Figure 1 boundary cases). cmd/approxbench prints all tables; the
-// experiment IDs (E1..E9, F1) are indexed in DESIGN.md and the measured
-// outputs recorded in EXPERIMENTS.md.
+// Figure 1 boundary cases). cmd/approxbench prints all tables; All
+// indexes the experiment IDs (approxbench -list prints them), and the
+// committed BENCH_pr*.json files record the measured outputs.
 package bench
 
 import (

@@ -30,8 +30,8 @@ const maxEpochs = 64
 
 // Unbounded lifts a bounded max register to the full uint64 domain,
 // realizing the "plug-in" extension the paper sketches via Baig et al. [9]
-// (whose exact construction is not reproduced in the paper's text; see
-// DESIGN.md for the substitution).
+// (whose exact construction is not reproduced in the paper's text; the
+// epoch split below substitutes for it).
 //
 // Values are split into epochs by bit length: epoch e stores offsets
 // v - 2^e of values v in [2^e, 2^(e+1)) in a bounded register of size 2^e.

@@ -25,18 +25,16 @@ func TestShardedHistogramConcurrentSoak(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		n    int
-		opts []shard.HistOption
+		cfg  shard.Config
 		perG int
 	}{
 		{name: "1shard", n: 4, perG: 2_000},
-		{name: "4shards", n: 8, opts: []shard.HistOption{shard.HistShards(4)}, perG: 2_000},
-		{name: "4shards-batch16", n: 8,
-			opts: []shard.HistOption{shard.HistShards(4), shard.HistBatch(16)}, perG: 2_000},
-		{name: "3shards-batch64", n: 6,
-			opts: []shard.HistOption{shard.HistShards(3), shard.HistBatch(64)}, perG: 1_000},
+		{name: "4shards", n: 8, cfg: shard.Config{Shards: 4}, perG: 2_000},
+		{name: "4shards-batch16", n: 8, cfg: shard.Config{Shards: 4, Batch: 16}, perG: 2_000},
+		{name: "3shards-batch64", n: 6, cfg: shard.Config{Shards: 3, Batch: 64}, perG: 1_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			hg, err := shard.NewHistogram(tc.n, k, bk.N(), tc.opts...)
+			hg, err := shard.NewHistogram(tc.n, k, bk.N(), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

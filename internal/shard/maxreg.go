@@ -2,13 +2,11 @@ package shard
 
 import (
 	"fmt"
-	"time"
 
 	"approxobj/internal/core"
 	"approxobj/internal/maxreg"
 	"approxobj/internal/object"
 	"approxobj/internal/prim"
-	"approxobj/internal/telemetry"
 )
 
 // MaxRegBackend constructs one shard's underlying max register and
@@ -66,60 +64,15 @@ func MultBoundedMaxBackend(m uint64) MaxRegBackend {
 	}
 }
 
-// MaxRegOption configures a sharded max register.
-type MaxRegOption func(*maxRegConfig)
-
-type maxRegConfig struct {
-	shards    int
-	batch     int
-	backend   MaxRegBackend
-	readStale time.Duration
-	tel       *telemetry.Sink
-}
-
-// MaxRegShards sets the shard count S (default 1). Writes spread across
-// shards by handle affinity; reads cost one underlying read per shard and
-// take the max — which, unlike the counter's sum, composes with NO
-// envelope widening for any backend (see the package comment).
-func MaxRegShards(s int) MaxRegOption { return func(c *maxRegConfig) { c.shards = s } }
-
-// MaxRegBatch sets the per-handle write-elision window B (default 1). A
-// handle remembers the last value it flushed to its home shard and elides
-// — skips entirely, touching no shared memory — any write within B-1 of
-// it (writes at or below the flushed value are always elided: the shard
-// already holds a value at least as large, so they cost nothing at any
-// B). The highest elided value is kept locally and published by Flush, so
-// readers lag the true maximum by at most B-1; MaxReg.Bounds reports that
-// headroom as the Buffer term.
-func MaxRegBatch(b int) MaxRegOption { return func(c *maxRegConfig) { c.batch = b } }
-
-// WithMaxRegBackend selects the per-shard max-register implementation
-// (default ExactMaxBackend).
-func WithMaxRegBackend(b MaxRegBackend) MaxRegOption {
-	return func(c *maxRegConfig) { c.backend = b }
-}
-
-// MaxRegReadCache enables the read-combiner tier (default off): reads
-// serve a pre-combined cell at most d old in O(1) instead of taking the
-// max over S shard reads, at the cost of the Stale term in Bounds. The
-// register's LAST slot is reserved for the background combiner
-// goroutine (so n must be >= 2); stop it with Close.
-func MaxRegReadCache(d time.Duration) MaxRegOption {
-	return func(c *maxRegConfig) { c.readStale = d }
-}
-
-// MaxRegTelemetry attaches an internal telemetry sink (see Telemetry).
-func MaxRegTelemetry(s *telemetry.Sink) MaxRegOption {
-	return func(c *maxRegConfig) { c.tel = s }
-}
-
 // maxRegPolicy is the max register's row of the plane: reads take the
 // max over shards (no envelope widening — the max over shards is the
 // global max), and handles elide writes (the B-1 staleness lives in the
 // ONE handle holding the maximum, so it does not scale with n).
-var maxRegPolicy = policy{
-	combine: "max",
-	buffer:  writeElision,
+var maxRegPolicy = &policy[uint64]{
+	name:     "max",
+	combine:  maxOf,
+	buffer:   writeElision,
+	newCache: newScalarReadCache,
 }
 
 // maxOf is the max register's combine.
@@ -131,72 +84,41 @@ func maxOf(a, b uint64) uint64 {
 }
 
 // MaxReg is the sharded max register: S independently accurate shards
-// combined by taking the max. Create handles with Handle; the zero value
-// is not usable.
+// combined by taking the max, with the plane's accessors. Its Bounds
+// carries the backend's per-shard Mult (sharding adds nothing — the max
+// over shards is the global max) and the write-elision headroom B-1 as
+// Buffer: per handle, NOT times n, because the true maximum is held by
+// one handle, whose flushed value trails it by at most B-1. Create
+// handles with Handle; the zero value is not usable.
 type MaxReg struct {
-	p *plane[object.MaxReg, object.MaxRegHandle, uint64]
+	*plane[object.MaxReg, object.MaxRegHandle, uint64]
 }
 
 // NewMaxReg creates a sharded max register for n process slots with
-// accuracy parameter k (ignored by exact backends), configured by opts.
-// Each shard is built over its own n-slot prim.Factory, so any handle can
-// read every shard.
-func NewMaxReg(n int, k uint64, opts ...MaxRegOption) (*MaxReg, error) {
-	cfg := maxRegConfig{shards: 1, batch: 1, backend: ExactMaxBackend()}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	p, err := newPlane(n, k, cfg.shards, cfg.batch, cfg.readStale, cfg.tel, cfg.backend, maxRegPolicy,
-		func(o object.MaxReg, pr *prim.Proc) object.MaxRegHandle { return o.MaxRegHandle(pr) },
-		maxOf, nil, newScalarReadCache,
-	)
+// accuracy parameter k (ignored by exact backends) over backend be,
+// configured by cfg. Each shard is built over its own n-slot
+// prim.Factory, so any handle can read every shard. Config.Batch is the
+// write-elision window B: a handle remembers the last value it flushed
+// to its home shard and elides — skips entirely, touching no shared
+// memory — any write within B-1 of it (writes at or below the flushed
+// value are always elided: the shard already holds a value at least as
+// large, so they cost nothing at any B). The highest elided value is
+// kept locally and published by Flush.
+func NewMaxReg(n int, k uint64, be MaxRegBackend, cfg Config) (*MaxReg, error) {
+	p, err := newPlane(n, k, cfg, be, maxRegPolicy,
+		func(o object.MaxReg, pr *prim.Proc) object.MaxRegHandle { return o.MaxRegHandle(pr) }, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &MaxReg{p: p}, nil
+	return &MaxReg{p}, nil
 }
-
-// N returns the number of process slots.
-func (m *MaxReg) N() int { return m.p.N() }
-
-// K returns the accuracy parameter passed to the backend.
-func (m *MaxReg) K() uint64 { return m.p.K() }
-
-// Shards returns the shard count S.
-func (m *MaxReg) Shards() int { return m.p.Shards() }
-
-// Batch returns the per-handle write-elision window B (1 means every
-// value-raising write is flushed immediately).
-func (m *MaxReg) Batch() uint64 { return m.p.Batch() }
-
-// Backend returns the configured backend.
-func (m *MaxReg) Backend() MaxRegBackend { return m.p.be }
-
-// ReadCache returns the read-cache staleness window (0 when off).
-func (m *MaxReg) ReadCache() time.Duration { return m.p.ReadCache() }
-
-// Close stops the read cache's background combiner goroutine, if any.
-// Idempotent; handles stay usable (cached reads refresh inline).
-func (m *MaxReg) Close() { m.p.Close() }
-
-// Bounds returns the combined read envelope for this configuration:
-// Mult is the backend's per-shard factor (sharding adds nothing — the max
-// over shards is the global max), and Buffer is the write-elision
-// headroom B-1. Unlike counter batching, the headroom is per handle, NOT
-// multiplied by n: the true maximum is held by one handle, whose flushed
-// value trails it by at most B-1.
-func (m *MaxReg) Bounds() Bounds { return m.p.Bounds() }
-
-// BaseObjects returns the number of base objects allocated across all
-// shards — the register's space cost in the paper's model.
-func (m *MaxReg) BaseObjects() uint64 { return m.p.BaseObjects() }
 
 // Handle binds process slot i (0 <= i < n) to the register. The handle
 // writes to shard i mod S and reads all shards through slot i of each
 // shard's factory. Like every handle in this repository it must be used
 // by a single goroutine.
 func (m *MaxReg) Handle(i int) *MaxRegHandle {
-	h := &MaxRegHandle{handleCore: m.p.newCore(i), bound: m.p.be.bound}
+	h := &MaxRegHandle{handleCore: m.newCore(i), bound: m.be.bound}
 	h.buf.flush = h.home.Write
 	return h
 }
@@ -214,7 +136,7 @@ var _ object.MaxRegHandle = (*MaxRegHandle)(nil)
 
 // Write records v. Writes at or below the handle's last flushed value are
 // always elided for free (the home shard already holds at least that
-// much); with MaxRegBatch(B > 1), writes within B-1 above it are elided
+// much); with Config.Batch B > 1, writes within B-1 above it are elided
 // too, kept locally as the pending maximum until a larger write or Flush
 // publishes them. On bounded backends, v >= m panics regardless of
 // elision, like an out-of-range slice index.

@@ -27,10 +27,10 @@ func atomicMax(a *atomic.Uint64, v uint64) {
 // regularity window — between the writes completed before the read
 // started (vmin) and those started before it returned (vmax), per
 // Bounds.ContainsRange. Returns the true maximum for follow-up checks.
-func runMaxEnvelopeCheck(t *testing.T, writers int, k uint64, perG int, opts ...shard.MaxRegOption) {
+func runMaxEnvelopeCheck(t *testing.T, writers int, k uint64, perG int, be shard.MaxRegBackend, cfg shard.Config) {
 	t.Helper()
 	n := writers + 1 // slot n-1 is the reader
-	m, err := shard.NewMaxReg(n, k, opts...)
+	m, err := shard.NewMaxReg(n, k, be, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +119,11 @@ func TestShardedMaxRegEnvelopeSweep(t *testing.T) {
 			for _, b := range []int{1, 7, 32} {
 				// Bound above every written value (max perG*writers + writers - 1).
 				bound := uint64(perG)*uint64(writers) + uint64(writers)
-				common := []shard.MaxRegOption{shard.MaxRegShards(s), shard.MaxRegBatch(b)}
-				runMaxEnvelopeCheck(t, writers, 1, perG,
-					append(common, shard.WithMaxRegBackend(shard.ExactMaxBackend()))...)
-				runMaxEnvelopeCheck(t, writers, 1, perG,
-					append(common, shard.WithMaxRegBackend(shard.ExactBoundedMaxBackend(bound)))...)
-				runMaxEnvelopeCheck(t, writers, 3, perG,
-					append(common, shard.WithMaxRegBackend(shard.MultMaxBackend()))...)
-				runMaxEnvelopeCheck(t, writers, 3, perG,
-					append(common, shard.WithMaxRegBackend(shard.MultBoundedMaxBackend(bound)))...)
+				cfg := shard.Config{Shards: s, Batch: b}
+				runMaxEnvelopeCheck(t, writers, 1, perG, shard.ExactMaxBackend(), cfg)
+				runMaxEnvelopeCheck(t, writers, 1, perG, shard.ExactBoundedMaxBackend(bound), cfg)
+				runMaxEnvelopeCheck(t, writers, 3, perG, shard.MultMaxBackend(), cfg)
+				runMaxEnvelopeCheck(t, writers, 3, perG, shard.MultBoundedMaxBackend(bound), cfg)
 			}
 		}
 	}
@@ -144,7 +140,7 @@ func TestMaxRegShardingInvariance(t *testing.T) {
 	} {
 		var want shard.Bounds
 		for i, s := range []int{1, 2, 8} {
-			m, err := shard.NewMaxReg(4, 3, shard.MaxRegShards(s), shard.MaxRegBatch(5), shard.WithMaxRegBackend(be))
+			m, err := shard.NewMaxReg(4, 3, be, shard.Config{Shards: s, Batch: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +161,7 @@ func TestMaxRegShardingInvariance(t *testing.T) {
 // Flush publishes the pending maximum.
 func TestMaxRegElision(t *testing.T) {
 	const b = 8
-	m, err := shard.NewMaxReg(2, 1, shard.MaxRegShards(2), shard.MaxRegBatch(b))
+	m, err := shard.NewMaxReg(2, 1, shard.ExactMaxBackend(), shard.Config{Shards: 2, Batch: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,24 +207,21 @@ func TestNewMaxRegValidation(t *testing.T) {
 		name string
 		n    int
 		k    uint64
-		opts []shard.MaxRegOption
+		be   shard.MaxRegBackend
+		cfg  shard.Config
 		want string // substring of the error, "" for success
 	}{
-		{name: "ok-defaults", n: 4, k: 1},
-		{name: "ok-sharded-batched", n: 8, k: 2,
-			opts: []shard.MaxRegOption{shard.MaxRegShards(4), shard.MaxRegBatch(16), shard.WithMaxRegBackend(shard.MultMaxBackend())}},
-		{name: "no-processes", n: 0, k: 1, want: "at least one process"},
-		{name: "zero-shards", n: 4, k: 1, opts: []shard.MaxRegOption{shard.MaxRegShards(0)}, want: "shard count"},
-		{name: "zero-batch", n: 4, k: 1, opts: []shard.MaxRegOption{shard.MaxRegBatch(0)}, want: "batch size"},
-		{name: "batch-swallows-bound", n: 4, k: 1,
-			opts: []shard.MaxRegOption{shard.MaxRegBatch(16), shard.WithMaxRegBackend(shard.ExactBoundedMaxBackend(16))}, want: "exceeds"},
-		{name: "batch-at-bound-edge", n: 4, k: 1,
-			opts: []shard.MaxRegOption{shard.MaxRegBatch(15), shard.WithMaxRegBackend(shard.ExactBoundedMaxBackend(16))}},
+		{name: "ok-defaults", n: 4, k: 1, be: shard.ExactMaxBackend()},
+		{name: "ok-sharded-batched", n: 8, k: 2, be: shard.MultMaxBackend(), cfg: shard.Config{Shards: 4, Batch: 16}},
+		{name: "no-processes", n: 0, k: 1, be: shard.ExactMaxBackend(), want: "at least one process"},
+		{name: "negative-shards", n: 4, k: 1, be: shard.ExactMaxBackend(), cfg: shard.Config{Shards: -1}, want: "shard count"},
+		{name: "negative-batch", n: 4, k: 1, be: shard.ExactMaxBackend(), cfg: shard.Config{Batch: -1}, want: "batch size"},
+		{name: "batch-swallows-bound", n: 4, k: 1, be: shard.ExactBoundedMaxBackend(16), cfg: shard.Config{Batch: 16}, want: "exceeds"},
+		{name: "batch-at-bound-edge", n: 4, k: 1, be: shard.ExactBoundedMaxBackend(16), cfg: shard.Config{Batch: 15}},
 		// Backend preconditions surface through NewMaxReg.
-		{name: "mult-k-too-small", n: 4, k: 1,
-			opts: []shard.MaxRegOption{shard.WithMaxRegBackend(shard.MultMaxBackend())}, want: "k must be >= 2"},
+		{name: "mult-k-too-small", n: 4, k: 1, be: shard.MultMaxBackend(), want: "k must be >= 2"},
 	} {
-		_, err := shard.NewMaxReg(tc.n, tc.k, tc.opts...)
+		_, err := shard.NewMaxReg(tc.n, tc.k, tc.be, tc.cfg)
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -243,7 +236,7 @@ func TestNewMaxRegValidation(t *testing.T) {
 // backends an out-of-range write panics even when elision would otherwise
 // have swallowed it.
 func TestMaxRegOutOfRangePanics(t *testing.T) {
-	m, err := shard.NewMaxReg(1, 1, shard.MaxRegBatch(8), shard.WithMaxRegBackend(shard.ExactBoundedMaxBackend(100)))
+	m, err := shard.NewMaxReg(1, 1, shard.ExactBoundedMaxBackend(100), shard.Config{Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +267,6 @@ func FuzzShardedMaxRegAccuracy(f *testing.F) {
 		b := int(bIn)%64 + 1
 		k := uint64(kIn)%15 + 2
 		perG := int(opsIn)%2_000 + 50
-		runMaxEnvelopeCheck(t, writers, k, perG,
-			shard.MaxRegShards(s), shard.MaxRegBatch(b), shard.WithMaxRegBackend(shard.MultMaxBackend()))
+		runMaxEnvelopeCheck(t, writers, k, perG, shard.MultMaxBackend(), shard.Config{Shards: s, Batch: b})
 	})
 }

@@ -22,25 +22,20 @@ func TestShardedMaxRegConcurrentSoak(t *testing.T) {
 		name string
 		k    uint64
 		n    int
-		opts []shard.MaxRegOption
+		be   shard.MaxRegBackend
+		cfg  shard.Config
 		perG int
 	}{
-		{name: "exact-1shard", k: 1, n: 8, perG: 10_000},
-		{name: "exact-4shards", k: 1, n: 8,
-			opts: []shard.MaxRegOption{shard.MaxRegShards(4)}, perG: 10_000},
-		{name: "exact-4shards-batch16", k: 1, n: 8,
-			opts: []shard.MaxRegOption{shard.MaxRegShards(4), shard.MaxRegBatch(16)}, perG: 10_000},
-		{name: "exact-bounded-4shards-batch8", k: 1, n: 8,
-			opts: []shard.MaxRegOption{shard.MaxRegShards(4), shard.MaxRegBatch(8), shard.WithMaxRegBackend(shard.ExactBoundedMaxBackend(bound))}, perG: 5_000},
-		{name: "mult-4shards", k: 4, n: 8,
-			opts: []shard.MaxRegOption{shard.MaxRegShards(4), shard.WithMaxRegBackend(shard.MultMaxBackend())}, perG: 10_000},
-		{name: "mult-8shards-batch64", k: 8, n: 16,
-			opts: []shard.MaxRegOption{shard.MaxRegShards(8), shard.MaxRegBatch(64), shard.WithMaxRegBackend(shard.MultMaxBackend())}, perG: 5_000},
-		{name: "mult-bounded-4shards-batch16", k: 2, n: 8,
-			opts: []shard.MaxRegOption{shard.MaxRegShards(4), shard.MaxRegBatch(16), shard.WithMaxRegBackend(shard.MultBoundedMaxBackend(bound))}, perG: 5_000},
+		{name: "exact-1shard", k: 1, n: 8, be: shard.ExactMaxBackend(), perG: 10_000},
+		{name: "exact-4shards", k: 1, n: 8, be: shard.ExactMaxBackend(), cfg: shard.Config{Shards: 4}, perG: 10_000},
+		{name: "exact-4shards-batch16", k: 1, n: 8, be: shard.ExactMaxBackend(), cfg: shard.Config{Shards: 4, Batch: 16}, perG: 10_000},
+		{name: "exact-bounded-4shards-batch8", k: 1, n: 8, be: shard.ExactBoundedMaxBackend(bound), cfg: shard.Config{Shards: 4, Batch: 8}, perG: 5_000},
+		{name: "mult-4shards", k: 4, n: 8, be: shard.MultMaxBackend(), cfg: shard.Config{Shards: 4}, perG: 10_000},
+		{name: "mult-8shards-batch64", k: 8, n: 16, be: shard.MultMaxBackend(), cfg: shard.Config{Shards: 8, Batch: 64}, perG: 5_000},
+		{name: "mult-bounded-4shards-batch16", k: 2, n: 8, be: shard.MultBoundedMaxBackend(bound), cfg: shard.Config{Shards: 4, Batch: 16}, perG: 5_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := shard.NewMaxReg(tc.n, tc.k, tc.opts...)
+			m, err := shard.NewMaxReg(tc.n, tc.k, tc.be, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

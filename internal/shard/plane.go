@@ -22,8 +22,8 @@ import (
 // The kind-specific files (shard.go, maxreg.go, snapshot.go,
 // histogram.go) contribute only their backends, their mutation method,
 // and their policy row — everything else (construction, handle wiring,
-// combined reads, flushes, envelope composition, step accounting) lives
-// here once.
+// combined reads, flushes, envelope composition, step accounting, and
+// the accessors every kind object shares) lives here once.
 
 // Reader is the read side of a per-shard handle: the generic core issues
 // one Read per shard and folds the results with the kind's Combine.
@@ -312,7 +312,7 @@ func (m meta) addOf(k uint64) uint64 {
 
 // backend constructs one shard's underlying object of type O and
 // declares its per-shard accuracy envelope. The exported per-kind names
-// (Backend, MaxRegBackend, SnapshotBackend) are instantiations of it.
+// (Backend, MaxRegBackend) are instantiations of it.
 type backend[O any] struct {
 	meta
 	make func(f *prim.Factory, k uint64) (O, error)
@@ -332,6 +332,44 @@ func (b bufferPolicy) String() string {
 	}
 }
 
+// Config configures a sharded object of any kind. The zero Config is
+// one unbuffered shard with the read cache and telemetry off; the
+// public spec layer is the single validation point, so Config is plain
+// data and every kind reads the same four fields.
+type Config struct {
+	// Shards is the shard count S (0 means 1). Mutations spread across
+	// shards by handle affinity; reads cost one underlying read per
+	// shard, folded by the kind's combine.
+	Shards int
+	// Batch is the per-handle buffer B (0 means 1, unbuffered). What it
+	// buffers is the kind's buffer policy: increments for counters (up
+	// to B-1 per handle invisible between flushes), the write-elision
+	// window for max registers and the component-elision window for
+	// snapshots (readers trail by at most B-1), whole observations for
+	// histograms. Bounds reports the headroom as the Buffer term.
+	Batch int
+	// ReadStale enables the read-combiner tier (0 means off): reads serve
+	// a pre-combined value at most ReadStale old, independent of S, at
+	// the cost of the Stale term in Bounds. The object's LAST slot is
+	// then reserved for the background combiner goroutine (so n must be
+	// >= 2); stop it with Close.
+	ReadStale time.Duration
+	// Tel attaches an internal telemetry sink to the runtime paths
+	// (flushes, buffer hits, read-cache traffic, combiner ticks, arena
+	// rows, and for windowed objects rotations and re-homes). Nil
+	// disables instrumentation: the hot paths see a single never-taken
+	// branch.
+	Tel *telemetry.Sink
+}
+
+// orOne maps an unset (zero) Config count to its default of 1.
+func orOne(v int) int {
+	if v == 0 {
+		return 1
+	}
+	return v
+}
+
 // PolicyRow is the exported view of one kind's policy row, consumed by
 // the public backend table (approxobj.Kinds) so the spec layer derives
 // its rows from this package instead of hand-mirroring them.
@@ -348,9 +386,9 @@ type PolicyRow struct {
 	BufferScalesWithProcs bool
 }
 
-func (p policy) row() PolicyRow {
+func (p *policy[V]) row() PolicyRow {
 	return PolicyRow{
-		Combine:               p.combine,
+		Combine:               p.name,
 		Buffer:                p.buffer.String(),
 		AddScalesWithShards:   p.addScalesWithShards,
 		BufferScalesWithProcs: p.bufferScalesWithProcs,
@@ -364,22 +402,28 @@ func MaxRegPolicyRow() PolicyRow    { return maxRegPolicy.row() }
 func SnapshotPolicyRow() PolicyRow  { return snapshotPolicy.row() }
 func HistogramPolicyRow() PolicyRow { return histogramPolicy.row() }
 
-// policy is one kind's row of the plane: how the per-shard envelope
-// composes under the kind's combine, and which buffering discipline its
-// handles use. The spec layer's backend table derives its rows from
-// these via PolicyRow.
-type policy struct {
-	combine string // policy-table name: "sum", "max", "per-component"
+// policy is one kind's row of the plane: how reads fold the per-shard
+// (and, in a window, per-epoch) values, how the per-shard envelope
+// composes under that fold, which buffering discipline its handles use,
+// and the read-cache shape of its value. The spec layer's backend table
+// derives its rows from these via PolicyRow.
+type policy[V any] struct {
+	name    string     // policy-table name: "sum", "max", "per-component"
+	combine Combine[V] // the fold itself, over shards and over epochs
 	buffer  bufferPolicy
 	// addScalesWithShards: the per-shard additive slack sums over shards
 	// (true for the counter's sum-combine; false for max and
 	// per-component merge, which pick one shard's value per result).
+	// The same holds over a window's epochs.
 	addScalesWithShards bool
 	// bufferScalesWithProcs: the per-handle staleness B-1 can accumulate
 	// across all n handles at once (true for count batching; false for
 	// the elision policies, where the staleness lives in one handle per
 	// result component).
 	bufferScalesWithProcs bool
+	// newCache builds the read-combiner tier for the value's shape
+	// (newScalarReadCache or newVecReadCache).
+	newCache func(d time.Duration) readCache[V]
 }
 
 // slotBinding is one process slot's cached binding to every shard: the
@@ -397,16 +441,16 @@ type slotBinding[H any] struct {
 
 // plane is the generic sharded object: S shards of O combined on read by
 // the kind's Combine, with handle-local buffering per the kind's policy.
-// Kind-specific object types wrap it and add nothing but their mutation
-// signature.
+// Kind-specific object types embed it — inheriting the accessors N, K,
+// Shards, Batch, Backend, ReadCache, Close, Bounds, and BaseObjects —
+// and add nothing but their Handle and its mutation method.
 type plane[O any, H Reader[V], V any] struct {
 	rt       *runtime[O]
 	k        uint64
 	batch    uint64
 	be       backend[O]
-	pol      policy
+	pol      *policy[V]
 	handleOf func(o O, p *prim.Proc) H
-	combine  Combine[V]
 	// readInto is the per-shard read into a reused buffer, nil for
 	// scalar-valued kinds (whose reads allocate nothing anyway). When
 	// set, combined reads fold through two per-handle scratch buffers
@@ -425,18 +469,16 @@ type plane[O any, H Reader[V], V any] struct {
 
 // newPlane validates the shared configuration (batch range, batch vs.
 // backend bound, read-cache slot reservation) and builds S shards of n
-// slots each. readStale > 0 enables the read-combiner tier with that
-// staleness window, built by mkCache (the kind's value-shape cache:
-// newScalarReadCache or newVecReadCache); the LAST of the n slots is
-// then reserved for the background combiner goroutine and must not be
-// handed out. readInto is the per-shard read into a reused buffer, nil
-// for scalar kinds.
+// slots each. cfg.ReadStale > 0 enables the read-combiner tier with
+// that staleness window, built by the policy's newCache; the LAST of
+// the n slots is then reserved for the background combiner goroutine
+// and must not be handed out. readInto is the per-shard read into a
+// reused buffer, nil for scalar kinds.
 func newPlane[O any, H Reader[V], V any](
-	n int, k uint64, shards, batch int, readStale time.Duration, tel *telemetry.Sink,
-	be backend[O], pol policy,
-	handleOf func(o O, p *prim.Proc) H, combine Combine[V],
-	readInto func(h H, dst V) V, mkCache func(d time.Duration) readCache[V],
+	n int, k uint64, cfg Config, be backend[O], pol *policy[V],
+	handleOf func(o O, p *prim.Proc) H, readInto func(h H, dst V) V,
 ) (*plane[O, H, V], error) {
+	shards, batch := orOne(cfg.Shards), orOne(cfg.Batch)
 	if batch < 1 {
 		return nil, errBatch(batch)
 	}
@@ -445,13 +487,13 @@ func newPlane[O any, H Reader[V], V any](
 	if be.bound > 0 && uint64(batch) >= be.bound {
 		return nil, fmt.Errorf("shard: batch %d exceeds the %d-bounded backend's value range", batch, be.bound)
 	}
-	if readStale < 0 {
-		return nil, fmt.Errorf("shard: read-cache staleness must be >= 0, got %v", readStale)
+	if cfg.ReadStale < 0 {
+		return nil, fmt.Errorf("shard: read-cache staleness must be >= 0, got %v", cfg.ReadStale)
 	}
-	if readStale > 0 && n < 2 {
+	if cfg.ReadStale > 0 && n < 2 {
 		return nil, fmt.Errorf("shard: read cache needs a dedicated combiner slot (n >= 2), got n = %d", n)
 	}
-	rt, err := newRuntime(be.name, n, shards, tel, func(f *prim.Factory) (O, error) {
+	rt, err := newRuntime(be.name, n, shards, cfg.Tel, func(f *prim.Factory) (O, error) {
 		return be.make(f, k)
 	})
 	if err != nil {
@@ -459,13 +501,13 @@ func newPlane[O any, H Reader[V], V any](
 	}
 	p := &plane[O, H, V]{
 		rt: rt, k: k, batch: uint64(batch), be: be, pol: pol,
-		handleOf: handleOf, combine: combine, readInto: readInto,
+		handleOf: handleOf, readInto: readInto,
 		slots: make([]slotBinding[H], n),
-		tel:   tel,
+		tel:   cfg.Tel,
 	}
-	if readStale > 0 {
-		p.cache = mkCache(readStale)
-		p.cache.instrument(tel)
+	if cfg.ReadStale > 0 {
+		p.cache = pol.newCache(cfg.ReadStale)
+		p.cache.instrument(cfg.Tel)
 		// The combiner owns the reserved last slot outright: handles for
 		// it are refused (newCore), so its per-shard readers and its
 		// core's scratch buffers race with nothing.
@@ -505,6 +547,14 @@ func (p *plane[O, H, V]) Shards() int { return len(p.rt.shards) }
 // Batch returns the per-handle buffer size B (1 means unbuffered).
 func (p *plane[O, H, V]) Batch() uint64 { return p.batch }
 
+// Backend returns the configured backend.
+func (p *plane[O, H, V]) Backend() backend[O] { return p.be }
+
+// kindPolicy and sink hand the window tier the kind's policy row and
+// the telemetry sink (see Epoch).
+func (p *plane[O, H, V]) kindPolicy() *policy[V] { return p.pol }
+func (p *plane[O, H, V]) sink() *telemetry.Sink  { return p.tel }
+
 // Bounds composes the combined read envelope from the backend's
 // per-shard envelope and the kind's policy row: Add widens by S iff the
 // combine sums shards, and the B-1 buffering headroom multiplies by the
@@ -514,7 +564,8 @@ func (p *plane[O, H, V]) Batch() uint64 { return p.batch }
 // a further, time-domain widening of the regularity window. For a
 // randomized backend the per-shard failure probabilities compose by
 // union bound: a combined read is in range whenever every one of the S
-// shard reads is, so Delta = min(1, S * delta_shard).
+// shard reads is, so Delta = min(1, S * delta_shard). The package
+// comment derives each kind's composition.
 func (p *plane[O, H, V]) Bounds() Bounds {
 	b := Bounds{Mult: p.be.multOf(p.k), Add: p.be.addOf(p.k)}
 	if p.pol.addScalesWithShards {
@@ -592,7 +643,7 @@ func (p *plane[O, H, V]) coreAt(i int) handleCore[H, V] {
 		readers:  sb.readers,
 		home:     sb.readers[p.rt.home(i)],
 		procs:    sb.procs,
-		combine:  p.combine,
+		combine:  p.pol.combine,
 		readInto: p.readInto,
 		buf:      buffer{policy: p.pol.buffer, batch: p.batch, tel: p.tel, slot: i},
 		cache:    p.cache,

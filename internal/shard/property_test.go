@@ -17,10 +17,10 @@ import (
 // started before it returned (vmax), per Bounds.ContainsRange. The
 // incrementers publish the window through two atomics bracketing each
 // Inc, so the check is sound under any real-goroutine interleaving.
-func runEnvelopeCheck(t *testing.T, incers int, k uint64, perG int, opts ...shard.Option) {
+func runEnvelopeCheck(t *testing.T, incers int, k uint64, perG int, be shard.Backend, cfg shard.Config) {
 	t.Helper()
 	n := incers + 1 // slot n-1 is the reader
-	c, err := shard.New(n, k, opts...)
+	c, err := shard.New(n, k, be, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +107,10 @@ func TestShardedEnvelopeSweep(t *testing.T) {
 		for _, s := range []int{1, 2, 4} {
 			for _, b := range []int{1, 7, 32} {
 				k := kFor(incers+1, 1)
-				runEnvelopeCheck(t, incers, k, perG,
-					shard.Shards(s), shard.Batch(b))
-				runEnvelopeCheck(t, incers, 0, perG/2,
-					shard.Shards(s), shard.Batch(b), shard.WithBackend(shard.AACHBackend()))
-				runEnvelopeCheck(t, incers, 16, perG,
-					shard.Shards(s), shard.Batch(b), shard.WithBackend(shard.AdditiveBackend()))
+				cfg := shard.Config{Shards: s, Batch: b}
+				runEnvelopeCheck(t, incers, k, perG, shard.MultBackend(), cfg)
+				runEnvelopeCheck(t, incers, 0, perG/2, shard.AACHBackend(), cfg)
+				runEnvelopeCheck(t, incers, 16, perG, shard.AdditiveBackend(), cfg)
 			}
 		}
 	}
@@ -134,6 +132,6 @@ func FuzzShardedAccuracy(f *testing.F) {
 		b := int(bIn)%64 + 1
 		k := kFor(incers+1, uint64(kIn)%16)
 		perG := int(opsIn)%2_000 + 50
-		runEnvelopeCheck(t, incers, k, perG, shard.Shards(s), shard.Batch(b))
+		runEnvelopeCheck(t, incers, k, perG, shard.MultBackend(), shard.Config{Shards: s, Batch: b})
 	})
 }

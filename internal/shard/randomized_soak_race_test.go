@@ -24,17 +24,16 @@ func TestRandomizedConcurrentSoak(t *testing.T) {
 		name string
 		k    uint64
 		n    int
-		opts []shard.Option
+		cfg  shard.Config
 		perG int
 	}{
 		{name: "morris-1shard", k: 4, n: 8, perG: 10_000},
-		{name: "morris-4shards", k: 4, n: 8, opts: []shard.Option{shard.Shards(4)}, perG: 10_000},
-		{name: "morris-4shards-batch16", k: 4, n: 8, opts: []shard.Option{shard.Shards(4), shard.Batch(16)}, perG: 10_000},
-		{name: "morris-8shards-batch64", k: 8, n: 16, opts: []shard.Option{shard.Shards(8), shard.Batch(64)}, perG: 5_000},
+		{name: "morris-4shards", k: 4, n: 8, cfg: shard.Config{Shards: 4}, perG: 10_000},
+		{name: "morris-4shards-batch16", k: 4, n: 8, cfg: shard.Config{Shards: 4, Batch: 16}, perG: 10_000},
+		{name: "morris-8shards-batch64", k: 8, n: 16, cfg: shard.Config{Shards: 8, Batch: 64}, perG: 5_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := append([]shard.Option{shard.WithBackend(shard.RandomizedBackend(delta, 0x5eed+int64(tc.n)))}, tc.opts...)
-			c, err := shard.New(tc.n, tc.k, opts...)
+			c, err := shard.New(tc.n, tc.k, shard.RandomizedBackend(delta, 0x5eed+int64(tc.n)), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

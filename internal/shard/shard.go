@@ -31,8 +31,8 @@
 // kinds. Adding object family N+1 means declaring its backends and its
 // policy row, not re-growing the plumbing.
 //
-// Every kind can additionally enable the read-combiner tier (the
-// per-kind ReadCache options; see readcache.go): the plane keeps one
+// Every kind can additionally enable the read-combiner tier
+// (Config.ReadStale; see readcache.go): the plane keeps one
 // pre-combined cell — refreshed by a background combiner goroutine on a
 // reserved slot and by read-triggered inline refreshes — so reads are
 // O(1) in S at the cost of a bounded staleness window, reported as the
@@ -136,14 +136,12 @@ package shard
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"approxobj/internal/core"
 	"approxobj/internal/counter"
 	"approxobj/internal/object"
 	"approxobj/internal/prim"
 	"approxobj/internal/satmath"
-	"approxobj/internal/telemetry"
 )
 
 // Backend constructs one shard's underlying counter and declares its
@@ -218,44 +216,6 @@ func RandomizedBackend(delta float64, seed int64) Backend {
 	}
 }
 
-// Option configures a sharded counter.
-type Option func(*config)
-
-type config struct {
-	shards    int
-	batch     int
-	backend   Backend
-	readStale time.Duration
-	tel       *telemetry.Sink
-}
-
-// Shards sets the shard count S (default 1). Increments spread across
-// shards by handle affinity; reads cost one underlying read per shard.
-func Shards(s int) Option { return func(c *config) { c.shards = s } }
-
-// Batch sets the per-handle increment buffer B (default 1, i.e. no
-// buffering). A handle flushes its buffer to the home shard every B
-// increments, so at most (B-1) increments per handle are invisible to
-// readers between flushes; Counter.Bounds accounts for them.
-func Batch(b int) Option { return func(c *config) { c.batch = b } }
-
-// WithBackend selects the per-shard counter implementation (default
-// MultBackend).
-func WithBackend(b Backend) Option { return func(c *config) { c.backend = b } }
-
-// ReadCache enables the read-combiner tier (default off): reads serve a
-// pre-combined cell at most d old in O(1) instead of summing S shard
-// reads, at the cost of the Stale term in Bounds. The counter's LAST
-// slot is reserved for the background combiner goroutine (so n must be
-// >= 2); stop it with Close.
-func ReadCache(d time.Duration) Option { return func(c *config) { c.readStale = d } }
-
-// Telemetry attaches an internal telemetry sink to the counter's runtime
-// paths (flushes, buffer hits, read-cache traffic, combiner ticks, arena
-// rows). The default, nil, disables instrumentation entirely: the hot
-// paths see a single never-taken branch.
-func Telemetry(s *telemetry.Sink) Option { return func(c *config) { c.tel = s } }
-
 // Bounds is the documented read envelope of a sharded object: against a
 // true value v, a Read may return any x with
 //
@@ -270,74 +230,43 @@ type Bounds = object.Bounds
 // counterPolicy is the counter's row of the plane: reads sum the shards
 // (so per-shard additive slack sums too), and handles batch increment
 // counts (so the B-1 staleness scales with the handle count).
-var counterPolicy = policy{
-	combine:               "sum",
+var counterPolicy = &policy[uint64]{
+	name:                  "sum",
+	combine:               satmath.Add,
 	buffer:                countBatching,
 	addScalesWithShards:   true,
 	bufferScalesWithProcs: true,
+	newCache:              newScalarReadCache,
 }
 
 // Counter is the sharded counter: S independently accurate shards summed
-// by readers. Create handles with Handle; the zero value is not usable.
+// by readers, with the plane's accessors (N, K, Shards, Batch, Backend,
+// ReadCache, Close, Bounds, BaseObjects). Create handles with Handle;
+// the zero value is not usable.
 type Counter struct {
-	p *plane[object.Counter, object.CounterHandle, uint64]
+	*plane[object.Counter, object.CounterHandle, uint64]
 }
 
 // New creates a sharded counter for n process slots with accuracy
-// parameter k, configured by opts. Each shard is built over its own
-// n-slot prim.Factory, so any handle can read every shard; backend
-// preconditions (e.g. k >= sqrt(n) for MultBackend) apply per shard.
-func New(n int, k uint64, opts ...Option) (*Counter, error) {
-	cfg := config{shards: 1, batch: 1, backend: MultBackend()}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	p, err := newPlane(n, k, cfg.shards, cfg.batch, cfg.readStale, cfg.tel, cfg.backend, counterPolicy,
-		func(o object.Counter, pr *prim.Proc) object.CounterHandle { return o.CounterHandle(pr) },
-		satmath.Add, nil, newScalarReadCache,
-	)
+// parameter k over backend be, configured by cfg. Each shard is built
+// over its own n-slot prim.Factory, so any handle can read every shard;
+// backend preconditions (e.g. k >= sqrt(n) for MultBackend) apply per
+// shard.
+func New(n int, k uint64, be Backend, cfg Config) (*Counter, error) {
+	p, err := newPlane(n, k, cfg, be, counterPolicy,
+		func(o object.Counter, pr *prim.Proc) object.CounterHandle { return o.CounterHandle(pr) }, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Counter{p: p}, nil
+	return &Counter{p}, nil
 }
-
-// N returns the number of process slots.
-func (c *Counter) N() int { return c.p.N() }
-
-// K returns the accuracy parameter passed to the backend.
-func (c *Counter) K() uint64 { return c.p.K() }
-
-// Shards returns the shard count S.
-func (c *Counter) Shards() int { return c.p.Shards() }
-
-// Batch returns the per-handle buffer size B (1 means unbuffered).
-func (c *Counter) Batch() uint64 { return c.p.Batch() }
-
-// Backend returns the configured backend.
-func (c *Counter) Backend() Backend { return c.p.be }
-
-// ReadCache returns the read-cache staleness window (0 when off).
-func (c *Counter) ReadCache() time.Duration { return c.p.ReadCache() }
-
-// Close stops the read cache's background combiner goroutine, if any.
-// Idempotent; handles stay usable (cached reads refresh inline).
-func (c *Counter) Close() { c.p.Close() }
-
-// Bounds returns the combined read envelope for this configuration (see
-// the package comment for the composition argument).
-func (c *Counter) Bounds() Bounds { return c.p.Bounds() }
-
-// BaseObjects returns the number of base objects allocated across all
-// shards — the counter's space cost in the paper's model.
-func (c *Counter) BaseObjects() uint64 { return c.p.BaseObjects() }
 
 // Handle binds process slot i (0 <= i < n) to the counter. The handle
 // increments shard i mod S and reads all shards through slot i of each
 // shard's factory. Like every handle in this repository it must be used by
 // a single goroutine.
 func (c *Counter) Handle(i int) *Handle {
-	h := &Handle{handleCore: c.p.newCore(i)}
+	h := &Handle{handleCore: c.newCore(i)}
 	if bulk, ok := h.home.(object.BulkCounterHandle); ok {
 		h.buf.flush = bulk.IncN
 	} else {
@@ -361,7 +290,7 @@ type Handle struct {
 
 var _ object.CounterHandle = (*Handle)(nil)
 
-// Inc adds one. With Batch(B > 1) the increment is buffered locally and
-// flushed to the home shard every B calls, so B-1 of every B Incs are a
-// single local add.
+// Inc adds one. With Config.Batch B > 1 the increment is buffered locally
+// and flushed to the home shard every B calls, so B-1 of every B Incs are
+// a single local add.
 func (h *Handle) Inc() { h.buf.add(1) }

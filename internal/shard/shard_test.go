@@ -14,20 +14,21 @@ func TestNewValidation(t *testing.T) {
 		name string
 		n    int
 		k    uint64
-		opts []shard.Option
+		be   shard.Backend
+		cfg  shard.Config
 		want string // substring of the error, "" for success
 	}{
-		{name: "ok-defaults", n: 4, k: 2},
-		{name: "ok-sharded-batched", n: 8, k: 4, opts: []shard.Option{shard.Shards(4), shard.Batch(16)}},
-		{name: "no-processes", n: 0, k: 2, want: "at least one process"},
-		{name: "zero-shards", n: 4, k: 2, opts: []shard.Option{shard.Shards(0)}, want: "shard count"},
-		{name: "zero-batch", n: 4, k: 2, opts: []shard.Option{shard.Batch(0)}, want: "batch size"},
+		{name: "ok-defaults", n: 4, k: 2, be: shard.MultBackend()},
+		{name: "ok-sharded-batched", n: 8, k: 4, be: shard.MultBackend(), cfg: shard.Config{Shards: 4, Batch: 16}},
+		{name: "no-processes", n: 0, k: 2, be: shard.MultBackend(), want: "at least one process"},
+		{name: "negative-shards", n: 4, k: 2, be: shard.MultBackend(), cfg: shard.Config{Shards: -1}, want: "shard count"},
+		{name: "negative-batch", n: 4, k: 2, be: shard.MultBackend(), cfg: shard.Config{Batch: -1}, want: "batch size"},
 		// The mult backend's k >= sqrt(n) precondition applies per shard
 		// (every shard has n slots) and surfaces through New.
-		{name: "k-too-small", n: 16, k: 2, want: "sqrt(n)"},
-		{name: "aach-ignores-k", n: 16, k: 2, opts: []shard.Option{shard.WithBackend(shard.AACHBackend())}},
+		{name: "k-too-small", n: 16, k: 2, be: shard.MultBackend(), want: "sqrt(n)"},
+		{name: "aach-ignores-k", n: 16, k: 2, be: shard.AACHBackend()},
 	} {
-		_, err := shard.New(tc.n, tc.k, tc.opts...)
+		_, err := shard.New(tc.n, tc.k, tc.be, tc.cfg)
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -44,7 +45,7 @@ func TestNewValidation(t *testing.T) {
 func TestExactShardingSequential(t *testing.T) {
 	for _, s := range []int{1, 2, 3, 5} {
 		const n = 5
-		c, err := shard.New(n, 0, shard.Shards(s), shard.WithBackend(shard.AACHBackend()))
+		c, err := shard.New(n, 0, shard.AACHBackend(), shard.Config{Shards: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func TestExactShardingSequential(t *testing.T) {
 // and Flush drains a partial buffer.
 func TestBatchBuffering(t *testing.T) {
 	const b = 4
-	c, err := shard.New(2, 0, shard.Shards(2), shard.Batch(b), shard.WithBackend(shard.AACHBackend()))
+	c, err := shard.New(2, 0, shard.AACHBackend(), shard.Config{Shards: 2, Batch: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,21 +101,21 @@ func TestBatchBuffering(t *testing.T) {
 }
 
 func TestBounds(t *testing.T) {
-	mult, err := shard.New(4, 4, shard.Shards(3), shard.Batch(8))
+	mult, err := shard.New(4, 4, shard.MultBackend(), shard.Config{Shards: 3, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := mult.Bounds(), (shard.Bounds{Mult: 4, Add: 0, Buffer: 7 * 4}); got != want {
 		t.Errorf("mult bounds = %+v, want %+v", got, want)
 	}
-	add, err := shard.New(4, 10, shard.Shards(3), shard.WithBackend(shard.AdditiveBackend()))
+	add, err := shard.New(4, 10, shard.AdditiveBackend(), shard.Config{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := add.Bounds(), (shard.Bounds{Mult: 1, Add: 30, Buffer: 0}); got != want {
 		t.Errorf("additive bounds = %+v, want %+v", got, want)
 	}
-	exact, err := shard.New(4, 0, shard.WithBackend(shard.AACHBackend()))
+	exact, err := shard.New(4, 0, shard.AACHBackend(), shard.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestMultIncNEquivalence(t *testing.T) {
 // batch factor on backends with a real bulk path.
 func TestShardedSteps(t *testing.T) {
 	run := func(batch int) uint64 {
-		c, err := shard.New(1, 0, shard.Batch(batch), shard.WithBackend(shard.AACHBackend()))
+		c, err := shard.New(1, 0, shard.AACHBackend(), shard.Config{Batch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}

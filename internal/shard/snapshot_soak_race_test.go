@@ -18,18 +18,16 @@ func TestShardedSnapshotConcurrentSoak(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		n    int
-		opts []shard.SnapshotOption
+		cfg  shard.Config
 		perG int
 	}{
 		{name: "1shard", n: 4, perG: 2_000},
-		{name: "4shards", n: 8, opts: []shard.SnapshotOption{shard.SnapshotShards(4)}, perG: 2_000},
-		{name: "4shards-batch16", n: 8,
-			opts: []shard.SnapshotOption{shard.SnapshotShards(4), shard.SnapshotBatch(16)}, perG: 2_000},
-		{name: "3shards-batch64", n: 6,
-			opts: []shard.SnapshotOption{shard.SnapshotShards(3), shard.SnapshotBatch(64)}, perG: 1_000},
+		{name: "4shards", n: 8, cfg: shard.Config{Shards: 4}, perG: 2_000},
+		{name: "4shards-batch16", n: 8, cfg: shard.Config{Shards: 4, Batch: 16}, perG: 2_000},
+		{name: "3shards-batch64", n: 6, cfg: shard.Config{Shards: 3, Batch: 64}, perG: 1_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sn, err := shard.NewSnapshot(tc.n, 1, tc.opts...)
+			sn, err := shard.NewSnapshot(tc.n, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,19 +19,20 @@ func TestShardedConcurrentSoak(t *testing.T) {
 		name string
 		k    uint64
 		n    int
-		opts []shard.Option
+		be   shard.Backend
+		cfg  shard.Config
 		perG int
 	}{
-		{name: "mult-1shard", k: 4, n: 8, perG: 10_000},
-		{name: "mult-4shards", k: 4, n: 8, opts: []shard.Option{shard.Shards(4)}, perG: 10_000},
-		{name: "mult-4shards-batch16", k: 4, n: 8, opts: []shard.Option{shard.Shards(4), shard.Batch(16)}, perG: 10_000},
-		{name: "mult-8shards-batch64", k: 8, n: 16, opts: []shard.Option{shard.Shards(8), shard.Batch(64)}, perG: 5_000},
-		{name: "aach-4shards", k: 0, n: 8, opts: []shard.Option{shard.Shards(4), shard.WithBackend(shard.AACHBackend())}, perG: 2_000},
-		{name: "aach-4shards-batch8", k: 0, n: 8, opts: []shard.Option{shard.Shards(4), shard.Batch(8), shard.WithBackend(shard.AACHBackend())}, perG: 2_000},
-		{name: "additive-4shards", k: 64, n: 8, opts: []shard.Option{shard.Shards(4), shard.WithBackend(shard.AdditiveBackend())}, perG: 10_000},
+		{name: "mult-1shard", k: 4, n: 8, be: shard.MultBackend(), perG: 10_000},
+		{name: "mult-4shards", k: 4, n: 8, be: shard.MultBackend(), cfg: shard.Config{Shards: 4}, perG: 10_000},
+		{name: "mult-4shards-batch16", k: 4, n: 8, be: shard.MultBackend(), cfg: shard.Config{Shards: 4, Batch: 16}, perG: 10_000},
+		{name: "mult-8shards-batch64", k: 8, n: 16, be: shard.MultBackend(), cfg: shard.Config{Shards: 8, Batch: 64}, perG: 5_000},
+		{name: "aach-4shards", k: 0, n: 8, be: shard.AACHBackend(), cfg: shard.Config{Shards: 4}, perG: 2_000},
+		{name: "aach-4shards-batch8", k: 0, n: 8, be: shard.AACHBackend(), cfg: shard.Config{Shards: 4, Batch: 8}, perG: 2_000},
+		{name: "additive-4shards", k: 64, n: 8, be: shard.AdditiveBackend(), cfg: shard.Config{Shards: 4}, perG: 10_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := shard.New(tc.n, tc.k, tc.opts...)
+			c, err := shard.New(tc.n, tc.k, tc.be, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

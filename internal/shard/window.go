@@ -64,6 +64,29 @@ import (
 // the fresh one empty: at most one epoch (d/epochs) of truncation skew,
 // reported as the Window term of Bounds.
 
+// EpochHandle is what the ring needs of a kind handle: the combined
+// read into a reused buffer (scalar kinds ignore the buffer), Flush,
+// and step accounting. Every kind handle has them through its handle
+// core.
+type EpochHandle[V any] interface {
+	ReadInto(dst V) V
+	Flush()
+	Steps() uint64
+}
+
+// Epoch is what the ring needs of one epoch instance: the kind object's
+// Handle plus the plane accessors every kind carries, including its
+// policy row (whose combine folds the ring) and its telemetry sink.
+// Counter, MaxReg, Snapshot, and Histogram satisfy it.
+type Epoch[H EpochHandle[V], V any] interface {
+	Handle(i int) H
+	Close()
+	Bounds() Bounds
+	BaseObjects() uint64
+	kindPolicy() *policy[V]
+	sink() *telemetry.Sink
+}
+
 // wepoch is one ring entry: a kind object and the rotation sequence
 // number under which it was installed.
 type wepoch[T any] struct {
@@ -71,34 +94,22 @@ type wepoch[T any] struct {
 	obj T
 }
 
-// window is the generic epoch ring. T is the kind object (*Counter,
-// *MaxReg, ...), H its handle type, V the combined-read value; the
-// per-kind function fields adapt the ring to the kind, exactly like the
-// plane's policy rows adapt the shard fold.
-type window[T any, H any, V any] struct {
+// Window is the generic epoch ring, the one windowed object type of
+// every kind. T is the kind object (*Counter, *MaxReg, ...), H its
+// handle type, V the combined-read value. Only mk, which builds one
+// fresh epoch, is a function; everything else the ring needs comes from
+// the methods of T and H.
+type Window[T Epoch[H, V], H EpochHandle[V], V any] struct {
 	dur    time.Duration
 	epochs int
+	mk     func() (T, error)
 
-	mk     func() (T, error) // builds one fresh epoch instance
-	bind   func(T, int) H    // binds a process slot to an epoch
-	readOf func(H) V         // the epoch's combined read
-	// readIntoOf is the epoch's combined read into a reused buffer, nil
-	// for scalar kinds: windowed vector reads fold the ring through the
-	// handle's scratch buffer instead of allocating per epoch.
-	readIntoOf func(H, V) V
-	flushOf    func(H)
-	stepsOf    func(H) uint64
-	closeOf    func(T)
-	boundsOf   func(T) Bounds
-	combine    Combine[V]
-	// sumCombine: the kind's Combine sums values, so per-epoch additive
-	// slack accumulates over the live ring (counters; false for max,
-	// per-component, and per-bucket folds, which partition instead).
-	sumCombine bool
-
-	// tel is the telemetry sink extracted from the kind options (nil when
-	// uninstrumented): rotations and handle re-homes are window-tier
-	// events the per-epoch planes cannot see.
+	// pol is the kind's policy row: its combine folds the ring, and
+	// addScalesWithShards says per-epoch additive slack sums over it.
+	pol *policy[V]
+	// tel is the epochs' telemetry sink (nil when uninstrumented):
+	// rotations and handle re-homes are window-tier events the
+	// per-epoch planes cannot see.
 	tel *telemetry.Sink
 
 	// seq is published AFTER the epoch for it is installed in the ring,
@@ -115,28 +126,30 @@ type window[T any, H any, V any] struct {
 	once sync.Once
 }
 
-// newWindow builds the ring (all epochs pre-installed, so the very
-// first read folds a full window of empty instances) and starts the
-// rotator goroutine.
-func newWindow[T any, H any, V any](d time.Duration, epochs int, w *window[T, H, V]) (*window[T, H, V], error) {
+// NewWindow builds a windowed object: a ring of `epochs` instances of
+// mk, rotated every d/epochs. All epochs are pre-installed, so the very
+// first read folds a full window of empty instances, and the rotator
+// goroutine is running; stop it with Close.
+func NewWindow[T Epoch[H, V], H EpochHandle[V], V any](d time.Duration, epochs int, mk func() (T, error)) (*Window[T, H, V], error) {
 	if d <= 0 {
 		return nil, fmt.Errorf("shard: window duration must be > 0, got %v", d)
 	}
 	if epochs < 2 {
 		return nil, fmt.Errorf("shard: window needs at least 2 epochs (1 would truncate the whole window on every rotation), got %d", epochs)
 	}
-	w.dur, w.epochs = d, epochs
-	w.ring = make([]atomic.Pointer[wepoch[T]], epochs)
+	w := &Window[T, H, V]{dur: d, epochs: epochs, mk: mk, ring: make([]atomic.Pointer[wepoch[T]], epochs)}
 	for j := 0; j < epochs; j++ {
-		obj, err := w.mk()
+		obj, err := mk()
 		if err != nil {
 			for i := 0; i < j; i++ {
-				w.closeOf(w.ring[i].Load().obj)
+				w.ring[i].Load().obj.Close()
 			}
 			return nil, err
 		}
 		w.ring[j].Store(&wepoch[T]{seq: uint64(j), obj: obj})
 	}
+	first := w.ring[0].Load().obj
+	w.pol, w.tel = first.kindPolicy(), first.sink()
 	w.seq.Store(uint64(epochs - 1))
 	w.stop = make(chan struct{})
 	w.done = make(chan struct{})
@@ -145,7 +158,7 @@ func newWindow[T any, H any, V any](d time.Duration, epochs int, w *window[T, H,
 }
 
 // run is the rotator loop: one rotation every d/epochs.
-func (w *window[T, H, V]) run() {
+func (w *Window[T, H, V]) run() {
 	defer close(w.done)
 	t := time.NewTicker(w.dur / time.Duration(w.epochs))
 	defer t.Stop()
@@ -154,19 +167,21 @@ func (w *window[T, H, V]) run() {
 		case <-w.stop:
 			return
 		case <-t.C:
-			w.rotate()
+			w.Rotate()
 		}
 	}
 }
 
-// rotate installs a fresh epoch and evicts the oldest: install into the
+// Rotate installs a fresh epoch and evicts the oldest: install into the
 // new sequence number's ring slot first, publish the sequence number
-// second, close the evicted instance last. After Close it is a no-op
-// (the window is frozen). A kind construction that cannot fail built
-// the ring, so mk cannot fail here either; a failure is surfaced by
-// keeping the current window (no rotation) rather than poisoning the
-// ring.
-func (w *window[T, H, V]) rotate() {
+// second, close the evicted instance last. The rotator calls it every
+// d/epochs; tests and manual epoch control call it directly (the
+// windowed conformance sweeps drive epochs by hand instead of sleeping
+// through wall-clock rotations). After Close it is a no-op (the window
+// is frozen). A kind construction that cannot fail built the ring, so
+// mk cannot fail here either; a failure is surfaced by keeping the
+// current window (no rotation) rather than poisoning the ring.
+func (w *Window[T, H, V]) Rotate() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -179,15 +194,10 @@ func (w *window[T, H, V]) rotate() {
 	s := w.seq.Load() + 1
 	old := w.ring[s%uint64(w.epochs)].Swap(&wepoch[T]{seq: s, obj: fresh})
 	w.seq.Store(s)
-	w.closeOf(old.obj)
+	old.obj.Close()
 	w.tel.Inc(telemetry.EvRotation, 0)
 	w.tel.Trace(telemetry.TraceRotation, -1, s)
 }
-
-// Rotate forces one rotation, for deterministic tests and manual epoch
-// control: the windowed conformance sweeps drive epochs by hand instead
-// of sleeping through wall-clock rotations.
-func (w *window[T, H, V]) Rotate() { w.rotate() }
 
 // Reset replaces every live epoch with a fresh instance — the
 // go-metrics Snapshot(reset) idiom. It is NOT atomic with a preceding
@@ -195,7 +205,7 @@ func (w *window[T, H, V]) Rotate() { w.rotate() }
 // kept (the tail of the replacement loop) or discarded with the window,
 // exactly like mutations racing a rotation land on either side of it.
 // After Close, Reset returns an error (the window is frozen).
-func (w *window[T, H, V]) Reset() error {
+func (w *Window[T, H, V]) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -206,7 +216,7 @@ func (w *window[T, H, V]) Reset() error {
 		obj, err := w.mk()
 		if err != nil {
 			for j := 0; j < i; j++ {
-				w.closeOf(fresh[j])
+				fresh[j].Close()
 			}
 			return err
 		}
@@ -216,7 +226,7 @@ func (w *window[T, H, V]) Reset() error {
 	for i := 1; i <= w.epochs; i++ {
 		ns := s + uint64(i)
 		old := w.ring[ns%uint64(w.epochs)].Swap(&wepoch[T]{seq: ns, obj: fresh[i-1]})
-		w.closeOf(old.obj)
+		old.obj.Close()
 	}
 	w.seq.Store(s + uint64(w.epochs))
 	return nil
@@ -227,7 +237,7 @@ func (w *window[T, H, V]) Reset() error {
 // the frozen ring (they remain fully valid — per-epoch cached reads
 // fall back to inline refreshes), writes keep landing in the frozen
 // current epoch, and Reset returns an error. Idempotent.
-func (w *window[T, H, V]) Close() {
+func (w *Window[T, H, V]) Close() {
 	w.once.Do(func() {
 		close(w.stop)
 		<-w.done
@@ -239,15 +249,9 @@ func (w *window[T, H, V]) Close() {
 	}
 	w.closed = true
 	for j := range w.ring {
-		w.closeOf(w.ring[j].Load().obj)
+		w.ring[j].Load().obj.Close()
 	}
 }
-
-// Window returns the window duration d.
-func (w *window[T, H, V]) Window() time.Duration { return w.dur }
-
-// Epochs returns the ring size.
-func (w *window[T, H, V]) Epochs() int { return w.epochs }
 
 // Bounds composes the windowed envelope from the per-epoch one: Add
 // widens by the epoch count iff the kind's Combine sums (per-epoch
@@ -259,10 +263,9 @@ func (w *window[T, H, V]) Epochs() int { return w.epochs }
 // regardless of the combine (union bound: the windowed read is in range
 // when every one of the `epochs` per-epoch combined reads is, whatever
 // the fold), clamped at 1.
-func (w *window[T, H, V]) Bounds() Bounds {
-	e := w.ring[w.seq.Load()%uint64(w.epochs)].Load()
-	b := w.boundsOf(e.obj)
-	if w.sumCombine {
+func (w *Window[T, H, V]) Bounds() Bounds {
+	b := w.ring[w.seq.Load()%uint64(w.epochs)].Load().obj.Bounds()
+	if w.pol.addScalesWithShards {
 		b.Add = satmath.Mul(b.Add, uint64(w.epochs))
 	}
 	if b.Delta > 0 {
@@ -272,6 +275,23 @@ func (w *window[T, H, V]) Bounds() Bounds {
 	return b
 }
 
+// BaseObjects sums the base objects of every live epoch — the windowed
+// object's space cost in the paper's model at this instant (rotation
+// replaces epochs, so the total is steady-state, not cumulative).
+func (w *Window[T, H, V]) BaseObjects() uint64 {
+	var total uint64
+	for j := range w.ring {
+		total += w.ring[j].Load().obj.BaseObjects()
+	}
+	return total
+}
+
+// Handle binds process slot i to the window. The kinds' windowed handle
+// types (WCounterHandle, ...) wrap it to add their mutation.
+func (w *Window[T, H, V]) Handle(i int) *WindowHandle[T, H, V] {
+	return &WindowHandle[T, H, V]{w: w, slot: i, cores: make([]windowCore[H], w.epochs), lastWrite: -1}
+}
+
 // windowCore is one cached per-ring-slot kind handle.
 type windowCore[H any] struct {
 	seq uint64
@@ -279,13 +299,13 @@ type windowCore[H any] struct {
 	ok  bool
 }
 
-// windowHandle is the per-slot handle over the ring: cached kind
+// WindowHandle is the per-slot handle over the ring: cached kind
 // handles per ring slot, lazy re-homing, and steps accounting across
 // rebinds. Like every handle in this repository it must be used by a
 // single goroutine; rotation happens on another goroutine but
 // communicates only through the ring's atomics.
-type windowHandle[T any, H any, V any] struct {
-	w     *window[T, H, V]
+type WindowHandle[T Epoch[H, V], H EpochHandle[V], V any] struct {
+	w     *Window[T, H, V]
 	slot  int
 	cores []windowCore[H]
 	// lastWrite is the ring slot of the most recent mutation, so moving
@@ -296,26 +316,22 @@ type windowHandle[T any, H any, V any] struct {
 	// Steps monotone across epochs.
 	retired uint64
 	// scratch is the fold buffer for the non-first epochs' reads (vector
-	// kinds; see readWindowInto).
+	// kinds; see ReadInto).
 	scratch V
-}
-
-func newWindowHandle[T any, H any, V any](w *window[T, H, V], slot int) windowHandle[T, H, V] {
-	return windowHandle[T, H, V]{w: w, slot: slot, cores: make([]windowCore[H], w.epochs), lastWrite: -1}
 }
 
 // core returns the cached kind handle for ring slot j's installed epoch
 // e, rebinding (flush old, bind new) when the slot was rotated under
 // it.
-func (h *windowHandle[T, H, V]) core(j int, e *wepoch[T]) H {
+func (h *WindowHandle[T, H, V]) core(j int, e *wepoch[T]) H {
 	c := &h.cores[j]
 	if !c.ok || c.seq != e.seq {
 		if c.ok {
-			h.w.flushOf(c.h)
-			h.retired += h.w.stepsOf(c.h)
+			c.h.Flush()
+			h.retired += c.h.Steps()
 			h.w.tel.Inc(telemetry.EvRehome, h.slot)
 		}
-		c.h = h.w.bind(e.obj, h.slot)
+		c.h = e.obj.Handle(h.slot)
 		c.seq = e.seq
 		c.ok = true
 	}
@@ -326,427 +342,107 @@ func (h *windowHandle[T, H, V]) core(j int, e *wepoch[T]) H {
 // previous write slot when the current ring slot moved. The epoch
 // loaded may be newer than the sequence number read (a rotation
 // in-flight); either is live, so the mutation is never lost.
-func (h *windowHandle[T, H, V]) cur() H {
+func (h *WindowHandle[T, H, V]) cur() H {
 	j := int(h.w.seq.Load() % uint64(h.w.epochs))
 	if h.lastWrite >= 0 && h.lastWrite != j && h.cores[h.lastWrite].ok {
-		h.w.flushOf(h.cores[h.lastWrite].h)
+		h.cores[h.lastWrite].h.Flush()
 	}
 	h.lastWrite = j
 	return h.core(j, h.w.ring[j].Load())
 }
 
-// readWindow folds one combined read of every ring slot with the
-// kind's Combine. The accumulator is the first epoch's fresh read
-// (handles return freshly owned values), so vector combines may mutate
-// it, exactly as in the shard fold. For vector kinds the result is a
-// fresh slice (owned by the caller); reuse a buffer with
-// readWindowInto.
-func (h *windowHandle[T, H, V]) readWindow() V {
-	if h.w.readIntoOf != nil {
-		var zero V
-		return h.readWindowInto(zero)
-	}
-	e := h.w.ring[0].Load()
-	acc := h.w.readOf(h.core(0, e))
-	for j := 1; j < h.w.epochs; j++ {
-		e := h.w.ring[j].Load()
-		acc = h.w.combine(acc, h.w.readOf(h.core(j, e)))
-	}
-	return acc
+// Read folds one combined read of every live epoch with the kind's
+// Combine. For vector kinds the slice is fresh (owned by the caller);
+// reuse a buffer with ReadInto.
+func (h *WindowHandle[T, H, V]) Read() V {
+	var zero V
+	return h.ReadInto(zero)
 }
 
-// readWindowInto is readWindow into a reused buffer (vector kinds): the
+// ReadInto is Read into a reused buffer (scalar kinds ignore it): the
 // first epoch reads into dst, every later epoch into the handle's
 // scratch buffer, so a steady-state windowed read through one handle
-// allocates nothing.
-func (h *windowHandle[T, H, V]) readWindowInto(dst V) V {
-	e := h.w.ring[0].Load()
-	dst = h.w.readIntoOf(h.core(0, e), dst)
+// allocates nothing. The accumulator is always a value the caller owns,
+// so vector combines may mutate it, exactly as in the shard fold.
+func (h *WindowHandle[T, H, V]) ReadInto(dst V) V {
+	dst = h.core(0, h.w.ring[0].Load()).ReadInto(dst)
 	for j := 1; j < h.w.epochs; j++ {
-		e := h.w.ring[j].Load()
-		h.scratch = h.w.readIntoOf(h.core(j, e), h.scratch)
-		dst = h.w.combine(dst, h.scratch)
+		h.scratch = h.core(j, h.w.ring[j].Load()).ReadInto(h.scratch)
+		dst = h.w.pol.combine(dst, h.scratch)
 	}
 	return dst
 }
 
-// flushAll publishes every cached handle's buffered mutations.
-func (h *windowHandle[T, H, V]) flushAll() {
+// Flush publishes every cached epoch handle's buffered mutations.
+func (h *WindowHandle[T, H, V]) Flush() {
 	for j := range h.cores {
 		if h.cores[j].ok {
-			h.w.flushOf(h.cores[j].h)
+			h.cores[j].h.Flush()
 		}
 	}
 }
 
-// steps returns the handle's cumulative shared-memory steps: retired
+// Steps returns the handle's cumulative shared-memory steps: retired
 // cores plus every live cached handle. Monotone across rebinds (fresh
 // epoch handles start at zero and retired only grows).
-func (h *windowHandle[T, H, V]) steps() uint64 {
+func (h *WindowHandle[T, H, V]) Steps() uint64 {
 	s := h.retired
 	for j := range h.cores {
 		if h.cores[j].ok {
-			s += h.w.stepsOf(h.cores[j].h)
+			s += h.cores[j].h.Steps()
 		}
 	}
 	return s
 }
 
-// WindowedCounter is a counter over a rotating epoch ring: Incs land in
-// the current epoch, Reads sum the live ring. Each epoch is a full
-// *Counter (shards, batching, optional read cache) built from the same
-// configuration.
-type WindowedCounter struct {
-	w *window[*Counter, *Handle, uint64]
-}
+// The kinds' windowed handles: a WindowHandle (Read, ReadInto, Flush,
+// Steps) plus the kind's one mutation, landing in the current epoch.
+// Each is a single pointer, so storing one in an interface allocates
+// nothing.
 
-// NewWindowedCounter builds a windowed counter: a ring of `epochs`
-// instances of New(n, k, opts...) rotated every d/epochs.
-func NewWindowedCounter(n int, k uint64, d time.Duration, epochs int, opts ...Option) (*WindowedCounter, error) {
-	w := &window[*Counter, *Handle, uint64]{
-		mk:         func() (*Counter, error) { return New(n, k, opts...) },
-		bind:       func(c *Counter, i int) *Handle { return c.Handle(i) },
-		readOf:     func(h *Handle) uint64 { return h.Read() },
-		flushOf:    func(h *Handle) { h.Flush() },
-		stepsOf:    func(h *Handle) uint64 { return h.Steps() },
-		closeOf:    func(c *Counter) { c.Close() },
-		boundsOf:   func(c *Counter) Bounds { return c.Bounds() },
-		combine:    satmath.Add,
-		sumCombine: true,
-	}
-	// Rotation and re-home events belong to the window tier; recover the
-	// sink the kind options carry so the ring can report them itself.
-	cfg := config{shards: 1, batch: 1, backend: MultBackend()}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	w.tel = cfg.tel
-	if _, err := newWindow(d, epochs, w); err != nil {
-		return nil, err
-	}
-	return &WindowedCounter{w: w}, nil
-}
-
-// Handle binds process slot i to the windowed counter.
-func (c *WindowedCounter) Handle(i int) *WCounterHandle {
-	return &WCounterHandle{h: newWindowHandle(c.w, i)}
-}
-
-// Bounds returns the windowed read envelope (see window.Bounds).
-func (c *WindowedCounter) Bounds() Bounds { return c.w.Bounds() }
-
-// BaseObjects sums the base objects of every live epoch — the windowed
-// counter's space cost in the paper's model at this instant (rotation
-// replaces epochs, so the total is steady-state, not cumulative).
-func (c *WindowedCounter) BaseObjects() uint64 {
-	var total uint64
-	for j := range c.w.ring {
-		total += c.w.ring[j].Load().obj.BaseObjects()
-	}
-	return total
-}
-
-// Close freezes the window (see window.Close).
-func (c *WindowedCounter) Close() { c.w.Close() }
-
-// Reset replaces every live epoch with a fresh one (see window.Reset).
-func (c *WindowedCounter) Reset() error { return c.w.Reset() }
-
-// Rotate forces one epoch rotation (deterministic tests).
-func (c *WindowedCounter) Rotate() { c.w.Rotate() }
-
-// Window returns the window duration; Epochs the ring size.
-func (c *WindowedCounter) Window() time.Duration { return c.w.Window() }
-func (c *WindowedCounter) Epochs() int           { return c.w.Epochs() }
-
-// WCounterHandle is one process's view of a windowed counter. It
-// satisfies the same contract as *Handle (Inc, Read, Steps, Flush).
+// WCounterHandle is one process's view of a windowed counter: Incs land
+// in the current epoch, Reads sum the live ring (saturating).
 type WCounterHandle struct {
-	h windowHandle[*Counter, *Handle, uint64]
+	*WindowHandle[*Counter, *Handle, uint64]
 }
 
 // Inc adds one to the current epoch.
-func (h *WCounterHandle) Inc() { h.h.cur().Inc() }
+func (h WCounterHandle) Inc() { h.cur().Inc() }
 
-// Read sums one combined read of every live epoch (saturating).
-func (h *WCounterHandle) Read() uint64 { return h.h.readWindow() }
-
-// Flush publishes buffered increments in every cached epoch handle.
-func (h *WCounterHandle) Flush() { h.h.flushAll() }
-
-// Steps returns the cumulative shared-memory steps across epochs.
-func (h *WCounterHandle) Steps() uint64 { return h.h.steps() }
-
-// WindowedMaxReg is a max register over a rotating epoch ring: Writes
-// land in the current epoch, Reads take the max over the live ring —
-// the maximum over the last window, a running high-water mark that
-// expires.
-type WindowedMaxReg struct {
-	w *window[*MaxReg, *MaxRegHandle, uint64]
-}
-
-// NewWindowedMaxReg builds a windowed max register: a ring of `epochs`
-// instances of NewMaxReg(n, k, opts...) rotated every d/epochs.
-func NewWindowedMaxReg(n int, k uint64, d time.Duration, epochs int, opts ...MaxRegOption) (*WindowedMaxReg, error) {
-	w := &window[*MaxReg, *MaxRegHandle, uint64]{
-		mk:       func() (*MaxReg, error) { return NewMaxReg(n, k, opts...) },
-		bind:     func(m *MaxReg, i int) *MaxRegHandle { return m.Handle(i) },
-		readOf:   func(h *MaxRegHandle) uint64 { return h.Read() },
-		flushOf:  func(h *MaxRegHandle) { h.Flush() },
-		stepsOf:  func(h *MaxRegHandle) uint64 { return h.Steps() },
-		closeOf:  func(m *MaxReg) { m.Close() },
-		boundsOf: func(m *MaxReg) Bounds { return m.Bounds() },
-		combine:  maxOf,
-	}
-	cfg := maxRegConfig{shards: 1, batch: 1, backend: ExactMaxBackend()}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	w.tel = cfg.tel
-	if _, err := newWindow(d, epochs, w); err != nil {
-		return nil, err
-	}
-	return &WindowedMaxReg{w: w}, nil
-}
-
-// Handle binds process slot i to the windowed register.
-func (m *WindowedMaxReg) Handle(i int) *WMaxRegHandle {
-	return &WMaxRegHandle{h: newWindowHandle(m.w, i)}
-}
-
-// Bounds returns the windowed read envelope (see window.Bounds).
-func (m *WindowedMaxReg) Bounds() Bounds { return m.w.Bounds() }
-
-// BaseObjects sums the base objects of every live epoch (see
-// WindowedCounter.BaseObjects).
-func (m *WindowedMaxReg) BaseObjects() uint64 {
-	var total uint64
-	for j := range m.w.ring {
-		total += m.w.ring[j].Load().obj.BaseObjects()
-	}
-	return total
-}
-
-// Close freezes the window (see window.Close).
-func (m *WindowedMaxReg) Close() { m.w.Close() }
-
-// Reset replaces every live epoch with a fresh one (see window.Reset).
-func (m *WindowedMaxReg) Reset() error { return m.w.Reset() }
-
-// Rotate forces one epoch rotation (deterministic tests).
-func (m *WindowedMaxReg) Rotate() { m.w.Rotate() }
-
-// Window returns the window duration; Epochs the ring size.
-func (m *WindowedMaxReg) Window() time.Duration { return m.w.Window() }
-func (m *WindowedMaxReg) Epochs() int           { return m.w.Epochs() }
-
-// WMaxRegHandle is one process's view of a windowed max register. It
-// satisfies the same contract as *MaxRegHandle (Write, Read, Steps,
-// Flush).
+// WMaxRegHandle is one process's view of a windowed max register:
+// Writes land in the current epoch, Reads take the max over the live
+// ring — a running high-water mark that expires.
 type WMaxRegHandle struct {
-	h windowHandle[*MaxReg, *MaxRegHandle, uint64]
+	*WindowHandle[*MaxReg, *MaxRegHandle, uint64]
 }
 
 // Write records v in the current epoch.
-func (h *WMaxRegHandle) Write(v uint64) { h.h.cur().Write(v) }
+func (h WMaxRegHandle) Write(v uint64) { h.cur().Write(v) }
 
-// Read returns the maximum over one combined read of every live epoch.
-func (h *WMaxRegHandle) Read() uint64 { return h.h.readWindow() }
-
-// Flush publishes elided writes in every cached epoch handle.
-func (h *WMaxRegHandle) Flush() { h.h.flushAll() }
-
-// Steps returns the cumulative shared-memory steps across epochs.
-func (h *WMaxRegHandle) Steps() uint64 { return h.h.steps() }
-
-// WindowedSnapshot is a single-writer snapshot over a rotating epoch
-// ring. Updates land in the current epoch; a windowed Scan merges the
-// live ring per component with the snapshot's usual element-wise max,
-// so each component reads as its high-water mark over the window (a
-// component untouched for a full window reads zero).
-type WindowedSnapshot struct {
-	w *window[*Snapshot, *SnapshotHandle, []uint64]
-}
-
-// NewWindowedSnapshot builds a windowed snapshot: a ring of `epochs`
-// instances of NewSnapshot(n, k, opts...) rotated every d/epochs.
-func NewWindowedSnapshot(n int, k uint64, d time.Duration, epochs int, opts ...SnapshotOption) (*WindowedSnapshot, error) {
-	w := &window[*Snapshot, *SnapshotHandle, []uint64]{
-		mk:         func() (*Snapshot, error) { return NewSnapshot(n, k, opts...) },
-		bind:       func(s *Snapshot, i int) *SnapshotHandle { return s.Handle(i) },
-		readOf:     func(h *SnapshotHandle) []uint64 { return h.Scan() },
-		readIntoOf: func(h *SnapshotHandle, dst []uint64) []uint64 { return h.ScanInto(dst) },
-		flushOf:    func(h *SnapshotHandle) { h.Flush() },
-		stepsOf:    func(h *SnapshotHandle) uint64 { return h.Steps() },
-		closeOf:    func(s *Snapshot) { s.Close() },
-		boundsOf:   func(s *Snapshot) Bounds { return s.Bounds() },
-		combine:    mergeComponents,
-	}
-	cfg := snapshotConfig{shards: 1, batch: 1, backend: ExactSnapshotBackend()}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	w.tel = cfg.tel
-	if _, err := newWindow(d, epochs, w); err != nil {
-		return nil, err
-	}
-	return &WindowedSnapshot{w: w}, nil
-}
-
-// Handle binds process slot i to the windowed snapshot: the single
-// writer of component i.
-func (s *WindowedSnapshot) Handle(i int) *WSnapshotHandle {
-	return &WSnapshotHandle{h: newWindowHandle(s.w, i), slot: i}
-}
-
-// Bounds returns the windowed read envelope (see window.Bounds).
-func (s *WindowedSnapshot) Bounds() Bounds { return s.w.Bounds() }
-
-// BaseObjects sums the base objects of every live epoch (see
-// WindowedCounter.BaseObjects).
-func (s *WindowedSnapshot) BaseObjects() uint64 {
-	var total uint64
-	for j := range s.w.ring {
-		total += s.w.ring[j].Load().obj.BaseObjects()
-	}
-	return total
-}
-
-// Close freezes the window (see window.Close).
-func (s *WindowedSnapshot) Close() { s.w.Close() }
-
-// Reset replaces every live epoch with a fresh one (see window.Reset).
-func (s *WindowedSnapshot) Reset() error { return s.w.Reset() }
-
-// Rotate forces one epoch rotation (deterministic tests).
-func (s *WindowedSnapshot) Rotate() { s.w.Rotate() }
-
-// Window returns the window duration; Epochs the ring size.
-func (s *WindowedSnapshot) Window() time.Duration { return s.w.Window() }
-func (s *WindowedSnapshot) Epochs() int           { return s.w.Epochs() }
-
-// WSnapshotHandle is one process's view of a windowed snapshot. It
-// satisfies the same contract as *SnapshotHandle (Update, Scan,
-// Component, Steps, Flush).
+// WSnapshotHandle is one process's view of a windowed snapshot, the
+// single writer of component i: Updates land in the current epoch, and
+// a scan merges the live ring per component with the snapshot's
+// element-wise max, so each component reads as its high-water mark over
+// the window (a component untouched for a full window reads zero). Like
+// SnapshotHandle it names its reads Scan and ScanInto.
 type WSnapshotHandle struct {
-	h    windowHandle[*Snapshot, *SnapshotHandle, []uint64]
-	slot int
+	*WindowHandle[*Snapshot, *SnapshotHandle, []uint64]
 }
 
 // Update sets this handle's component in the current epoch.
-func (h *WSnapshotHandle) Update(v uint64) { h.h.cur().Update(v) }
+func (h WSnapshotHandle) Update(v uint64) { h.cur().Update(v) }
 
-// Scan merges one scan of every live epoch per component (element-wise
-// max: the component's high-water mark over the window). The slice is
-// fresh (owned by the caller).
-func (h *WSnapshotHandle) Scan() []uint64 { return h.h.readWindow() }
+func (h WSnapshotHandle) Scan() []uint64                 { return h.Read() }
+func (h WSnapshotHandle) ScanInto(dst []uint64) []uint64 { return h.ReadInto(dst) }
+func (h WSnapshotHandle) Component() int                 { return h.slot }
 
-// ScanInto is Scan into a reused buffer (grown as needed; a nil dst
-// behaves like Scan).
-func (h *WSnapshotHandle) ScanInto(dst []uint64) []uint64 { return h.h.readWindowInto(dst) }
-
-// Component returns the index of the component this handle writes.
-func (h *WSnapshotHandle) Component() int { return h.slot }
-
-// Flush publishes elided component updates in every cached epoch
-// handle.
-func (h *WSnapshotHandle) Flush() { h.h.flushAll() }
-
-// Steps returns the cumulative shared-memory steps across epochs.
-func (h *WSnapshotHandle) Steps() uint64 { return h.h.steps() }
-
-// WindowedHistogram is a histogram over a rotating epoch ring:
+// WHistHandle is one process's view of a windowed histogram:
 // observations land in the current epoch, bucket reads sum the live
-// ring per bucket — so every query (Count, Quantile, Rank, CDF at the
-// public layer) answers over the last window of observations.
-type WindowedHistogram struct {
-	w       *window[*Histogram, *HistHandle, []uint64]
-	buckets int
-}
-
-// NewWindowedHistogram builds a windowed histogram: a ring of `epochs`
-// instances of NewHistogram(n, k, buckets, opts...) rotated every
-// d/epochs.
-func NewWindowedHistogram(n int, k uint64, buckets int, d time.Duration, epochs int, opts ...HistOption) (*WindowedHistogram, error) {
-	w := &window[*Histogram, *HistHandle, []uint64]{
-		mk:         func() (*Histogram, error) { return NewHistogram(n, k, buckets, opts...) },
-		bind:       func(hg *Histogram, i int) *HistHandle { return hg.Handle(i) },
-		readOf:     func(h *HistHandle) []uint64 { return h.Buckets() },
-		readIntoOf: func(h *HistHandle, dst []uint64) []uint64 { return h.BucketsInto(dst) },
-		flushOf:    func(h *HistHandle) { h.Flush() },
-		stepsOf:    func(h *HistHandle) uint64 { return h.Steps() },
-		closeOf:    func(hg *Histogram) { hg.Close() },
-		boundsOf:   func(hg *Histogram) Bounds { return hg.Bounds() },
-		combine:    sumBuckets,
-	}
-	cfg := histConfig{shards: 1, batch: 1, backend: BucketHistBackend}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	w.tel = cfg.tel
-	if _, err := newWindow(d, epochs, w); err != nil {
-		return nil, err
-	}
-	return &WindowedHistogram{w: w, buckets: buckets}, nil
-}
-
-// Handle binds process slot i to the windowed histogram.
-func (hg *WindowedHistogram) Handle(i int) *WHistHandle {
-	return &WHistHandle{h: newWindowHandle(hg.w, i)}
-}
-
-// Bounds returns the windowed read envelope (see window.Bounds).
-func (hg *WindowedHistogram) Bounds() Bounds { return hg.w.Bounds() }
-
-// Buckets returns the number of buckets.
-func (hg *WindowedHistogram) Buckets() int { return hg.buckets }
-
-// BaseObjects sums the base objects of every live epoch (see
-// WindowedCounter.BaseObjects).
-func (hg *WindowedHistogram) BaseObjects() uint64 {
-	var total uint64
-	for j := range hg.w.ring {
-		total += hg.w.ring[j].Load().obj.BaseObjects()
-	}
-	return total
-}
-
-// Close freezes the window (see window.Close).
-func (hg *WindowedHistogram) Close() { hg.w.Close() }
-
-// Reset replaces every live epoch with a fresh one (see window.Reset).
-func (hg *WindowedHistogram) Reset() error { return hg.w.Reset() }
-
-// Rotate forces one epoch rotation (deterministic tests).
-func (hg *WindowedHistogram) Rotate() { hg.w.Rotate() }
-
-// Window returns the window duration; Epochs the ring size.
-func (hg *WindowedHistogram) Window() time.Duration { return hg.w.Window() }
-func (hg *WindowedHistogram) Epochs() int           { return hg.w.Epochs() }
-
-// WHistHandle is one process's view of a windowed histogram. It
-// satisfies the same contract as *HistHandle (Add, AddN, Buckets,
-// Steps, Flush).
+// ring per bucket — so every query at the public layer answers over the
+// last window of observations.
 type WHistHandle struct {
-	h windowHandle[*Histogram, *HistHandle, []uint64]
+	*WindowHandle[*Histogram, *HistHandle, []uint64]
 }
-
-// Add adds one observation to bucket b of the current epoch.
-func (h *WHistHandle) Add(b int) { h.AddN(b, 1) }
 
 // AddN adds d observations to bucket b of the current epoch.
-func (h *WHistHandle) AddN(b int, d uint64) { h.h.cur().AddN(b, d) }
-
-// Buckets returns the per-bucket counts summed over the live ring. The
-// slice is fresh (owned by the caller).
-func (h *WHistHandle) Buckets() []uint64 { return h.h.readWindow() }
-
-// BucketsInto is Buckets into a reused buffer (grown as needed; a nil
-// dst behaves like Buckets).
-func (h *WHistHandle) BucketsInto(dst []uint64) []uint64 { return h.h.readWindowInto(dst) }
-
-// Flush publishes buffered observations in every cached epoch handle.
-func (h *WHistHandle) Flush() { h.h.flushAll() }
-
-// Steps returns the cumulative shared-memory steps across epochs.
-func (h *WHistHandle) Steps() uint64 { return h.h.steps() }
+func (h WHistHandle) AddN(b int, d uint64) { h.cur().AddN(b, d) }

@@ -12,22 +12,26 @@ import (
 // epoch movement is deterministic.
 const hourWindow = time.Hour
 
-func exactCounterOpts(extra ...Option) []Option {
-	return append([]Option{WithBackend(AACHBackend())}, extra...)
+// windowedCounter builds a windowed counter over the exact AACH
+// backend: a ring of `epochs` New(n, 1, AACHBackend(), cfg) instances.
+func windowedCounter(n int, d time.Duration, epochs int, cfg Config) (*Window[*Counter, *Handle, uint64], error) {
+	return NewWindow[*Counter, *Handle, uint64](d, epochs, func() (*Counter, error) {
+		return New(n, 1, AACHBackend(), cfg)
+	})
 }
 
 // TestWindowValidation checks the constructor preconditions.
 func TestWindowValidation(t *testing.T) {
-	if _, err := NewWindowedCounter(2, 1, 0, 4, exactCounterOpts()...); err == nil {
+	if _, err := windowedCounter(2, 0, 4, Config{}); err == nil {
 		t.Error("zero duration accepted")
 	}
-	if _, err := NewWindowedCounter(2, 1, -time.Second, 4, exactCounterOpts()...); err == nil {
+	if _, err := windowedCounter(2, -time.Second, 4, Config{}); err == nil {
 		t.Error("negative duration accepted")
 	}
-	if _, err := NewWindowedCounter(2, 1, time.Minute, 1, exactCounterOpts()...); err == nil {
+	if _, err := windowedCounter(2, time.Minute, 1, Config{}); err == nil {
 		t.Error("single-epoch window accepted")
 	}
-	if _, err := NewWindowedCounter(2, 1, time.Minute, 0, exactCounterOpts()...); err == nil {
+	if _, err := windowedCounter(2, time.Minute, 0, Config{}); err == nil {
 		t.Error("zero-epoch window accepted")
 	}
 }
@@ -37,12 +41,12 @@ func TestWindowValidation(t *testing.T) {
 // the rotation that evicts their epoch.
 func TestWindowedCounterExpiry(t *testing.T) {
 	const epochs = 4
-	c, err := NewWindowedCounter(2, 1, hourWindow, epochs, exactCounterOpts()...)
+	c, err := windowedCounter(2, hourWindow, epochs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	h := c.Handle(0)
+	h := WCounterHandle{c.Handle(0)}
 	for i := 0; i < 10; i++ {
 		h.Inc()
 	}
@@ -73,27 +77,31 @@ func TestWindowedCounterExpiry(t *testing.T) {
 // and the histogram's buckets all expire to zero/empty.
 func TestWindowedKindsExpireToEmpty(t *testing.T) {
 	const epochs = 3
-	m, err := NewWindowedMaxReg(2, 1, hourWindow, epochs, WithMaxRegBackend(ExactMaxBackend()))
+	m, err := NewWindow[*MaxReg, *MaxRegHandle, uint64](hourWindow, epochs, func() (*MaxReg, error) {
+		return NewMaxReg(2, 1, ExactMaxBackend(), Config{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	mh := m.Handle(0)
+	mh := WMaxRegHandle{m.Handle(0)}
 	mh.Write(99)
-	s, err := NewWindowedSnapshot(2, 1, hourWindow, epochs, WithSnapshotBackend(ExactSnapshotBackend()))
+	s, err := NewWindow[*Snapshot, *SnapshotHandle, []uint64](hourWindow, epochs, func() (*Snapshot, error) {
+		return NewSnapshot(2, Config{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sh := s.Handle(1)
+	sh := WSnapshotHandle{s.Handle(1)}
 	sh.Update(7)
-	hg, err := NewWindowedHistogram(2, 2, 8, hourWindow, epochs)
+	hg, err := windowedHistogram(hourWindow, epochs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hg.Close()
-	hh := hg.Handle(0)
-	hh.Add(3)
+	hh := WHistHandle{hg.Handle(0)}
+	hh.AddN(3, 1)
 
 	if got := mh.Read(); got != 99 {
 		t.Fatalf("windowed max = %d, want 99", got)
@@ -101,7 +109,7 @@ func TestWindowedKindsExpireToEmpty(t *testing.T) {
 	if got := sh.Scan(); got[1] != 7 {
 		t.Fatalf("windowed scan = %v, want component 1 = 7", got)
 	}
-	if got := hh.Buckets(); got[3] != 1 {
+	if got := hh.Read(); got[3] != 1 {
 		t.Fatalf("windowed buckets = %v, want bucket 3 = 1", got)
 	}
 
@@ -118,25 +126,32 @@ func TestWindowedKindsExpireToEmpty(t *testing.T) {
 			t.Errorf("expired scan component %d = %d, want 0", i, v)
 		}
 	}
-	for b, v := range hh.Buckets() {
+	for b, v := range hh.Read() {
 		if v != 0 {
 			t.Errorf("expired bucket %d = %d, want 0", b, v)
 		}
 	}
 }
 
+// windowedHistogram builds a windowed 8-bucket histogram for 2 slots.
+func windowedHistogram(d time.Duration, epochs int) (*Window[*Histogram, *HistHandle, []uint64], error) {
+	return NewWindow[*Histogram, *HistHandle, []uint64](d, epochs, func() (*Histogram, error) {
+		return NewHistogram(2, 2, 8, Config{})
+	})
+}
+
 // TestWindowedZeroObservations checks the empty window: a never-written
 // windowed object reads as zero/empty across rotations, not as garbage
 // or a panic.
 func TestWindowedZeroObservations(t *testing.T) {
-	hg, err := NewWindowedHistogram(2, 2, 8, hourWindow, 4)
+	hg, err := windowedHistogram(hourWindow, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hg.Close()
 	h := hg.Handle(0)
 	for r := 0; r < 6; r++ {
-		for b, v := range h.Buckets() {
+		for b, v := range h.Read() {
 			if v != 0 {
 				t.Fatalf("rotation %d: empty window bucket %d = %d", r, b, v)
 			}
@@ -166,17 +181,17 @@ func TestRotationRacingBatchedWrites(t *testing.T) {
 				epochs = 8
 				incs   = 20_000
 			)
-			opts := exactCounterOpts(Batch(16))
+			cfg := Config{Batch: 16}
 			if cached {
-				opts = append(opts, ReadCache(time.Millisecond))
+				cfg.ReadStale = time.Millisecond
 			}
-			c, err := NewWindowedCounter(3, 1, hourWindow, epochs, opts...)
+			c, err := windowedCounter(3, hourWindow, epochs, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
 
-			w := c.Handle(0)
+			w := WCounterHandle{c.Handle(0)}
 			r := c.Handle(1)
 			var wg sync.WaitGroup
 			start := make(chan struct{})
@@ -243,13 +258,14 @@ func TestRotationRacingElidedSnapshotUpdates(t *testing.T) {
 		epochs  = 6
 		updates = 10_000
 	)
-	s, err := NewWindowedSnapshot(3, 1, hourWindow, epochs,
-		WithSnapshotBackend(ExactSnapshotBackend()), SnapshotBatch(16))
+	s, err := NewWindow[*Snapshot, *SnapshotHandle, []uint64](hourWindow, epochs, func() (*Snapshot, error) {
+		return NewSnapshot(3, Config{Batch: 16})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	w := s.Handle(0)
+	w := WSnapshotHandle{s.Handle(0)}
 	r := s.Handle(1)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -280,7 +296,7 @@ func TestRotationRacingElidedSnapshotUpdates(t *testing.T) {
 				return
 			default:
 			}
-			if got := r.Scan()[0]; got > updates {
+			if got := r.Read()[0]; got > updates {
 				t.Errorf("mid-race component read %d exceeds high-water mark %d", got, updates)
 				return
 			}
@@ -291,7 +307,7 @@ func TestRotationRacingElidedSnapshotUpdates(t *testing.T) {
 	close(stopRead)
 	<-readDone
 	w.Flush()
-	if got := r.Scan()[0]; got != updates {
+	if got := r.Read()[0]; got != updates {
 		t.Fatalf("quiescent component = %d, want high-water mark %d", got, updates)
 	}
 }
@@ -300,12 +316,12 @@ func TestRotationRacingElidedSnapshotUpdates(t *testing.T) {
 // rotation drops per-epoch handles, but the window handle accumulates
 // their steps, so Steps never goes backwards.
 func TestWindowedStepsMonotone(t *testing.T) {
-	c, err := NewWindowedCounter(2, 1, hourWindow, 3, exactCounterOpts()...)
+	c, err := windowedCounter(2, hourWindow, 3, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	h := c.Handle(0)
+	h := WCounterHandle{c.Handle(0)}
 	var last uint64
 	for r := 0; r < 10; r++ {
 		h.Inc()
@@ -326,12 +342,12 @@ func TestWindowedStepsMonotone(t *testing.T) {
 // restarts, the object stays usable, and the ring keeps rotating
 // afterwards.
 func TestWindowReset(t *testing.T) {
-	c, err := NewWindowedCounter(2, 1, hourWindow, 4, exactCounterOpts()...)
+	c, err := windowedCounter(2, hourWindow, 4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	h := c.Handle(0)
+	h := WCounterHandle{c.Handle(0)}
 	for i := 0; i < 5; i++ {
 		h.Inc()
 	}
@@ -355,11 +371,11 @@ func TestWindowReset(t *testing.T) {
 // returning the last value (no further aging), writes still land,
 // Rotate is a no-op, Reset errors, and Close is idempotent.
 func TestWindowCloseFreezes(t *testing.T) {
-	c, err := NewWindowedCounter(2, 1, hourWindow, 4, exactCounterOpts(ReadCache(time.Millisecond))...)
+	c, err := windowedCounter(2, hourWindow, 4, Config{ReadStale: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := c.Handle(0)
+	h := WCounterHandle{c.Handle(0)}
 	for i := 0; i < 7; i++ {
 		h.Inc()
 	}
@@ -388,11 +404,11 @@ func TestWindowCloseFreezes(t *testing.T) {
 func TestWindowCloseStopsGoroutines(t *testing.T) {
 	before := goruntime.NumGoroutine()
 	for i := 0; i < 8; i++ {
-		c, err := NewWindowedCounter(2, 1, time.Second, 4, exactCounterOpts(ReadCache(time.Millisecond))...)
+		c, err := windowedCounter(2, time.Second, 4, Config{ReadStale: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := c.Handle(0)
+		h := WCounterHandle{c.Handle(0)}
 		h.Inc()
 		h.Read()
 		c.Close()
@@ -416,12 +432,15 @@ func TestWindowCloseStopsGoroutines(t *testing.T) {
 // the Window term is d/epochs.
 func TestWindowedBoundsComposition(t *testing.T) {
 	const epochs = 5
-	base, err := New(2, 8, WithBackend(AdditiveBackend()), Shards(2), Batch(4))
+	cfg := Config{Shards: 2, Batch: 4}
+	base, err := New(2, 8, AdditiveBackend(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer base.Close()
-	wc, err := NewWindowedCounter(2, 8, hourWindow, epochs, WithBackend(AdditiveBackend()), Shards(2), Batch(4))
+	wc, err := NewWindow[*Counter, *Handle, uint64](hourWindow, epochs, func() (*Counter, error) {
+		return New(2, 8, AdditiveBackend(), cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,12 +463,14 @@ func TestWindowedBoundsComposition(t *testing.T) {
 	}
 
 	// Max registers partition instead of summing: nothing widens.
-	m, err := NewWindowedMaxReg(2, 2, hourWindow, epochs, WithMaxRegBackend(MultMaxBackend()))
+	m, err := NewWindow[*MaxReg, *MaxRegHandle, uint64](hourWindow, epochs, func() (*MaxReg, error) {
+		return NewMaxReg(2, 2, MultMaxBackend(), Config{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	bm, err := NewMaxReg(2, 2, WithMaxRegBackend(MultMaxBackend()))
+	bm, err := NewMaxReg(2, 2, MultMaxBackend(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // instance is the kind-agnostic view of a built object — what the
 // registry and the backend table program against, independent of the
 // kind's handle types. Every public object family (*Counter,
-// *MaxRegister, *Snapshot) implements it.
+// *MaxRegister, *Snapshot, *Histogram) implements it.
 type instance interface {
 	// Spec returns the validated spec the object was built from.
 	Spec() Spec
@@ -45,6 +45,146 @@ type instance interface {
 	// package expose), nil for every scalar kind.
 	snapshotDetail() *HistogramDetail
 }
+
+// objectCore is the state and accessor block every object family
+// shares: the validated spec, the shard runtime (the cumulative plane
+// object or the epoch ring, chosen once by initObject), the slot pool of
+// runtime handles, and the registry snapshot handle. Each kind embeds it
+// and adds only its handle types, its mutation and query surface, and
+// its descriptor row.
+type objectCore[H pooledHandle] struct {
+	spec  Spec
+	rt    shardRuntime
+	reset func() error // the ring's Reset, or refuseReset when cumulative
+	slots slotPool[H]
+	snap  H // registry snapshot handle (slot procs), else the zero H
+}
+
+// shardRuntime is what the public layer needs of an object's shard
+// runtime, the cumulative plane object (*shard.Counter, ...) and the
+// epoch ring (*shard.Window) alike.
+type shardRuntime interface {
+	Bounds() shard.Bounds
+	BaseObjects() uint64
+	Close()
+}
+
+// initObject builds c's shard runtime and the state every kind shares
+// over it. This is the one place the runtime is chosen: an epoch ring of
+// mk's instances when the spec is windowed, a single instance otherwise.
+// plain and windowed adapt the chosen runtime's slot handles to the
+// kind's pooled handle type H.
+func initObject[H pooledHandle, T shard.Epoch[E, V], E shard.EpochHandle[V], V any](
+	c *objectCore[H], spec Spec, mk func() (T, error),
+	plain func(E) H, windowed func(*shard.WindowHandle[T, E, V]) H,
+) error {
+	var bind func(int) H
+	if spec.Windowed() {
+		w, err := shard.NewWindow[T, E, V](spec.windowDur, spec.windowEpochs, mk)
+		if err != nil {
+			return err
+		}
+		c.rt, c.reset = w, w.Reset
+		bind = func(i int) H { return windowed(w.Handle(i)) }
+	} else {
+		o, err := mk()
+		if err != nil {
+			return err
+		}
+		c.rt, c.reset = o, c.refuseReset
+		bind = func(i int) H { return plain(o.Handle(i)) }
+	}
+	c.spec = spec
+	c.slots.init(spec.procs, bind)
+	instrumentObject(spec, c.slots.free, c.BaseObjects)
+	if spec.snapshotSlot {
+		c.snap = bind(spec.procs)
+	}
+	return nil
+}
+
+// shardConfig translates a spec into the sharded runtime's
+// configuration; each kind adds its own backend choice.
+func shardConfig(s Spec) shard.Config {
+	cfg := shard.Config{Shards: s.shards, Batch: s.batch, ReadStale: s.readStale}
+	if s.tel != nil {
+		cfg.Tel = s.tel.sink
+	}
+	return cfg
+}
+
+// refuseReset is Reset on a cumulative object.
+func (c *objectCore[H]) refuseReset() error {
+	return fmt.Errorf("approxobj: Reset needs a windowed %s (WithWindow); this one is cumulative", c.spec.kind)
+}
+
+// handle binds process slot i (0 <= i < N) for callers managing slot
+// assignment themselves; an out-of-range slot panics.
+func (c *objectCore[H]) handle(i int) H {
+	if i < 0 || i >= c.spec.procs {
+		panic(fmt.Sprintf("approxobj: %s handle slot out of range", c.spec.kind))
+	}
+	return c.slots.mk(i)
+}
+
+// Spec returns the validated spec the object was built from.
+func (c *objectCore[H]) Spec() Spec { return c.spec }
+
+// N returns the number of process slots available to callers (for
+// snapshots, also the number of components).
+func (c *objectCore[H]) N() int { return c.spec.procs }
+
+// Accuracy returns the accuracy selection.
+func (c *objectCore[H]) Accuracy() Accuracy { return c.spec.acc }
+
+// Shards returns the shard count.
+func (c *objectCore[H]) Shards() int { return c.spec.shards }
+
+// Batch returns the per-handle buffer size (1 means unbuffered): the
+// increment buffer of counters, the write-elision window of max
+// registers, the component-elision window of snapshots, the observation
+// buffer of histograms.
+func (c *objectCore[H]) Batch() uint64 { return uint64(c.spec.batch) }
+
+// Bounds returns the object's accuracy envelope; the kind's type
+// documentation says what each term means for it.
+func (c *objectCore[H]) Bounds() Bounds { return scaledBounds(c.rt.Bounds(), c.spec) }
+
+// BaseObjects returns the number of base objects (registers, TAS
+// instances) the object has allocated across its shards — and, for
+// windowed objects, its live epoch ring: its space cost in the paper's
+// model. The frontier bench (E19) reports it to compare deterministic
+// and randomized state at equal target error.
+func (c *objectCore[H]) BaseObjects() uint64 { return c.rt.BaseObjects() }
+
+// Close stops the object's background goroutines — the read cache's
+// combiner when WithReadCache is set, and the epoch rotator when
+// WithWindow is set (the window freezes: no further aging; reads keep
+// serving the frozen ring and Reset returns an error). Idempotent, and
+// a no-op otherwise; handles stay usable afterwards (cached reads
+// refresh inline).
+func (c *objectCore[H]) Close() { c.rt.Close() }
+
+// Reset replaces the whole window with fresh epochs — the object
+// restarts empty. Only windowed objects (WithWindow) support it; it is
+// an error otherwise, and after Close. Reset is not atomic with
+// concurrent mutations: a mutation racing it lands on either side,
+// exactly like one racing a rotation.
+func (c *objectCore[H]) Reset() error { return c.reset() }
+
+// StepsRetired returns the cumulative shared-memory steps credited by
+// released pooled handles. Steps of handles still held, or of manual
+// Handle(i) handles, are not included (their counters are owned by the
+// holding goroutine and cannot be read safely mid-flight).
+func (c *objectCore[H]) StepsRetired() uint64 { return c.slots.retired.Load() }
+
+// snapshotBounds, snapshotSteps, and snapshotDetail are the kind-agnostic
+// parts of the registry's instance view (see Registry.Snapshot); kinds
+// whose exported value needs a different envelope or a distribution
+// detail override them.
+func (c *objectCore[H]) snapshotBounds() Bounds           { return c.Bounds() }
+func (c *objectCore[H]) snapshotSteps() uint64            { return c.snap.Steps() }
+func (c *objectCore[H]) snapshotDetail() *HistogramDetail { return nil }
 
 // kindDescriptor is one registration in the backend-plane table:
 // everything the spec and registry layers need to know about an object

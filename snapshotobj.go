@@ -1,8 +1,6 @@
 package approxobj
 
 import (
-	"fmt"
-
 	"approxobj/internal/satmath"
 	"approxobj/internal/shard"
 )
@@ -72,53 +70,28 @@ var snapshotDescriptor = &kindDescriptor{
 	build: func(s Spec) (instance, error) { return newSnapshot(s) },
 }
 
-// snapshotShardOptions translates a snapshot spec into the sharded
-// runtime's configuration; the one backend so far is the exact AADGMS
-// snapshot, so only shards and batch (the component-elision window) pass
-// through.
-func snapshotShardOptions(s Spec) (k uint64, opts []shard.SnapshotOption) {
-	opts = []shard.SnapshotOption{
-		shard.SnapshotShards(s.shards),
-		shard.SnapshotBatch(s.batch),
-		shard.WithSnapshotBackend(shard.ExactSnapshotBackend()),
-	}
-	if s.readStale > 0 {
-		opts = append(opts, shard.SnapshotReadCache(s.readStale))
-	}
-	if s.tel != nil {
-		opts = append(opts, shard.SnapshotTelemetry(s.tel.sink))
-	}
-	return 1, opts
-}
-
 // Snapshot is the single-writer atomic snapshot family — the classic
 // AADGMS construction, optionally sharded and with component elision —
 // built by NewSnapshot from a spec. Process slot i is the single writer
 // of component i (N slots = N components); any handle scans all
 // components. Like the other families it runs on the unified sharded
-// runtime and reports its accuracy envelope via Bounds, which applies
-// per component.
+// runtime.
+//
+// Its Bounds applies per component: each scanned component x_i may be
+// any value with v_i - Buffer <= x_i <= v_i for its true value v_i,
+// where Buffer = B-1 for WithBatch(B) (per component — components are
+// disjoint across handles, so the headroom scales with neither N nor S).
+// Unbatched snapshots report the zero envelope. With WithReadCache the
+// Stale term carries the staleness window: each scanned component then
+// obeys its envelope against some true value in the regularity window
+// opened Stale before the scan began. With WithWindow(d, n) each scanned
+// component is its high-water mark over the live window (max across
+// epochs, so untouched components expire to 0) and the Window term
+// carries the one-epoch truncation skew d/n; the per-component envelope
+// does not widen (max-combine).
 type Snapshot struct {
-	spec Spec
-	s    *shard.Snapshot         // cumulative runtime, nil when windowed
-	ws   *shard.WindowedSnapshot // windowed runtime, nil when cumulative
-
-	slots slotPool[*pooledSnapshotHandle]
-
-	snap    snapshotRT // registry snapshot handle (slot procs), else nil
-	snapBuf []uint64   // snap's reused scan buffer (serialized by the registry's per-entry snapMu)
-}
-
-// snapshotRT is the runtime surface shared by the cumulative and
-// windowed snapshot backends; *shard.SnapshotHandle and
-// *shard.WSnapshotHandle both satisfy it.
-type snapshotRT interface {
-	Update(v uint64)
-	Scan() []uint64
-	ScanInto(dst []uint64) []uint64
-	Component() int
-	Steps() uint64
-	Flush()
+	objectCore[*snapshotSlotHandle]
+	snapBuf []uint64 // snap's reused scan buffer (serialized by the registry's per-entry snapMu)
 }
 
 var _ instance = (*Snapshot)(nil)
@@ -139,110 +112,22 @@ func NewSnapshot(opts ...Option) (*Snapshot, error) {
 }
 
 func newSnapshot(spec Spec) (*Snapshot, error) {
-	k, sopts := snapshotShardOptions(spec)
-	s := &Snapshot{spec: spec}
-	if spec.Windowed() {
-		ws, err := shard.NewWindowedSnapshot(spec.totalProcs(), k, spec.windowDur, spec.windowEpochs, sopts...)
-		if err != nil {
-			return nil, err
-		}
-		s.ws = ws
-	} else {
-		ss, err := shard.NewSnapshot(spec.totalProcs(), k, sopts...)
-		if err != nil {
-			return nil, err
-		}
-		s.s = ss
-	}
-	s.slots.init(spec.procs, s.newPooledHandle)
-	instrumentObject(spec, s.slots.free, s.BaseObjects)
-	if spec.snapshotSlot {
-		s.snap = s.runtimeHandle(spec.procs)
+	n := spec.procs
+	s := &Snapshot{}
+	err := initObject(&s.objectCore, spec,
+		func() (*shard.Snapshot, error) { return shard.NewSnapshot(spec.totalProcs(), shardConfig(spec)) },
+		func(h *shard.SnapshotHandle) *snapshotSlotHandle { return &snapshotSlotHandle{h: h, n: n} },
+		func(h *shard.WindowHandle[*shard.Snapshot, *shard.SnapshotHandle, []uint64]) *snapshotSlotHandle {
+			return &snapshotSlotHandle{h: shard.WSnapshotHandle{WindowHandle: h}, n: n}
+		})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// runtimeHandle binds a slot on whichever runtime backs the snapshot.
-func (s *Snapshot) runtimeHandle(i int) snapshotRT {
-	if s.ws != nil {
-		return s.ws.Handle(i)
-	}
-	return s.s.Handle(i)
-}
-
-// Spec returns the validated spec the snapshot was built from.
-func (s *Snapshot) Spec() Spec { return s.spec }
-
-// N returns the number of process slots (= components) available to
-// callers.
-func (s *Snapshot) N() int { return s.spec.procs }
-
 // Components returns the number of caller-visible components (= N).
 func (s *Snapshot) Components() int { return s.spec.procs }
-
-// Accuracy returns the accuracy selection (always Exact for the current
-// backend).
-func (s *Snapshot) Accuracy() Accuracy { return s.spec.acc }
-
-// Shards returns the shard count.
-func (s *Snapshot) Shards() int { return s.spec.shards }
-
-// Batch returns the per-handle component-elision window (1 means every
-// component change is published immediately).
-func (s *Snapshot) Batch() uint64 { return uint64(s.spec.batch) }
-
-// Bounds returns the snapshot's per-component read envelope: each
-// scanned component x_i may be any value with v_i - Buffer <= x_i <= v_i
-// for its true value v_i, where Buffer = B-1 for WithBatch(B) (per
-// component — components are disjoint across handles, so the headroom
-// scales with neither N nor S). Unbatched snapshots report the zero
-// envelope. With WithReadCache the Stale term carries the staleness
-// window: each scanned component then obeys its envelope against some
-// true value in the regularity window opened Stale before the scan
-// began. With WithWindow(d, n) each scanned component is its high-water
-// mark over the live window (max across epochs, so untouched components
-// expire to 0) and the Window term carries the one-epoch truncation
-// skew d/n; the per-component envelope does not widen (max-combine).
-func (s *Snapshot) Bounds() Bounds {
-	if s.ws != nil {
-		return scaledBounds(s.ws.Bounds(), s.spec)
-	}
-	return scaledBounds(s.s.Bounds(), s.spec)
-}
-
-// BaseObjects returns the number of base objects (registers, TAS
-// instances) the snapshot has allocated across its shards — and, for
-// windowed snapshots, its live epoch ring: the snapshot's space cost
-// in the paper's model.
-func (s *Snapshot) BaseObjects() uint64 {
-	if s.ws != nil {
-		return s.ws.BaseObjects()
-	}
-	return s.s.BaseObjects()
-}
-
-// Close stops the snapshot's background goroutines — the read cache's
-// combiner when WithReadCache is set, and the epoch rotator when
-// WithWindow is set (the window freezes; see Counter.Close).
-// Idempotent, and a no-op otherwise; handles stay usable afterwards
-// (cached scans refresh inline).
-func (s *Snapshot) Close() {
-	if s.ws != nil {
-		s.ws.Close()
-		return
-	}
-	s.s.Close()
-}
-
-// Reset replaces the whole window with fresh epochs — every component
-// restarts from zero. Only windowed snapshots (WithWindow) support it;
-// it is an error otherwise, and after Close.
-func (s *Snapshot) Reset() error {
-	if s.ws == nil {
-		return fmt.Errorf("approxobj: Reset needs a windowed snapshot (WithWindow); this one is cumulative")
-	}
-	return s.ws.Reset()
-}
 
 // Snapshot scans the components through a pooled handle and, when reset
 // is true, resets the window afterwards (see Counter.Snapshot for the
@@ -261,31 +146,26 @@ func (s *Snapshot) Snapshot(reset bool) ([]uint64, error) {
 // writer of component i. Each concurrent goroutine must use its own
 // slot; do not mix Handle(i) with Acquire/Do on the same slot range. The
 // returned handle implements BatchedSnapshotHandle.
-func (s *Snapshot) Handle(i int) SnapshotHandle {
-	if i < 0 || i >= s.spec.procs {
-		panic("approxobj: snapshot handle slot out of range")
-	}
-	return snapshotSlotHandle{h: s.runtimeHandle(i), n: s.spec.procs}
-}
+func (s *Snapshot) Handle(i int) SnapshotHandle { return s.handle(i) }
 
 // snapshotSlotHandle adapts a runtime snapshot handle to the public
 // interface, truncating scans to the caller-visible components (a
 // registry-owned snapshot holds one extra, never-written slot for
-// Registry.Snapshot reads).
+// Registry.Snapshot reads). It is also the pooled handle.
 type snapshotSlotHandle struct {
-	h snapshotRT
+	h BatchedSnapshotHandle
 	n int
 }
 
-var _ BatchedSnapshotHandle = snapshotSlotHandle{}
+var _ BatchedSnapshotHandle = (*snapshotSlotHandle)(nil)
 
-func (h snapshotSlotHandle) Update(v uint64) { h.h.Update(v) }
-func (h snapshotSlotHandle) Scan() []uint64  { return h.h.Scan()[:h.n] }
-func (h snapshotSlotHandle) Component() int  { return h.h.Component() }
-func (h snapshotSlotHandle) Steps() uint64   { return h.h.Steps() }
-func (h snapshotSlotHandle) Flush()          { h.h.Flush() }
+func (h *snapshotSlotHandle) Update(v uint64) { h.h.Update(v) }
+func (h *snapshotSlotHandle) Scan() []uint64  { return h.h.Scan()[:h.n] }
+func (h *snapshotSlotHandle) Component() int  { return h.h.Component() }
+func (h *snapshotSlotHandle) Steps() uint64   { return h.h.Steps() }
+func (h *snapshotSlotHandle) Flush()          { h.h.Flush() }
 
-func (h snapshotSlotHandle) ScanInto(dst []uint64) []uint64 {
+func (h *snapshotSlotHandle) ScanInto(dst []uint64) []uint64 {
 	// The runtime scans all slots (including a registry-reserved one);
 	// the caller sees the first n. dst grows to the runtime width once
 	// and is reused from then on.
@@ -297,7 +177,7 @@ func (h snapshotSlotHandle) ScanInto(dst []uint64) []uint64 {
 func (s *Snapshot) snapshotValue() uint64 {
 	s.snapBuf = s.snap.ScanInto(s.snapBuf)
 	var sum uint64
-	for _, v := range s.snapBuf[:s.spec.procs] {
+	for _, v := range s.snapBuf {
 		sum = satmath.Add(sum, v)
 	}
 	return sum
@@ -313,6 +193,3 @@ func (s *Snapshot) snapshotBounds() Bounds {
 	b.Buffer = satmath.Mul(b.Buffer, uint64(s.spec.procs))
 	return b
 }
-
-func (s *Snapshot) snapshotSteps() uint64            { return s.snap.Steps() }
-func (s *Snapshot) snapshotDetail() *HistogramDetail { return nil }

@@ -2,7 +2,6 @@ package approxobj
 
 import (
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -101,7 +100,7 @@ func checkHistWindow(t *testing.T, h *Histogram, live []uint64, bound uint64) {
 // verified against an exact reference of the observation multiset that
 // rotation has not yet evicted, phase by phase. The window duration is
 // an hour so the only rotations are the test's own deterministic
-// h.wh.Rotate() calls: observations written before r rotations are live
+// Rotate calls on the epoch ring: observations written before r rotations are live
 // iff r < epochs, expired otherwise; Reset evicts everything at once
 // and the object keeps working.
 func TestWindowedHistogramConformance(t *testing.T) {
@@ -121,9 +120,7 @@ func TestWindowedHistogramConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer h.Close()
-			if h.wh == nil {
-				t.Fatal("WithWindow histogram is not backed by the windowed runtime")
-			}
+			ring := epochRing(t, h.rt)
 			if b := h.Bounds(); b.Window != time.Hour/epochs {
 				t.Fatalf("Bounds.Window = %v, want %v (d/n)", b.Window, time.Hour/epochs)
 			}
@@ -132,14 +129,14 @@ func TestWindowedHistogramConformance(t *testing.T) {
 			// live (A has survived 1 < epochs rotations).
 			phaseA := observePhase(t, h, observers, perG, bound, 1)
 			checkHistWindow(t, h, phaseA, bound)
-			h.wh.Rotate()
+			ring.Rotate()
 			phaseB := observePhase(t, h, observers, perG, bound, 2)
 			checkHistWindow(t, h, append(append([]uint64{}, phaseA...), phaseB...), bound)
 
 			// Rotate until phase A has seen epochs rotations: A expires,
 			// B (epochs-1 rotations) is still live.
 			for i := 0; i < epochs-1; i++ {
-				h.wh.Rotate()
+				ring.Rotate()
 			}
 			checkHistWindow(t, h, phaseB, bound)
 
@@ -171,6 +168,7 @@ func TestWindowedCounterReadsLastWindow(t *testing.T) {
 		t.Fatalf("Bounds.Window = %v, want %v", b.Window, time.Hour/epochs)
 	}
 
+	ring := epochRing(t, c.rt)
 	h, release := c.Acquire()
 	defer release()
 	for i := 0; i < 5; i++ {
@@ -178,12 +176,12 @@ func TestWindowedCounterReadsLastWindow(t *testing.T) {
 	}
 	// The 5 increments survive epochs-1 further rotations, then expire.
 	for i := 0; i < epochs-1; i++ {
-		c.wc.Rotate()
+		ring.Rotate()
 		if got := h.Read(); got != 5 {
 			t.Fatalf("read after %d rotations = %d, want 5 (still in window)", i+1, got)
 		}
 	}
-	c.wc.Rotate()
+	ring.Rotate()
 	if got := h.Read(); got != 0 {
 		t.Fatalf("read after %d rotations = %d, want 0 (expired)", epochs, got)
 	}
@@ -204,36 +202,89 @@ func TestWindowedCounterReadsLastWindow(t *testing.T) {
 	}
 }
 
-// TestCumulativeResetErrors pins the other half of the Reset contract:
-// cumulative objects (no WithWindow) refuse Reset with a telling error,
-// for every kind.
+// epochRing returns the epoch ring behind a windowed object's runtime,
+// failing the test when the object is not backed by one.
+func epochRing(t *testing.T, rt shardRuntime) interface{ Rotate() } {
+	t.Helper()
+	ring, ok := rt.(interface{ Rotate() })
+	if !ok {
+		t.Fatalf("WithWindow object is backed by %T, not the epoch ring", rt)
+	}
+	return ring
+}
+
+// TestCumulativeResetErrors pins the Reset/Close lifecycle of every kind,
+// cumulative and windowed. A cumulative object refuses Reset with its
+// kind's own error. A windowed one resets, closes idempotently, then
+// refuses Reset (the window is frozen) while pooled reads keep
+// returning its last value.
 func TestCumulativeResetErrors(t *testing.T) {
-	c, err := NewCounter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewMaxRegister()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hg, err := NewHistogram(WithBound(1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, reset := range map[string]func() error{
-		"counter":   c.Reset,
-		"maxreg":    r.Reset,
-		"snapshot":  s.Reset,
-		"histogram": hg.Reset,
-	} {
-		if err := reset(); err == nil {
-			t.Errorf("%s: cumulative Reset succeeded, want error", name)
-		} else if want := "cumulative"; !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: Reset error %q does not mention %q", name, err, want)
+	type lifecycle struct {
+		obj interface {
+			Reset() error
+			Close()
 		}
+		write func()        // one mutation through a pooled handle
+		read  func() uint64 // the object's value through a pooled handle
+	}
+	for _, tc := range []struct {
+		kind    string
+		build   func(opts ...Option) (lifecycle, error)
+		written uint64 // read after one write
+	}{
+		{"counter", func(opts ...Option) (lifecycle, error) {
+			c, err := NewCounter(opts...)
+			return lifecycle{c, func() { c.Do(func(h CounterHandle) { h.Inc() }) },
+				func() (v uint64) { c.Do(func(h CounterHandle) { v = h.Read() }); return v }}, err
+		}, 1},
+		{"max register", func(opts ...Option) (lifecycle, error) {
+			r, err := NewMaxRegister(opts...)
+			return lifecycle{r, func() { r.Do(func(h MaxRegisterHandle) { h.Write(7) }) },
+				func() (v uint64) { r.Do(func(h MaxRegisterHandle) { v = h.Read() }); return v }}, err
+		}, 7},
+		{"snapshot", func(opts ...Option) (lifecycle, error) {
+			s, err := NewSnapshot(opts...)
+			return lifecycle{s, func() { s.Do(func(h SnapshotHandle) { h.Update(7) }) },
+				func() (v uint64) { s.Do(func(h SnapshotHandle) { v = h.Scan()[0] }); return v }}, err
+		}, 7},
+		{"histogram", func(opts ...Option) (lifecycle, error) {
+			hg, err := NewHistogram(append(opts, WithBound(1024))...)
+			return lifecycle{hg, func() { hg.Do(func(h HistogramHandle) { h.Observe(7) }) },
+				func() (v uint64) { hg.Do(func(h HistogramHandle) { v = h.Count() }); return v }}, err
+		}, 1},
+	} {
+		t.Run(tc.kind+"/cumulative", func(t *testing.T) {
+			o, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer o.obj.Close()
+			want := "approxobj: Reset needs a windowed " + tc.kind + " (WithWindow); this one is cumulative"
+			if err := o.obj.Reset(); err == nil || err.Error() != want {
+				t.Errorf("cumulative Reset = %v, want %q", err, want)
+			}
+		})
+		t.Run(tc.kind+"/windowed", func(t *testing.T) {
+			o, err := tc.build(WithWindow(time.Hour, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.write()
+			if err := o.obj.Reset(); err != nil {
+				t.Fatalf("windowed Reset: %v", err)
+			}
+			if got := o.read(); got != 0 {
+				t.Fatalf("read after Reset = %d, want 0", got)
+			}
+			o.write()
+			o.obj.Close()
+			o.obj.Close() // idempotent
+			if err := o.obj.Reset(); err == nil {
+				t.Error("Reset after Close succeeded, want the frozen-window error")
+			}
+			if got := o.read(); got != tc.written {
+				t.Errorf("pooled read after Close = %d, want the last value %d", got, tc.written)
+			}
+		})
 	}
 }
