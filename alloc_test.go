@@ -222,3 +222,77 @@ func TestPooledAcquireAllocations(t *testing.T) {
 		t.Errorf("acquire/release cycle: %.2f allocs, want <= 1 (the release closure)", avg)
 	}
 }
+
+// TestConstructionFootprint pins what building an object costs before
+// its first operation. Base objects materialize on first touch: the
+// unbounded max register's epoch registers (one per value epoch
+// [2^e, 2^(e+1)), 63 of them per shard) are built by the first write
+// into their epoch, so construction allocates per shard, not per epoch,
+// and the exact counter's tree — an unbounded max register per node —
+// inherits the same footprint. The budgets leave a little headroom over
+// the measured 49, 45 and 149 allocations (building every epoch up
+// front costs 1,053, 801 and 2,417).
+func TestConstructionFootprint(t *testing.T) {
+	budget := func(name string, limit float64, build func() (interface{ Close() }, error)) {
+		t.Helper()
+		avg := testing.AllocsPerRun(20, func() {
+			o, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Close()
+		})
+		if avg > limit {
+			t.Errorf("%s: %.0f allocs to build, want <= %.0f", name, avg, limit)
+		}
+	}
+	budget("Multiplicative(2) max register, 4 shards", 56, func() (interface{ Close() }, error) {
+		return approxobj.NewMaxRegister(approxobj.WithShards(4), approxobj.WithAccuracy(approxobj.Multiplicative(2)))
+	})
+	budget("exact max register, 4 shards", 52, func() (interface{ Close() }, error) {
+		return approxobj.NewMaxRegister(approxobj.WithShards(4))
+	})
+	budget("exact counter, 4 procs, 4 shards", 168, func() (interface{ Close() }, error) {
+		return approxobj.NewCounter(approxobj.WithProcs(4), approxobj.WithShards(4))
+	})
+
+	// BaseObjects counts what has materialized. A fresh unbounded max
+	// register holds one register per shard: the root of the exact
+	// top register (domain {0..64}) that records 1 + the highest epoch
+	// written. A write into a new epoch e then adds exactly one epoch's
+	// registers — those of a lone bounded register of size 2^e and the
+	// same accuracy written the offset v-2^e — plus the top register's
+	// newly descended path, measured on a lone exact register of domain
+	// {0..64} fed the same top writes.
+	bounded := func(acc approxobj.Accuracy, m uint64) *approxobj.MaxRegister {
+		r, err := approxobj.NewMaxRegister(approxobj.WithAccuracy(acc), approxobj.WithBound(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for _, acc := range []approxobj.Accuracy{approxobj.Exact(), approxobj.Multiplicative(2)} {
+		const shards = 4
+		m, err := approxobj.NewMaxRegister(approxobj.WithShards(shards), approxobj.WithAccuracy(acc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.BaseObjects(); got != shards {
+			t.Fatalf("%s: fresh max register holds %d base objects, want %d (one top register per shard, no epochs)", acc, got, shards)
+		}
+		w := m.Handle(0) // every write lands on slot 0's home shard
+		top := bounded(approxobj.Exact(), 65)
+		for _, e := range []uint{10, 20, 33} {
+			off := uint64(1)<<e/3 + 1
+			epoch := bounded(acc, uint64(1)<<e)
+			before, topBefore := m.BaseObjects(), top.BaseObjects()
+			epoch.Handle(0).Write(off)
+			top.Handle(0).Write(uint64(e) + 1)
+			want := epoch.BaseObjects() + top.BaseObjects() - topBefore
+			w.Write(uint64(1)<<e + off)
+			if got := m.BaseObjects() - before; got != want {
+				t.Errorf("%s: first write into epoch %d added %d base objects, want %d (one epoch register and the top path)", acc, e, got, want)
+			}
+		}
+	}
+}

@@ -58,8 +58,15 @@ func TestDeepConformance(t *testing.T) {
 		mk := func(f *prim.Factory) (object.MaxReg, error) {
 			return core.NewKMultUnboundedMaxReg(f, 3)
 		}
+		// Epoch registers are installed by the first write into their
+		// epoch; crashes stop writers between installing an epoch and
+		// writing the top register, which must stay invisible to reads.
 		for seed := int64(0); seed < 40; seed++ {
-			w := Workload{Procs: 4, OpsPer: 50, ReadFrac: 0.5, Seed: seed, MaxArg: 1 << 40}
+			crash := 0
+			if seed%4 == 0 {
+				crash = 2
+			}
+			w := Workload{Procs: 4, OpsPer: 50, ReadFrac: 0.5, Seed: seed, MaxArg: 1 << 40, CrashProcs: crash}
 			if err := SimMaxRegister(mk, w, object.Accuracy{K: 3}); err != nil {
 				t.Fatal(err)
 			}

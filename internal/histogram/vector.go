@@ -17,7 +17,7 @@ import (
 // MaxUint64.
 type Vector struct {
 	buckets int
-	rows    [][]*prim.Reg // [process][bucket]
+	rows    [][]prim.Reg // [process][bucket], each row one dense arena
 }
 
 var _ object.Hist = (*Vector)(nil)
@@ -28,7 +28,7 @@ func NewVector(f *prim.Factory, buckets int) (*Vector, error) {
 	if buckets < 1 {
 		return nil, fmt.Errorf("histogram: need at least one bucket, got %d", buckets)
 	}
-	v := &Vector{buckets: buckets, rows: make([][]*prim.Reg, f.N())}
+	v := &Vector{buckets: buckets, rows: make([][]prim.Reg, f.N())}
 	for p := range v.rows {
 		v.rows[p] = f.RegRowDense(buckets)
 	}
@@ -40,12 +40,7 @@ func (v *Vector) Buckets() int { return v.buckets }
 
 // HistHandle binds process p to the vector.
 func (v *Vector) HistHandle(p *prim.Proc) object.HistHandle {
-	return &VectorHandle{
-		v:     v,
-		p:     p,
-		own:   make([]uint64, v.buckets),
-		known: make([]bool, v.buckets),
-	}
+	return &VectorHandle{v: v, p: p}
 }
 
 // VectorHandle is one process's view of the vector. It caches its own
@@ -53,11 +48,13 @@ func (v *Vector) HistHandle(p *prim.Proc) object.HistHandle {
 // the first addition to a bucket reads the register once — which also
 // lets a re-created handle for a slot that has written before continue
 // from the row's current counts — and every later addition is a single
-// register write.
+// register write. The cache is allocated by the handle's first AddN: a
+// handle that only reads (every handle of a shard but its home slot's)
+// never carries it.
 type VectorHandle struct {
 	v     *Vector
 	p     *prim.Proc
-	own   []uint64
+	own   []uint64 // nil until the first AddN
 	known []bool
 }
 
@@ -69,7 +66,11 @@ func (h *VectorHandle) AddN(b int, d uint64) {
 	if d == 0 {
 		return
 	}
-	r := h.v.rows[h.p.ID()][b]
+	if h.own == nil {
+		h.own = make([]uint64, h.v.buckets)
+		h.known = make([]bool, h.v.buckets)
+	}
+	r := &h.v.rows[h.p.ID()][b]
 	if !h.known[b] {
 		h.own[b] = r.Read(h.p)
 		h.known[b] = true
@@ -88,8 +89,8 @@ func (h *VectorHandle) Read() []uint64 { return h.ReadInto(nil) }
 func (h *VectorHandle) ReadInto(dst []uint64) []uint64 {
 	dst = zeroed(dst, h.v.buckets)
 	for _, row := range h.v.rows {
-		for b, r := range row {
-			dst[b] = satmath.Add(dst[b], r.Read(h.p))
+		for b := range row {
+			dst[b] = satmath.Add(dst[b], row[b].Read(h.p))
 		}
 	}
 	return dst

@@ -31,7 +31,8 @@ import (
 // Tree nodes are materialized lazily on first descent (reads materialize
 // too, so every operation pays exactly one step per level, as in the
 // model, where all registers exist up front). Materialization is published
-// with a CAS so concurrent first descents agree on one node.
+// with a CAS so concurrent first descents agree on one node, and a node's
+// register counts in Resident only once its CAS wins.
 type Bounded struct {
 	m       uint64
 	factory *prim.Factory
@@ -84,8 +85,10 @@ func (b *Bounded) child(n *node, right bool) *node {
 	if c := ptr.Load(); c != nil {
 		return c
 	}
-	fresh := newNode(b.factory, size)
+	st := b.factory.Stage()
+	fresh := newNode(st, size)
 	if ptr.CompareAndSwap(nil, fresh) {
+		b.factory.Materialized(st.Resident())
 		return fresh
 	}
 	return ptr.Load()

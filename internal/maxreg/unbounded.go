@@ -3,6 +3,7 @@ package maxreg
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"approxobj/internal/object"
 	"approxobj/internal/prim"
@@ -47,45 +48,61 @@ const maxEpochs = 64
 // operation on an epoch of size 2^e, i.e. O(log v) with the exact plug-in
 // and O(log2 log_k v) with the k-multiplicative plug-in — the
 // sub-logarithmic behaviour measured in experiment E8.
+//
+// Epoch registers are built lazily: the first operation that reaches
+// epoch e builds R_e on a Stage view of the factory and publishes it with
+// a CAS, as TASSeq publishes its levels, and only the winner's registers
+// count in Resident. A fresh register therefore holds only T's root, and
+// a workload pays for the epochs its values fall in. Building is local
+// memory management, not a step of the model (the model's registers all
+// exist up front), so every operation's step count is what it would be
+// with all 63 epochs built at construction. Only a write installs in
+// practice: a reader that sees T = e+1 finds R_e already published by the
+// write of e+1, which installed it before its first step. Simulated
+// executions run one process's code at a time, so lazily built epochs
+// take the same object IDs on every replay of a schedule.
 type Unbounded struct {
 	top     *Bounded // exact, domain {0..maxEpochs}: 0 = never written
-	epochs  [maxEpochs]BoundedMaxReg
-	skipped int // epochs of size 1 (epoch 0 holds only value 1)
+	factory *prim.Factory
+	mk      BoundedFactory
+	// epochs[e] is R_e once installed, nil before. Epoch 0 holds only the
+	// value 1 (offset 0) and never gets a register.
+	epochs [maxEpochs]atomic.Pointer[BoundedMaxReg]
 }
 
 var _ object.MaxReg = (*Unbounded)(nil)
 
-// NewUnbounded creates an unbounded max register whose epochs are built by
-// mk. Epoch registers are created eagerly in epoch order so simulated
-// replays assign deterministic object IDs.
+// NewUnbounded creates an unbounded max register whose epoch registers
+// mk builds on first touch. A plug-in that fails to build an epoch of a
+// valid size (2^e for e >= 1) is a programming error: the operation that
+// reaches the epoch panics with mk's error.
 func NewUnbounded(f *prim.Factory, mk BoundedFactory) (*Unbounded, error) {
+	if mk == nil {
+		return nil, fmt.Errorf("maxreg: nil epoch factory")
+	}
 	top, err := NewBounded(f, maxEpochs+1)
 	if err != nil {
 		return nil, err
 	}
-	u := &Unbounded{top: top}
-	for e := 0; e < maxEpochs; e++ {
-		size := epochSize(e)
-		if size <= 1 {
-			// Epoch 0 holds only the value 1 (offset 0); no register needed.
-			u.epochs[e] = nil
-			continue
-		}
-		r, err := mk(f, size)
-		if err != nil {
-			return nil, fmt.Errorf("maxreg: building epoch %d: %w", e, err)
-		}
-		u.epochs[e] = r
-	}
-	return u, nil
+	return &Unbounded{top: top, factory: f, mk: mk}, nil
 }
 
-// epochSize returns the offset-domain size of epoch e ({0..2^e - 1}).
-func epochSize(e int) uint64 {
-	if e >= 64 {
-		return 0
+// epoch returns R_e (e >= 1), installing it if no operation has reached
+// epoch e yet.
+func (u *Unbounded) epoch(e int) BoundedMaxReg {
+	if r := u.epochs[e].Load(); r != nil {
+		return *r
 	}
-	return uint64(1) << uint(e)
+	st := u.factory.Stage()
+	r, err := u.mk(st, uint64(1)<<uint(e)) // offsets {0..2^e - 1}
+	if err != nil {
+		panic(fmt.Sprintf("maxreg: building epoch %d: %v", e, err))
+	}
+	if u.epochs[e].CompareAndSwap(nil, &r) {
+		u.factory.Materialized(st.Resident())
+		return r
+	}
+	return *u.epochs[e].Load()
 }
 
 // epochOf returns the epoch of value v >= 1: floor(log2 v).
@@ -97,8 +114,8 @@ func (u *Unbounded) Write(p *prim.Proc, v uint64) {
 		return // 0 is the initial value; a no-op write.
 	}
 	e := epochOf(v)
-	if r := u.epochs[e]; r != nil {
-		r.Write(p, v-(uint64(1)<<uint(e)))
+	if e > 0 {
+		u.epoch(e).Write(p, v-(uint64(1)<<uint(e)))
 	}
 	u.top.Write(p, uint64(e)+1)
 }
@@ -113,10 +130,10 @@ func (u *Unbounded) Read(p *prim.Proc) uint64 {
 	}
 	e := int(t - 1)
 	base := uint64(1) << uint(e)
-	if r := u.epochs[e]; r != nil {
-		return base + r.Read(p)
+	if e == 0 {
+		return base
 	}
-	return base
+	return base + u.epoch(e).Read(p)
 }
 
 type unboundedHandle struct {

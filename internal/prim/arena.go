@@ -156,15 +156,17 @@ const regGuard = (falseSharingStride + int(unsafe.Sizeof(Reg{})) - 1) / int(unsa
 // but elements share lines with each other. Use for large rows owned by
 // a single writer (per-process histogram bucket vectors), where
 // internal sharing costs nothing and padded rows would be 8x the
-// memory. Guard cells hold no IDs and are not resident — accounting
-// covers exactly the m returned registers.
-func (f *Factory) RegRowDense(m int) []*Reg {
+// memory. The row is returned as the packed registers themselves (index
+// it and take the element's address; capacity stops at m, so the guards
+// stay out of reach), with no parallel slice of pointers to carry.
+// Guard cells hold no IDs and are not resident — accounting covers
+// exactly the m returned registers.
+func (f *Factory) RegRowDense(m int) []Reg {
 	f.tel.Inc(telemetry.EvArenaRow, 0)
 	cells := make([]Reg, m+2*regGuard)
-	rs := make([]*Reg, m)
-	for i := range rs {
-		cells[regGuard+i].id = f.allocID()
-		rs[i] = &cells[regGuard+i]
+	row := cells[regGuard : regGuard+m : regGuard+m]
+	for i := range row {
+		row[i].id = f.allocID()
 	}
-	return rs
+	return row
 }

@@ -54,7 +54,7 @@ func TestDenseRowLayout(t *testing.T) {
 	regs := f.RegRowDense(16)
 	want := unsafe.Sizeof(Reg{})
 	for i := 1; i < len(regs); i++ {
-		d := uintptr(unsafe.Pointer(regs[i])) - uintptr(unsafe.Pointer(regs[i-1]))
+		d := uintptr(unsafe.Pointer(&regs[i])) - uintptr(unsafe.Pointer(&regs[i-1]))
 		if d != want {
 			t.Fatalf("RegRowDense stride: got %d bytes, want %d", d, want)
 		}

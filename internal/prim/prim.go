@@ -237,20 +237,26 @@ func (t *TAS) ID() ObjID { return t.id }
 // Factory creates base objects with deterministic identifiers: IDs follow
 // creation order, so a system rebuilt by the same code gets the same IDs —
 // internal/sim relies on this for replay. Lazily-materialized structures
-// (tree nodes, switch pages) may also allocate during execution; allocation
-// is atomic, so production-mode races are safe, and simulated executions
-// stay deterministic because the machine is lock-step.
+// (tree nodes, switch levels, max-register epochs) may also allocate
+// during execution; allocation is atomic, so production-mode races are
+// safe, and simulated executions stay deterministic because the machine
+// runs one process's code at a time.
 type Factory struct {
 	next atomic.Uint64
 	// resident counts base objects with materialized storage: every
 	// eagerly allocated object (Reg, TAS, CASReg, ...) at creation, plus
-	// lazily allocated cells (TASSeq levels) as they materialize. Unlike
-	// next it excludes reserved-but-untouched ID blocks, so it is the
-	// space measure of the paper's model: how many base objects the
-	// execution actually holds.
+	// lazily built ones (TASSeq levels, tree nodes, epochs) once their
+	// publishing CAS wins. Unlike next it excludes reserved-but-untouched
+	// ID blocks and the objects of a structure that lost its publishing
+	// race, so it is the space measure of the paper's model: how many
+	// base objects the execution actually holds.
 	resident atomic.Uint64
-	gate     Gate
-	procs    []*Proc
+	// root is the factory a Stage view was taken from (nil for a root
+	// factory): views draw IDs from root.next and count lazily
+	// materialized objects in root.resident.
+	root  *Factory
+	gate  Gate
+	procs []*Proc
 
 	// tel receives arena-allocation events when the owning plane is
 	// instrumented (nil otherwise; every telemetry.Sink method is
@@ -298,26 +304,53 @@ func (f *Factory) Procs() []*Proc {
 	return append([]*Proc(nil), f.procs...)
 }
 
+// origin returns the root factory: f itself, or the factory f is a Stage
+// view of.
+func (f *Factory) origin() *Factory {
+	if f.root != nil {
+		return f.root
+	}
+	return f
+}
+
 func (f *Factory) allocID() ObjID {
 	f.resident.Add(1)
-	return ObjID(f.next.Add(1) - 1)
+	return ObjID(f.origin().next.Add(1) - 1)
 }
 
 // allocBlock reserves a contiguous block of size IDs, returning its base.
 // Reservation is ID-space bookkeeping only; the block's cells count as
 // resident when (and if) their storage materializes.
 func (f *Factory) allocBlock(size uint64) ObjID {
-	return ObjID(f.next.Add(size) - size)
+	return ObjID(f.origin().next.Add(size) - size)
 }
 
+// Stage returns a view of f for building a structure that is published
+// lazily, with a CAS that may lose to a concurrent construction of the
+// same structure. The view shares f's ID sequence, processes, gate and
+// telemetry, but the objects it creates count only in the view's own
+// Resident; the caller adds that count to f with Materialized once its
+// CAS wins, and a losing copy's objects are never counted. Cells that materialize later inside the published
+// structure (tree nodes, TASSeq levels) count in f directly.
+func (f *Factory) Stage() *Factory {
+	return &Factory{root: f.origin(), gate: f.gate, procs: f.procs, tel: f.tel}
+}
+
+// Materialized counts n base objects of a lazily built structure as
+// resident in the root factory. Call it only after the CAS publishing the
+// structure has won, so a race's losing copy is never counted.
+func (f *Factory) Materialized(n uint64) { f.origin().resident.Add(n) }
+
 // Objects returns the number of base-object IDs allocated so far (including
-// reserved blocks).
-func (f *Factory) Objects() uint64 { return f.next.Load() }
+// reserved blocks and the objects of lost publishing races).
+func (f *Factory) Objects() uint64 { return f.origin().next.Load() }
 
 // Resident returns the number of base objects with materialized storage —
 // the execution's space cost in the paper's model. It grows as lazily
-// allocated structures (TASSeq levels) materialize, so unbounded
-// constructions report what they hold, not what they reserve.
+// built structures (TASSeq levels, tree nodes, max-register epochs)
+// materialize, so unbounded constructions report what they hold, not
+// what they reserve. On a Stage view it counts the objects the view
+// created, which the caller hands to Materialized.
 func (f *Factory) Resident() uint64 { return f.resident.Load() }
 
 // Reg creates a fresh read/write register initialized to zero.

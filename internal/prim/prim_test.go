@@ -181,6 +181,39 @@ func TestFactoryIDsDeterministic(t *testing.T) {
 	}
 }
 
+// TestStageDefersResident checks the Stage view's accounting contract:
+// a view draws IDs from its factory's sequence and shares its processes,
+// its objects count in the factory only through Materialized, and cells
+// that materialize later inside a staged structure count in the factory
+// directly.
+func TestStageDefersResident(t *testing.T) {
+	f := NewFactory(2)
+	f.Reg()
+	st := f.Stage()
+	r := st.Reg()
+	seq := st.TASSeq()
+	if r.ID() != 1 || f.Reg().ID() != 2+1<<32 {
+		t.Fatalf("staged IDs must continue the factory's sequence: got reg %d", r.ID())
+	}
+	if st.Proc(1) != f.Proc(1) || st.N() != f.N() {
+		t.Fatal("a Stage view must share its factory's processes")
+	}
+	if got := f.Resident(); got != 2 {
+		t.Fatalf("factory Resident = %d, want 2 (the staged reg is not counted yet)", got)
+	}
+	if got := st.Resident(); got != 1 {
+		t.Fatalf("view Resident = %d, want 1", got)
+	}
+	f.Materialized(st.Resident())
+	seq.TestAndSet(f.Proc(0), 0) // materializes level 0: one switch
+	if got := f.Resident(); got != 4 {
+		t.Fatalf("factory Resident = %d, want 4 (two regs, the published staged reg, one switch)", got)
+	}
+	if got := f.Objects(); got != 3+1<<32 {
+		t.Fatalf("factory Objects = %d, want 3 + 2^32 (the TASSeq block included)", got)
+	}
+}
+
 func TestProcIDRange(t *testing.T) {
 	f := NewFactory(3)
 	for i := 0; i < 3; i++ {

@@ -23,7 +23,7 @@ const tasSeqLevels = 64
 type TASSeq struct {
 	base   ObjID
 	gate   Gate
-	res    *atomic.Uint64 // the factory's resident-object counter
+	res    *atomic.Uint64 // the root factory's resident-object counter
 	levels [tasSeqLevels]atomic.Pointer[[]atomic.Uint32]
 }
 
@@ -32,7 +32,7 @@ type TASSeq struct {
 // replays; the switches count as resident (Factory.Resident) level by
 // level as their storage materializes.
 func (f *Factory) TASSeq() *TASSeq {
-	return &TASSeq{base: f.allocBlock(1 << 32), gate: f.gate, res: &f.resident}
+	return &TASSeq{base: f.allocBlock(1 << 32), gate: f.gate, res: &f.origin().resident}
 }
 
 // level returns the level index and offset within it for bit index i.

@@ -4,12 +4,15 @@
 // Each simulated process runs its real Go code (the same algorithm bodies
 // used in production mode) in its own goroutine, but every primitive
 // application blocks on the machine's gate until the scheduler grants the
-// process its next step. At most one process runs between grant and
-// acknowledgement, so the machine is lock-step: executions are exactly the
-// interleavings of single primitive applications the model allows, the
-// trace of events is total, and identical schedules replay identical
-// executions. This is the substrate for all step-complexity measurements
-// and for the lower-bound constructions in internal/lowerbound.
+// process its next step. The machine hands control to one process at a
+// time and takes it back only once that process is parked at its next gate
+// (or has finished), so it is lock-step: no two processes' code ever
+// overlaps, executions are exactly the interleavings of single primitive
+// applications the model allows, the trace of events is total, and
+// identical schedules replay identical executions — including the IDs of
+// base objects that algorithms build lazily between steps. This is the
+// substrate for all step-complexity measurements and for the lower-bound
+// constructions in internal/lowerbound.
 package sim
 
 import (
@@ -33,6 +36,7 @@ const (
 )
 
 type slot struct {
+	parked chan struct{} // process -> machine: about to wait for a grant
 	token  chan struct{} // grant: machine -> process
 	ack    chan []prim.Event
 	done   chan struct{} // closed when program returns
@@ -51,8 +55,10 @@ type Machine struct {
 }
 
 // NewMachine creates a machine for n processes. Base objects for the
-// algorithms under test must be created through Factory() before programs
-// run, in a deterministic order, so replays assign identical object IDs.
+// algorithms under test must be created through Factory() in a
+// deterministic order, so replays assign identical object IDs; objects
+// that programs create lazily between steps get identical IDs too, since
+// only one process runs at a time.
 func NewMachine(n int) *Machine {
 	m := &Machine{}
 	m.factory = prim.NewGatedFactory(n, m)
@@ -60,12 +66,7 @@ func NewMachine(n int) *Machine {
 	m.slots = make([]*slot, n)
 	for i := 0; i < n; i++ {
 		m.procs[i] = m.factory.Proc(i)
-		m.slots[i] = &slot{
-			token:  make(chan struct{}),
-			ack:    make(chan []prim.Event),
-			done:   make(chan struct{}),
-			status: StatusIdle,
-		}
+		m.slots[i] = &slot{status: StatusIdle}
 	}
 	m.aware = NewAwareness(n)
 	return m
@@ -80,10 +81,15 @@ func (m *Machine) N() int { return len(m.procs) }
 // Proc returns the handle of process i (for reading step counts).
 func (m *Machine) Proc(i int) *prim.Proc { return m.procs[i] }
 
-// Enter implements prim.Gate: it blocks the calling process goroutine until
-// the driver grants it a step.
+// Enter implements prim.Gate: it tells the machine the calling process is
+// parked, then blocks its goroutine until the machine grants it a step.
+// Both channels are read before the signal, which orders the reads before
+// any later Spawn on the slot (a crashed process stays parked here).
 func (m *Machine) Enter(p *prim.Proc) {
-	<-m.slots[p.ID()].token
+	s := m.slots[p.ID()]
+	parked, token := s.parked, s.token
+	parked <- struct{}{}
+	<-token
 }
 
 // Exit implements prim.Gate: it reports the completed step (one or more
@@ -94,40 +100,54 @@ func (m *Machine) Exit(p *prim.Proc, evs []prim.Event) {
 
 // Spawn installs program as the code of process i and starts its goroutine.
 // The program runs until it returns or the process is crashed; it only makes
-// progress when the driver steps it. Spawning over a running process is a
-// driver bug and panics.
+// progress when it is stepped. Spawn returns once the program is parked at
+// its first step, or has returned without taking one (the process is then
+// idle). Spawning over a running process is a bug in the caller and
+// panics.
 func (m *Machine) Spawn(i int, program func(p *prim.Proc)) {
 	s := m.slots[i]
 	if s.status == StatusRunning {
 		panic(fmt.Sprintf("sim: process %d already running", i))
 	}
-	// Fresh channels: a previous program may have left a closed done chan.
+	// Fresh channels: a previous program may have left a closed done chan,
+	// and a crashed one stays parked on its old token.
+	s.parked = make(chan struct{})
 	s.token = make(chan struct{})
 	s.ack = make(chan []prim.Event)
 	s.done = make(chan struct{})
 	s.status = StatusRunning
-	p := m.procs[i]
+	p, done := m.procs[i], s.done
 	go func() {
 		program(p)
-		close(s.done)
+		close(done)
 	}()
+	m.settle(s)
 }
 
-// Step grants process i one step and waits for it to complete. It returns
-// true if a step was taken, false if the program finished without needing
-// another step (in which case the process becomes idle). Stepping an idle
-// or crashed process returns false immediately.
+// settle waits until the process in s is parked at its next step or has
+// returned, and marks it idle in the latter case. Between a grant and
+// settle's return the process is the only code running, so Running means
+// "will take another step when granted" and a seeded schedule sees the
+// same set of running processes on every replay.
+func (m *Machine) settle(s *slot) {
+	select {
+	case <-s.parked:
+	case <-s.done:
+		s.status = StatusIdle
+	}
+}
+
+// Step grants process i one step and waits for it to complete and for the
+// process to reach its next step or finish (it is then idle). It returns
+// true if a step was taken; stepping an idle or crashed process returns
+// false immediately.
 func (m *Machine) Step(i int) bool {
 	s := m.slots[i]
 	if s.status != StatusRunning {
 		return false
 	}
-	select {
-	case s.token <- struct{}{}:
-	case <-s.done:
-		s.status = StatusIdle
-		return false
-	}
+	// A running process is parked at its gate (settle saw it arrive).
+	s.token <- struct{}{}
 	// The process now executes exactly one primitive effect and reports it
 	// (arity-q primitives report one event per object touched).
 	evs := <-s.ack
@@ -135,13 +155,10 @@ func (m *Machine) Step(i int) bool {
 	for _, ev := range evs {
 		m.aware.Observe(ev)
 	}
-	// If that was the program's last step, reap it now so Running status
-	// means "will take another step when granted".
-	select {
-	case <-s.done:
-		s.status = StatusIdle
-	default:
-	}
+	// Let its local code run to the next gate or the program's end before
+	// anything else happens, so the process is reaped exactly after its
+	// last step.
+	m.settle(s)
 	return true
 }
 

@@ -125,6 +125,32 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestLazyObjectReplay checks that base objects a program builds between
+// its steps (as lazily materialized structures do) replay with the same
+// IDs: the machine runs one process's local code at a time, so the
+// allocation order follows the schedule alone.
+func TestLazyObjectReplay(t *testing.T) {
+	run := func(seed int64) []prim.Event {
+		m := NewMachine(3)
+		f := m.Factory()
+		for i := 0; i < 3; i++ {
+			m.Spawn(i, func(p *prim.Proc) {
+				for j := 0; j < 4; j++ {
+					f.Reg().Write(p, uint64(j))
+				}
+			})
+		}
+		m.RunAll(NewRandom(seed), 1000)
+		return m.Trace()
+	}
+	a := run(42)
+	for i := 0; i < 20; i++ {
+		if b := run(42); !reflect.DeepEqual(a, b) {
+			t.Fatalf("replay %d of seed 42 built objects in another order", i)
+		}
+	}
+}
+
 func TestScriptedScheduleReplay(t *testing.T) {
 	script := []int{0, 1, 1, 0, 1, 0, 0, 1}
 	run := func() []prim.Event {

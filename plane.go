@@ -151,10 +151,13 @@ func (c *objectCore[H]) Batch() uint64 { return uint64(c.spec.batch) }
 func (c *objectCore[H]) Bounds() Bounds { return scaledBounds(c.rt.Bounds(), c.spec) }
 
 // BaseObjects returns the number of base objects (registers, TAS
-// instances) the object has allocated across its shards — and, for
+// instances) the object has materialized across its shards — and, for
 // windowed objects, its live epoch ring: its space cost in the paper's
-// model. The frontier bench (E19) reports it to compare deterministic
-// and randomized state at equal target error.
+// model. Lazily built structures count once an operation first touches
+// them, so a fresh unbounded max register reports only its top
+// registers, one per shard, and grows by an epoch register when a write
+// first reaches that epoch. The frontier bench (E19) reports it to
+// compare deterministic and randomized state at equal target error.
 func (c *objectCore[H]) BaseObjects() uint64 { return c.rt.BaseObjects() }
 
 // Close stops the object's background goroutines — the read cache's
