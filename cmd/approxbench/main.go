@@ -35,7 +35,7 @@
 // instead of write-only. A baseline of the other mode (-quick against a
 // full run, or the reverse) is refused outright: amortized steps/op
 // depends on run length, so such a pair compares nothing. Otherwise
-// four checks run, all on machine-independent
+// five checks run, all on machine-independent
 // data: (1) every scenario present in the baseline must be emitted by
 // this run — a superset is fine (new scenarios accrue), a missing one is
 // a lost trajectory (on an -exp subset, only scenarios the selected
@@ -49,10 +49,12 @@
 // matched records, allocations per read (E20r) must not increase at all
 // — the zero-allocation read path is a designed property like the
 // envelope, so a read that starts allocating is a regression with no
-// tolerance, not timing noise. Records whose (scenario, params) only
-// exist on one side — e.g. sweep cells sized by GOMAXPROCS on a
-// different machine — are skipped; ns/op is never compared (timing is
-// machine noise).
+// tolerance, not timing noise; (5) for matched records, base-object
+// bytes (E19) must not grow at all — the space measure is deterministic
+// like the envelope, so any growth is a regression with no tolerance.
+// Records whose (scenario, params) only exist on one side — e.g. sweep
+// cells sized by GOMAXPROCS on a different machine — are skipped; ns/op
+// is never compared (timing is machine noise).
 //
 // -cpuprofile and -memprofile write pprof profiles of the selected
 // experiments (the heap profile is taken at exit, after every
@@ -389,10 +391,10 @@ func runMode(quick bool) string {
 
 // compareRecords diffs a run's records against a baseline: every
 // baseline scenario inScope must be present, and cells matched by
-// (scenario, params) must not regress beyond tol percent on any envelope
-// term or on steps/op. Cells present on only one side are skipped —
-// sweep coordinates can legitimately differ between machines — and
-// ns/op is never compared.
+// (scenario, params) must not widen any envelope term, grow in bytes or
+// allocs/read at all, or regress on steps/op beyond tol percent. Cells
+// present on only one side are skipped — sweep coordinates can
+// legitimately differ between machines — and ns/op is never compared.
 func compareRecords(baseline, current []bench.Record, tol float64, inScope func(string) bool) []string {
 	var problems []string
 	curScenarios := map[string]bool{}
@@ -467,6 +469,13 @@ func compareRecords(baseline, current []bench.Record, tol float64, inScope func(
 			problems = append(problems, fmt.Sprintf(
 				"%s: allocs/read regressed %.2f -> %.2f (read-path allocation regression)",
 				recordKey(o), o.AllocsPerRead, n.AllocsPerRead))
+		}
+		// Base-object bytes are the paper's space measure, counted, not
+		// timed: any growth is a space regression, with no tolerance.
+		if n.Bytes > o.Bytes {
+			problems = append(problems, fmt.Sprintf(
+				"%s: bytes grew %d -> %d (space regression)",
+				recordKey(o), o.Bytes, n.Bytes))
 		}
 	}
 	return problems

@@ -58,21 +58,26 @@ func TestKindCoverageCleanTable(t *testing.T) {
 
 // TestCompareRecordsAccumulatesAllProblems checks that -compare reports
 // every regression in one pass: a missing scenario, three widened
-// envelope terms (including the float-valued Delta term), and a
-// steps/op regression must all appear.
+// envelope terms (including the float-valued Delta term), a steps/op
+// regression, and the no-tolerance growth of base-object bytes (by a
+// single byte) and of allocs/read (from 0) must all appear.
 func TestCompareRecordsAccumulatesAllProblems(t *testing.T) {
 	baseline := []bench.Record{
 		{Scenario: "GONE", Params: map[string]string{"k": "1"}},
 		{Scenario: "A", Params: map[string]string{"k": "1"}, Envelope: &bench.RecordEnvelope{Mult: 2, Window: 1000, Delta: 0.01}},
 		{Scenario: "B", Params: map[string]string{"k": "1"}, StepsPerOp: 10},
+		{Scenario: "C", Params: map[string]string{"k": "1"}, Bytes: 1120},
+		{Scenario: "D", Params: map[string]string{"k": "1"}},
 	}
 	current := []bench.Record{
 		{Scenario: "A", Params: map[string]string{"k": "1"}, Envelope: &bench.RecordEnvelope{Mult: 4, Window: 2000, Delta: 0.05}},
 		{Scenario: "B", Params: map[string]string{"k": "1"}, StepsPerOp: 100},
+		{Scenario: "C", Params: map[string]string{"k": "1"}, Bytes: 1121},
+		{Scenario: "D", Params: map[string]string{"k": "1"}, AllocsPerRead: 0.01},
 	}
 	problems := compareRecords(baseline, current, 50, func(string) bool { return true })
-	if len(problems) != 5 {
-		t.Fatalf("want 5 problems (missing scenario, Mult, Window, Delta, steps), got %d:\n%s",
+	if len(problems) != 7 {
+		t.Fatalf("want 7 problems (missing scenario, Mult, Window, Delta, steps, bytes, allocs/read), got %d:\n%s",
 			len(problems), strings.Join(problems, "\n"))
 	}
 	for _, want := range []string{
@@ -81,6 +86,8 @@ func TestCompareRecordsAccumulatesAllProblems(t *testing.T) {
 		"Window widened 1000 -> 2000",
 		"Delta widened 0.01 -> 0.05",
 		"steps/op regressed",
+		"bytes grew 1120 -> 1121",
+		"allocs/read regressed 0.00 -> 0.01",
 	} {
 		found := false
 		for _, p := range problems {
@@ -128,7 +135,7 @@ func TestCompareRunsModeMismatch(t *testing.T) {
 // records produce no problems.
 func TestCompareRecordsClean(t *testing.T) {
 	recs := []bench.Record{
-		{Scenario: "A", Params: map[string]string{"k": "1"}, Envelope: &bench.RecordEnvelope{Mult: 2, Stale: 5, Window: 7}, StepsPerOp: 3},
+		{Scenario: "A", Params: map[string]string{"k": "1"}, Envelope: &bench.RecordEnvelope{Mult: 2, Stale: 5, Window: 7}, StepsPerOp: 3, Bytes: 8, AllocsPerRead: 0.5},
 	}
 	if problems := compareRecords(recs, recs, 50, func(string) bool { return true }); len(problems) != 0 {
 		t.Fatalf("identical records flagged: %v", problems)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -16,7 +17,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if len(tables) == 0 {
 				t.Fatalf("%s produced no tables", exp.ID)
 			}
-			emitted := map[string]bool{}
+			emitted, kinds := map[string]bool{}, map[string]bool{}
 			for _, tb := range tables {
 				out := tb.String()
 				if !strings.Contains(out, tb.ID) || len(tb.Rows) == 0 {
@@ -29,6 +30,16 @@ func TestAllExperimentsQuick(t *testing.T) {
 				}
 				for _, r := range tb.Records {
 					emitted[r.Scenario] = true
+					kinds[r.Scenario+" kind="+r.Params["kind"]] = true
+				}
+			}
+			// The cross-kind scenarios iterate the kind table: each must
+			// emit a record for every row.
+			for _, sc := range []string{"E17", "E18", "E20r"} {
+				for _, row := range kindRows {
+					if emitted[sc] && !kinds[sc+" kind="+row.name] {
+						t.Errorf("%s emits no record with kind=%s", sc, row.name)
+					}
 				}
 			}
 			// Declared and emitted record scenarios must match exactly:
@@ -113,14 +124,29 @@ func TestF1CasesMatchFigure(t *testing.T) {
 }
 
 func TestE3PredictionsMatchMeasurements(t *testing.T) {
-	tables, err := E3MaxRegWorstCase(Config{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Measured worst-case steps never exceed the predicted tree depth.
-	for _, row := range tables[0].Rows {
-		if row[1] < row[2] && len(row[1]) == len(row[2]) {
-			t.Fatalf("exact measured exceeds predicted: %v", row)
+	for _, quick := range []bool{true, false} {
+		tables, err := E3MaxRegWorstCase(Config{Quick: quick})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb := tables[0]
+		// Measured worst-case steps never exceed the predicted tree depth,
+		// in the exact column and in every k column: each "pred" column
+		// is followed by its "meas" column.
+		for c := 1; c < len(tb.Header); c += 2 {
+			if !strings.HasSuffix(tb.Header[c], " pred") || !strings.HasSuffix(tb.Header[c+1], " meas") {
+				t.Fatalf("columns %q, %q are not a pred/meas pair", tb.Header[c], tb.Header[c+1])
+			}
+			for _, row := range tb.Rows {
+				pred, err1 := strconv.Atoi(row[c])
+				meas, err2 := strconv.Atoi(row[c+1])
+				if err1 != nil || err2 != nil {
+					t.Fatalf("unparsable %s cells %q, %q in row %v", tb.Header[c], row[c], row[c+1], row)
+				}
+				if meas > pred {
+					t.Errorf("quick=%v m=%s: %s %d exceeds %s %d", quick, row[0], tb.Header[c+1], meas, tb.Header[c], pred)
+				}
+			}
 		}
 	}
 }

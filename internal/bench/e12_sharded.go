@@ -1,79 +1,11 @@
 package bench
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
-	"strconv"
-	"sync"
-	"time"
 
 	"approxobj"
 )
-
-// shardedRun drives gs goroutines of opsPer mixed operations (readFrac
-// reads) against one sharded counter and reports wall-clock ns/op, reads
-// per second, and the final accuracy check inputs.
-type shardedRun struct {
-	nsPerOp   float64
-	mopsPerS  float64
-	readsPerS float64
-}
-
-func runSharded(seed int64, c *approxobj.Counter, gs, opsPer int, readFrac float64) (shardedRun, error) {
-	handles := make([]approxobj.CounterHandle, gs)
-	for i := range handles {
-		handles[i] = c.Handle(i)
-	}
-	incs := make([]uint64, gs)
-	reads := make([]uint64, gs)
-	var wg sync.WaitGroup
-	startLine := make(chan struct{})
-	wg.Add(gs)
-	for i := 0; i < gs; i++ {
-		h := handles[i]
-		rng := rand.New(rand.NewSource(seed + int64(i) + 17))
-		go func(i int) {
-			defer wg.Done()
-			<-startLine
-			for j := 0; j < opsPer; j++ {
-				if rng.Float64() < readFrac {
-					h.Read()
-					reads[i]++
-				} else {
-					h.Inc()
-					incs[i]++
-				}
-			}
-		}(i)
-	}
-	start := time.Now()
-	close(startLine)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	// Quiescent accuracy check: flush every buffer, then the combined read
-	// must be inside the flushed (Buffer = 0) envelope of the true count.
-	var total, totalReads uint64
-	for i, h := range handles {
-		h.(approxobj.BatchedCounterHandle).Flush()
-		total += incs[i]
-		totalReads += reads[i]
-	}
-	bounds := c.Bounds()
-	bounds.Buffer = 0
-	if got := handles[0].Read(); !bounds.Contains(total, got) {
-		return shardedRun{}, fmt.Errorf(
-			"bench: sharded counter (S=%d B=%d) read %d outside envelope of true count %d (bounds %+v)",
-			c.Shards(), c.Batch(), got, total, bounds)
-	}
-	totalOps := float64(gs * opsPer)
-	return shardedRun{
-		nsPerOp:   float64(elapsed.Nanoseconds()) / totalOps,
-		mopsPerS:  totalOps / elapsed.Seconds() / 1e6,
-		readsPerS: float64(totalReads) / elapsed.Seconds(),
-	}, nil
-}
 
 // E12Sharded is the scaling experiment for the sharded counter runtime,
 // driven through the public spec API (WithShards x WithBatch over a
@@ -84,69 +16,67 @@ func runSharded(seed int64, c *approxobj.Counter, gs, opsPer int, readFrac float
 // batching removes shared-memory work from the Inc hot path entirely at
 // the cost of a bounded additive slack (B-1 increments per handle). Every
 // cell also re-verifies the combined accuracy envelope at quiescence.
-func E12Sharded(cfg Config) ([]*Table, error) {
-	maxG := runtime.GOMAXPROCS(0)
-	gss := []int{1, 2, 4}
-	if maxG > 4 {
-		gss = append(gss, maxG)
-	}
-	shardCounts := []int{1, 2, 4, 8}
-	batches := []int{1, 64}
-	opsPer := 200_000
-	if cfg.Quick {
-		gss = []int{1, 2}
-		shardCounts = []int{1, 4}
-		opsPer = 30_000
-	}
-	const readFrac = 0.05
+func E12Sharded(cfg Config) ([]*Table, error) { return e12Sweep().run(cfg) }
+
+func e12Sweep() sweep {
 	// k must satisfy the mult backend's k >= sqrt(n) per shard for the
 	// largest goroutine count in the sweep (n = gs).
-	k := uint64(16)
-	if s := sqrtCeil(maxG); s > k {
-		k = s
-	}
-
-	t := &Table{
-		ID:    "E12",
-		Title: fmt.Sprintf("sharded counter scaling, 95%% inc / 5%% read (k=%d, GOMAXPROCS=%d)", k, maxG),
-		Note: `Each row is one (goroutines, shards, batch) cell over independent
+	k := max(16, sqrtCeil(runtime.GOMAXPROCS(0)))
+	return sweep{
+		id:    "E12",
+		title: "sharded counter scaling, 95% inc / 5% read",
+		note: `Each row is one (goroutines, shards, batch) cell over independent
 Algorithm 1 shards; shards=1 batch=1 is the unsharded baseline. Sharding
 splits increment traffic across disjoint base objects (sum of S k-mult
 shards stays k-mult); batch=B keeps B-1 of every B Incs purely local. On
 a single-CPU host the shard columns serialize and gaps are muted (as in
 E7); batching still shows, since it removes work rather than contention.`,
-		Header: []string{"goroutines", "shards", "batch", "Mops/s", "ns/op", "reads/s"},
+		readCol:  "reads/s",
+		k:        k,
+		spec:     []approxobj.Option{approxobj.WithAccuracy(approxobj.Multiplicative(k))},
+		shards:   []int{1, 2, 4, 8},
+		ops:      200_000,
+		quickOps: 30_000,
+		seed:     17,
+		open: func(gs int, opts []approxobj.Option) (sweepCell, error) {
+			c, err := approxobj.NewCounter(opts...)
+			if err != nil {
+				return nil, err
+			}
+			return &counterCell{c, handles(gs, c.Handle), make([]uint64, gs)}, nil
+		},
 	}
+}
 
-	for _, gs := range gss {
-		for _, s := range shardCounts {
-			for _, b := range batches {
-				c, err := approxobj.NewCounter(
-					approxobj.WithProcs(gs),
-					approxobj.WithAccuracy(approxobj.Multiplicative(k)),
-					approxobj.WithShards(s),
-					approxobj.WithBatch(b),
-				)
-				if err != nil {
-					return nil, err
-				}
-				res, err := runSharded(cfg.Seed, c, gs, opsPer, readFrac)
-				if err != nil {
-					return nil, err
-				}
-				t.AddRow(gs, s, b, res.mopsPerS, fmt.Sprintf("%.1f", res.nsPerOp), fmt.Sprintf("%.0f", res.readsPerS))
-				t.AddRecord(Record{
-					Params: map[string]string{
-						"goroutines": strconv.Itoa(gs),
-						"shards":     strconv.Itoa(s),
-						"batch":      strconv.Itoa(b),
-						"k":          strconv.FormatUint(k, 10),
-					},
-					NsPerOp:  res.nsPerOp,
-					Envelope: EnvelopeOf(c.Bounds()),
-				})
+// counterCell is an E12 cell: goroutine i Incs and Reads handle i.
+type counterCell struct {
+	*approxobj.Counter
+	hs   []approxobj.CounterHandle
+	incs []uint64 // per goroutine
+}
+
+func (c *counterCell) loop(i, ops int, rng *rand.Rand, reads *uint64) func() {
+	h, incs := c.hs[i], c.incs
+	return func() {
+		for j := 0; j < ops; j++ {
+			if rng.Float64() < sweepReadFrac {
+				h.Read()
+				*reads++
+			} else {
+				h.Inc()
+				incs[i]++
 			}
 		}
 	}
-	return []*Table{t}, nil
+}
+
+// settled checks the combined read against the flushed envelope of the
+// true count.
+func (c *counterCell) settled() error {
+	var total uint64
+	for i, h := range c.hs {
+		h.(approxobj.BatchedCounterHandle).Flush()
+		total += c.incs[i]
+	}
+	return settledWithin(c.Bounds(), total, c.hs[0].Read())
 }

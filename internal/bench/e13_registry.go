@@ -71,7 +71,6 @@ reported Bounds.`,
 			return nil, err
 		}
 
-		var wg sync.WaitGroup
 		stop := make(chan struct{})
 		var snapshots uint64
 		var snapElapsed time.Duration
@@ -103,13 +102,8 @@ reported Bounds.`,
 			}
 		}()
 
-		startLine := make(chan struct{})
-		wg.Add(gs)
-		for w := 0; w < gs; w++ {
-			id := w
-			go func() {
-				defer wg.Done()
-				<-startLine
+		elapsed := race(gs, func(id int) func() {
+			return func() {
 				req, releaseReq := requests.Acquire()
 				defer releaseReq()
 				errH, releaseErr := errors.Acquire()
@@ -126,12 +120,8 @@ reported Bounds.`,
 						}
 					}
 				})
-			}()
-		}
-		start := time.Now()
-		close(startLine)
-		wg.Wait()
-		elapsed := time.Since(start)
+			}
+		})
 		close(stop)
 		snapWG.Wait()
 		if snapErr != nil {

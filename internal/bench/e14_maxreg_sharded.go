@@ -1,12 +1,7 @@
 package bench
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
-	"strconv"
-	"sync"
-	"time"
 
 	"approxobj"
 )
@@ -23,27 +18,14 @@ import (
 // on slowly-rising monotone streams elides almost every write. Every cell
 // re-verifies the combined accuracy envelope at quiescence after
 // flushing.
-func E14ShardedMaxReg(cfg Config) ([]*Table, error) {
-	maxG := runtime.GOMAXPROCS(0)
-	gss := []int{1, 2, 4}
-	if maxG > 4 {
-		gss = append(gss, maxG)
-	}
-	shardCounts := []int{1, 2, 4, 8}
-	batches := []int{1, 64}
-	opsPer := 200_000
-	if cfg.Quick {
-		gss = []int{1, 2}
-		shardCounts = []int{1, 4}
-		opsPer = 30_000
-	}
-	const readFrac = 0.05
-	const k = uint64(2)
+func E14ShardedMaxReg(cfg Config) ([]*Table, error) { return e14Sweep().run(cfg) }
 
-	t := &Table{
-		ID:    "E14",
-		Title: fmt.Sprintf("sharded max-register scaling, 95%% write / 5%% read (k=%d, GOMAXPROCS=%d)", k, maxG),
-		Note: `Each row is one (goroutines, shards, batch) cell over independent
+func e14Sweep() sweep {
+	const k = 2
+	return sweep{
+		id:    "E14",
+		title: "sharded max-register scaling, 95% write / 5% read",
+		note: `Each row is one (goroutines, shards, batch) cell over independent
 Algorithm 2 shards; shards=1 batch=1 is the unsharded baseline. The max
 over S k-mult shards is still k-mult — sharding widens nothing, the
 envelope is independent of S. batch=B is the write-elision window:
@@ -53,101 +35,54 @@ headroom surfaces as the Buffer term of Bounds (B-1 per handle, not
 times n). On a single-CPU host the shard columns serialize and gaps are
 muted (as in E12); elision still shows, since it removes work rather
 than contention.`,
-		Header: []string{"goroutines", "shards", "batch", "Mops/s", "ns/op", "reads/s"},
-	}
-
-	for _, gs := range gss {
-		for _, s := range shardCounts {
-			for _, b := range batches {
-				r, err := approxobj.NewMaxRegister(
-					approxobj.WithProcs(gs),
-					approxobj.WithAccuracy(approxobj.Multiplicative(k)),
-					approxobj.WithShards(s),
-					approxobj.WithBatch(b),
-				)
-				if err != nil {
-					return nil, err
-				}
-				res, err := runShardedMaxReg(cfg.Seed, r, gs, opsPer, readFrac)
-				if err != nil {
-					return nil, err
-				}
-				t.AddRow(gs, s, b, res.mopsPerS, fmt.Sprintf("%.1f", res.nsPerOp), fmt.Sprintf("%.0f", res.readsPerS))
-				t.AddRecord(Record{
-					Params: map[string]string{
-						"goroutines": strconv.Itoa(gs),
-						"shards":     strconv.Itoa(s),
-						"batch":      strconv.Itoa(b),
-						"k":          strconv.FormatUint(k, 10),
-					},
-					NsPerOp:  res.nsPerOp,
-					Envelope: EnvelopeOf(r.Bounds()),
-				})
+		readCol:  "reads/s",
+		k:        k,
+		spec:     []approxobj.Option{approxobj.WithAccuracy(approxobj.Multiplicative(k))},
+		shards:   []int{1, 2, 4, 8},
+		ops:      200_000,
+		quickOps: 30_000,
+		seed:     31,
+		open: func(gs int, opts []approxobj.Option) (sweepCell, error) {
+			r, err := approxobj.NewMaxRegister(opts...)
+			if err != nil {
+				return nil, err
 			}
-		}
+			return &maxRegisterCell{r, handles(gs, r.Handle), make([]uint64, gs)}, nil
+		},
 	}
-	return []*Table{t}, nil
 }
 
-// runShardedMaxReg drives gs goroutines of opsPer mixed operations
-// (readFrac reads, the rest ascending interleaved writes) against one
-// sharded max register and reports wall-clock throughput plus the final
-// accuracy check inputs.
-func runShardedMaxReg(seed int64, r *approxobj.MaxRegister, gs, opsPer int, readFrac float64) (shardedRun, error) {
-	handles := make([]approxobj.MaxRegisterHandle, gs)
-	for i := range handles {
-		handles[i] = r.Handle(i)
-	}
-	maxima := make([]uint64, gs)
-	reads := make([]uint64, gs)
-	var wg sync.WaitGroup
-	startLine := make(chan struct{})
-	wg.Add(gs)
-	for i := 0; i < gs; i++ {
-		h := handles[i]
-		rng := rand.New(rand.NewSource(seed + int64(i) + 31))
-		go func(i int) {
-			defer wg.Done()
-			<-startLine
-			for j := 1; j <= opsPer; j++ {
-				if rng.Float64() < readFrac {
-					h.Read()
-					reads[i]++
-				} else {
-					v := uint64(j)*uint64(gs) + uint64(i)
-					h.Write(v)
-					maxima[i] = v
-				}
-			}
-		}(i)
-	}
-	start := time.Now()
-	close(startLine)
-	wg.Wait()
-	elapsed := time.Since(start)
+// maxRegisterCell is an E14 cell: goroutine i writes the ascending
+// interleaved sequence j*gs + i and Reads handle i.
+type maxRegisterCell struct {
+	*approxobj.MaxRegister
+	hs     []approxobj.MaxRegisterHandle
+	maxima []uint64 // per goroutine: its last (largest) write
+}
 
-	// Quiescent accuracy check: flush every elision window, then the
-	// combined read must be inside the flushed (Buffer = 0) envelope of
-	// the true maximum.
-	var trueMax, totalReads uint64
-	for i, h := range handles {
-		h.(approxobj.BatchedMaxRegisterHandle).Flush()
-		if maxima[i] > trueMax {
-			trueMax = maxima[i]
+func (c *maxRegisterCell) loop(i, ops int, rng *rand.Rand, reads *uint64) func() {
+	h, maxima, gs := c.hs[i], c.maxima, uint64(len(c.hs))
+	return func() {
+		for j := 1; j <= ops; j++ {
+			if rng.Float64() < sweepReadFrac {
+				h.Read()
+				*reads++
+			} else {
+				v := uint64(j)*gs + uint64(i)
+				h.Write(v)
+				maxima[i] = v
+			}
 		}
-		totalReads += reads[i]
 	}
-	bounds := r.Bounds()
-	bounds.Buffer = 0
-	if got := handles[0].Read(); !bounds.Contains(trueMax, got) {
-		return shardedRun{}, fmt.Errorf(
-			"bench: sharded max register (S=%d B=%d) read %d outside envelope of true max %d (bounds %+v)",
-			r.Shards(), r.Batch(), got, trueMax, bounds)
+}
+
+// settled flushes every elision window; the combined read must then be
+// inside the flushed envelope of the true maximum.
+func (c *maxRegisterCell) settled() error {
+	var trueMax uint64
+	for i, h := range c.hs {
+		h.(approxobj.BatchedMaxRegisterHandle).Flush()
+		trueMax = max(trueMax, c.maxima[i])
 	}
-	totalOps := float64(gs * opsPer)
-	return shardedRun{
-		nsPerOp:   float64(elapsed.Nanoseconds()) / totalOps,
-		mopsPerS:  totalOps / elapsed.Seconds() / 1e6,
-		readsPerS: float64(totalReads) / elapsed.Seconds(),
-	}, nil
+	return settledWithin(c.Bounds(), trueMax, c.hs[0].Read())
 }

@@ -3,10 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"strconv"
-	"sync"
-	"time"
 
 	"approxobj"
 )
@@ -23,26 +19,13 @@ import (
 // slowly-rising sequences elides almost every update. Every cell
 // re-verifies the per-component accuracy envelope at quiescence after
 // flushing.
-func E15ShardedSnapshot(cfg Config) ([]*Table, error) {
-	maxG := runtime.GOMAXPROCS(0)
-	gss := []int{1, 2, 4}
-	if maxG > 4 {
-		gss = append(gss, maxG)
-	}
-	shardCounts := []int{1, 2, 4}
-	batches := []int{1, 64}
-	opsPer := 30_000
-	if cfg.Quick {
-		gss = []int{1, 2}
-		shardCounts = []int{1, 4}
-		opsPer = 4_000
-	}
-	const scanFrac = 0.05
+func E15ShardedSnapshot(cfg Config) ([]*Table, error) { return e15Sweep().run(cfg) }
 
-	t := &Table{
-		ID:    "E15",
-		Title: fmt.Sprintf("sharded snapshot scaling, 95%% update / 5%% scan (GOMAXPROCS=%d)", maxG),
-		Note: `Each row is one (goroutines, shards, batch) cell over independent
+func e15Sweep() sweep {
+	return sweep{
+		id:    "E15",
+		title: "sharded snapshot scaling, 95% update / 5% scan",
+		note: `Each row is one (goroutines, shards, batch) cell over independent
 AADGMS snapshots; shards=1 batch=1 is the unsharded baseline. A scan
 merges the S per-shard scans per component, which widens nothing: every
 component lives in exactly one shard, so the merged view is exact
@@ -53,97 +36,57 @@ and the headroom surfaces as the Buffer term of Bounds (B-1 per
 component). Scans are the expensive operation (O(n^2) per shard worst
 case); elision removes update work rather than contention, so it shows
 even on a single-CPU host.`,
-		Header: []string{"goroutines", "shards", "batch", "Mops/s", "ns/op", "scans/s"},
-	}
-
-	for _, gs := range gss {
-		for _, s := range shardCounts {
-			for _, b := range batches {
-				sn, err := approxobj.NewSnapshot(
-					approxobj.WithProcs(gs),
-					approxobj.WithShards(s),
-					approxobj.WithBatch(b),
-				)
-				if err != nil {
-					return nil, err
-				}
-				res, err := runShardedSnapshot(cfg.Seed, sn, gs, opsPer, scanFrac)
-				if err != nil {
-					return nil, err
-				}
-				t.AddRow(gs, s, b, res.mopsPerS, fmt.Sprintf("%.1f", res.nsPerOp), fmt.Sprintf("%.0f", res.readsPerS))
-				t.AddRecord(Record{
-					Params: map[string]string{
-						"goroutines": strconv.Itoa(gs),
-						"shards":     strconv.Itoa(s),
-						"batch":      strconv.Itoa(b),
-					},
-					NsPerOp:  res.nsPerOp,
-					Envelope: EnvelopeOf(sn.Bounds()),
-				})
+		readCol:  "scans/s",
+		shards:   []int{1, 2, 4},
+		ops:      30_000,
+		quickOps: 4_000,
+		seed:     43,
+		open: func(gs int, opts []approxobj.Option) (sweepCell, error) {
+			sn, err := approxobj.NewSnapshot(opts...)
+			if err != nil {
+				return nil, err
 			}
-		}
+			return &snapshotCell{sn, handles(gs, sn.Handle), make([]uint64, gs)}, nil
+		},
 	}
-	return []*Table{t}, nil
 }
 
-// runShardedSnapshot drives gs goroutines of opsPer mixed operations
-// (scanFrac scans, the rest ascending component updates) against one
-// sharded snapshot and reports wall-clock throughput plus the final
-// per-component accuracy check.
-func runShardedSnapshot(seed int64, sn *approxobj.Snapshot, gs, opsPer int, scanFrac float64) (shardedRun, error) {
-	handles := make([]approxobj.SnapshotHandle, gs)
-	for i := range handles {
-		handles[i] = sn.Handle(i)
-	}
-	finals := make([]uint64, gs)
-	scans := make([]uint64, gs)
-	var wg sync.WaitGroup
-	startLine := make(chan struct{})
-	wg.Add(gs)
-	for i := 0; i < gs; i++ {
-		h := handles[i]
-		rng := rand.New(rand.NewSource(seed + int64(i) + 43))
-		go func(i int) {
-			defer wg.Done()
-			<-startLine
-			for j := 1; j <= opsPer; j++ {
-				if rng.Float64() < scanFrac {
-					h.Scan()
-					scans[i]++
-				} else {
-					v := uint64(j)
-					h.Update(v)
-					finals[i] = v
-				}
-			}
-		}(i)
-	}
-	start := time.Now()
-	close(startLine)
-	wg.Wait()
-	elapsed := time.Since(start)
+// snapshotCell is an E15 cell: goroutine i updates its component with
+// the ascending sequence 1, 2, ... and Scans through handle i.
+type snapshotCell struct {
+	*approxobj.Snapshot
+	hs     []approxobj.SnapshotHandle
+	finals []uint64 // per component: its last update
+}
 
-	// Quiescent accuracy check: flush every elision window, then the
-	// merged scan must report every component exactly (the flushed
-	// envelope of the exact backend is zero).
-	var totalScans uint64
-	for i, h := range handles {
-		h.(approxobj.BatchedSnapshotHandle).Flush()
-		totalScans += scans[i]
-	}
-	view := handles[0].Scan()
-	for i := 0; i < gs; i++ {
-		if view[i] != finals[i] {
-			return shardedRun{}, fmt.Errorf(
-				"bench: sharded snapshot (S=%d B=%d) component %d scans as %d after flush, want exactly %d",
-				sn.Shards(), sn.Batch(), i, view[i], finals[i])
+func (c *snapshotCell) loop(i, ops int, rng *rand.Rand, scans *uint64) func() {
+	h, finals := c.hs[i], c.finals
+	return func() {
+		for j := 1; j <= ops; j++ {
+			if rng.Float64() < sweepReadFrac {
+				h.Scan()
+				*scans++
+			} else {
+				v := uint64(j)
+				h.Update(v)
+				finals[i] = v
+			}
 		}
 	}
-	totalOps := float64(gs * opsPer)
-	return shardedRun{
-		nsPerOp:   float64(elapsed.Nanoseconds()) / totalOps,
-		mopsPerS:  totalOps / elapsed.Seconds() / 1e6,
-		readsPerS: float64(totalScans) / elapsed.Seconds(),
-	}, nil
+}
+
+// settled flushes every elision window; the merged scan must then
+// report every component inside the flushed envelope, which for the
+// exact backend is the component itself.
+func (c *snapshotCell) settled() error {
+	for _, h := range c.hs {
+		h.(approxobj.BatchedSnapshotHandle).Flush()
+	}
+	view := c.hs[0].Scan()
+	for i, want := range c.finals {
+		if err := settledWithin(c.Bounds(), want, view[i]); err != nil {
+			return fmt.Errorf("component %d: %w", i, err)
+		}
+	}
+	return nil
 }

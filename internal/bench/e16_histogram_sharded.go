@@ -3,11 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sort"
-	"strconv"
-	"sync"
-	"time"
+	"slices"
 
 	"approxobj"
 	"approxobj/internal/histogram"
@@ -25,28 +21,14 @@ import (
 // the quiescent accuracy contract after flushing: the count must be
 // exact and every quantile inside pure bucket rounding against an exact
 // sorted reference of all observations.
-func E16ShardedHistogram(cfg Config) ([]*Table, error) {
-	maxG := runtime.GOMAXPROCS(0)
-	gss := []int{1, 2, 4}
-	if maxG > 4 {
-		gss = append(gss, maxG)
-	}
-	shardCounts := []int{1, 2, 4}
-	batches := []int{1, 64}
-	opsPer := 30_000
-	if cfg.Quick {
-		gss = []int{1, 2}
-		shardCounts = []int{1, 4}
-		opsPer = 4_000
-	}
-	const queryFrac = 0.05
-	const k = 2
-	const bound = uint64(1) << 16
+func E16ShardedHistogram(cfg Config) ([]*Table, error) { return e16Sweep().run(cfg) }
 
-	t := &Table{
-		ID:    "E16",
-		Title: fmt.Sprintf("sharded histogram scaling, 95%% observe / 5%% p99 query (k=%d, GOMAXPROCS=%d)", k, maxG),
-		Note: `Each row is one (goroutines, shards, batch) cell over independent
+func e16Sweep() sweep {
+	const k = 2
+	return sweep{
+		id:    "E16",
+		title: "sharded histogram scaling, 95% observe / 5% p99 query",
+		note: `Each row is one (goroutines, shards, batch) cell over independent
 rounded-bucket histograms; shards=1 batch=1 is the unsharded baseline.
 Observations round into buckets spaced by factor k, so every recorded
 value is represented within k (the value-domain Mult of Bounds); a p99
@@ -58,116 +40,73 @@ read per bucket per shard); batching removes observe work rather than
 contention, so it shows even on a single-CPU host. Every cell
 re-verifies the quiescent contract after flushing: exact count, and
 quantiles within pure bucket rounding of an exact sorted reference.`,
-		Header: []string{"goroutines", "shards", "batch", "Mops/s", "ns/op", "queries/s"},
-	}
-
-	for _, gs := range gss {
-		for _, s := range shardCounts {
-			for _, b := range batches {
-				h, err := approxobj.NewHistogram(
-					approxobj.WithProcs(gs),
-					approxobj.WithAccuracy(approxobj.Multiplicative(k)),
-					approxobj.WithBound(bound),
-					approxobj.WithShards(s),
-					approxobj.WithBatch(b),
-				)
-				if err != nil {
-					return nil, err
-				}
-				res, err := runShardedHistogram(cfg.Seed, h, gs, opsPer, queryFrac, bound)
-				if err != nil {
-					return nil, err
-				}
-				t.AddRow(gs, s, b, res.mopsPerS, fmt.Sprintf("%.1f", res.nsPerOp), fmt.Sprintf("%.0f", res.readsPerS))
-				t.AddRecord(Record{
-					Params: map[string]string{
-						"goroutines": strconv.Itoa(gs),
-						"shards":     strconv.Itoa(s),
-						"batch":      strconv.Itoa(b),
-						"k":          strconv.Itoa(k),
-					},
-					NsPerOp:  res.nsPerOp,
-					Envelope: EnvelopeOf(h.Bounds()),
-				})
+		readCol:  "queries/s",
+		k:        k,
+		spec:     []approxobj.Option{approxobj.WithAccuracy(approxobj.Multiplicative(k)), approxobj.WithBound(histBound)},
+		shards:   []int{1, 2, 4},
+		ops:      30_000,
+		quickOps: 4_000,
+		seed:     47,
+		open: func(gs int, opts []approxobj.Option) (sweepCell, error) {
+			h, err := approxobj.NewHistogram(opts...)
+			if err != nil {
+				return nil, err
 			}
-		}
+			return &histogramCell{h, handles(gs, h.Handle), make([][]uint64, gs)}, nil
+		},
 	}
-	return []*Table{t}, nil
 }
 
-// runShardedHistogram drives gs goroutines of opsPer mixed operations
-// (queryFrac p99 queries, the rest skewed-value observes) against one
-// histogram and reports wall-clock throughput plus the final quiescent
-// accuracy check against an exact sorted reference.
-func runShardedHistogram(seed int64, h *approxobj.Histogram, gs, opsPer int, queryFrac float64, bound uint64) (shardedRun, error) {
-	handles := make([]approxobj.HistogramHandle, gs)
-	for i := range handles {
-		handles[i] = h.Handle(i)
-	}
-	observed := make([][]uint64, gs)
-	queries := make([]uint64, gs)
-	var wg sync.WaitGroup
-	startLine := make(chan struct{})
-	wg.Add(gs)
-	for i := 0; i < gs; i++ {
-		hh := handles[i]
-		rng := rand.New(rand.NewSource(seed + int64(i) + 47))
-		go func(i int) {
-			defer wg.Done()
-			vals := make([]uint64, 0, opsPer)
-			<-startLine
-			for j := 0; j < opsPer; j++ {
-				if rng.Float64() < queryFrac {
-					hh.Quantile(0.99)
-					queries[i]++
-				} else {
-					v := uint64(rng.ExpFloat64() * 400)
-					if v >= bound {
-						v = bound - 1
-					}
-					hh.Observe(v)
-					vals = append(vals, v)
-				}
-			}
-			observed[i] = vals
-		}(i)
-	}
-	start := time.Now()
-	close(startLine)
-	wg.Wait()
-	elapsed := time.Since(start)
+// histogramCell is an E16 cell: goroutine i observes skewed values
+// (400 x an exponential draw, clamped into the domain) and queries the
+// p99 through handle i.
+type histogramCell struct {
+	*approxobj.Histogram
+	hs       []approxobj.HistogramHandle
+	observed [][]uint64 // per goroutine: every value it observed
+}
 
-	// Quiescent accuracy check: flush every observation buffer, then the
-	// count must be exact and every quantile within pure bucket rounding
-	// of the exact sorted reference.
-	var totalQueries uint64
+func (c *histogramCell) loop(i, ops int, rng *rand.Rand, queries *uint64) func() {
+	h, buf := c.hs[i], make([]uint64, 0, ops)
+	return func() {
+		vals := buf
+		for j := 0; j < ops; j++ {
+			if rng.Float64() < sweepReadFrac {
+				h.Quantile(0.99)
+				*queries++
+			} else {
+				v := uint64(rng.ExpFloat64() * 400)
+				if v >= histBound {
+					v = histBound - 1
+				}
+				h.Observe(v)
+				vals = append(vals, v)
+			}
+		}
+		c.observed[i] = vals
+	}
+}
+
+// settled flushes every observation buffer; the count must then be
+// exact and every quantile within pure bucket rounding of the exact
+// sorted reference.
+func (c *histogramCell) settled() error {
 	var all []uint64
-	for i, hh := range handles {
-		hh.(approxobj.BatchedHistogramHandle).Flush()
-		totalQueries += queries[i]
-		all = append(all, observed[i]...)
+	for i, h := range c.hs {
+		h.(approxobj.BatchedHistogramHandle).Flush()
+		all = append(all, c.observed[i]...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	reader := handles[0]
-	if c := reader.Count(); c != uint64(len(all)) {
-		return shardedRun{}, fmt.Errorf(
-			"bench: sharded histogram (S=%d B=%d) counts %d after flush, want exactly %d",
-			h.Shards(), h.Batch(), c, len(all))
+	slices.Sort(all)
+	r := c.hs[0]
+	if err := settledWithin(approxobj.ExactBounds(), uint64(len(all)), r.Count()); err != nil {
+		return fmt.Errorf("count: %w", err)
 	}
-	k := h.K()
+	k := c.K()
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		got := reader.Quantile(q)
-		y := all[histogram.TargetRank(q, uint64(len(all)))-1]
+		got, y := r.Quantile(q), all[histogram.TargetRank(q, uint64(len(all)))-1]
 		if got > y || (y > 0 && got*k <= y) {
-			return shardedRun{}, fmt.Errorf(
-				"bench: sharded histogram (S=%d B=%d) p%.0f = %d outside (%d/%d, %d]",
-				h.Shards(), h.Batch(), q*100, got, y, k, y)
+			return fmt.Errorf("p%.0f = %d outside (%d/%d, %d]", q*100, got, y, k, y)
 		}
 	}
-	totalOps := float64(gs * opsPer)
-	return shardedRun{
-		nsPerOp:   float64(elapsed.Nanoseconds()) / totalOps,
-		mopsPerS:  totalOps / elapsed.Seconds() / 1e6,
-		readsPerS: float64(totalQueries) / elapsed.Seconds(),
-	}, nil
+	return nil
 }

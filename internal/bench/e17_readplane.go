@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"sync"
 	"time"
 
 	"approxobj"
@@ -24,9 +23,10 @@ import (
 //     buys the most where reads dominate; write-heavy mixes bound the
 //     overhead of carrying the combiner.
 //
-// Each cached cell re-verifies the convergence contract at quiescence:
-// once the staleness window has passed and writers have flushed, a
-// cached read must land inside the flushed envelope of the true value.
+// Every E17 cell re-verifies the convergence contract at quiescence:
+// once writers have flushed (and, for a cached cell, the staleness
+// window has passed), a read must land inside the flushed envelope of
+// the true value.
 func E17ReadPlane(cfg Config) ([]*Table, error) {
 	shardCounts := []int{1, 4, 16}
 	reads := 200_000
@@ -42,7 +42,7 @@ func E17ReadPlane(cfg Config) ([]*Table, error) {
 		Title: "read plane: per-kind read cost, cached vs uncached, across shard counts",
 		Note: `Each row is one (kind, shards, cached) cell: a populate phase through
 handle 0, then a timed read-only loop through handle 1 (Read for the
-counter and max register, Scan for the snapshot, p99 Quantile for the
+counter and max register, ScanInto for the snapshot, p99 Quantile for the
 histogram). Uncached reads fold all S shards, so their ns/op grows
 with S; cached reads (WithReadCache, maxStale 5ms) load the combiner's
 pre-combined cell, so their ns/op must stay flat across S. The Stale
@@ -52,163 +52,43 @@ before the read, which is the accuracy price of the O(1) read.`,
 		Header: []string{"kind", "shards", "cached", "read ns/op"},
 	}
 
-	type kindCase struct {
-		kind string
-		// build returns a populate function, the timed read function,
-		// the object's bounds, a quiescent convergence check (cached
-		// cells only; called after the staleness window has passed), and
-		// a close function.
-		build func(s int, cached bool) (populate func(), read func() uint64, bounds approxobj.Bounds, converge func() error, closeFn func(), err error)
-	}
-
-	cachedOpt := func(cached bool) []approxobj.Option {
-		if cached {
-			return []approxobj.Option{approxobj.WithReadCache(stale)}
-		}
-		return nil
-	}
-
-	kinds := []kindCase{
-		{kind: "counter", build: func(s int, cached bool) (func(), func() uint64, approxobj.Bounds, func() error, func(), error) {
-			opts := append([]approxobj.Option{
-				approxobj.WithProcs(2),
-				approxobj.WithAccuracy(approxobj.Multiplicative(2)),
-				approxobj.WithShards(s),
-			}, cachedOpt(cached)...)
-			c, err := approxobj.NewCounter(opts...)
-			if err != nil {
-				return nil, nil, approxobj.Bounds{}, nil, nil, err
-			}
-			w, r := c.Handle(0), c.Handle(1)
-			populate := func() {
-				for i := 0; i < writes; i++ {
-					w.Inc()
-				}
-			}
-			converge := func() error {
-				flushed := c.Bounds()
-				flushed.Buffer = 0
-				if x := r.Read(); !flushed.Contains(uint64(writes), x) {
-					return fmt.Errorf("quiescent cached counter read %d outside flushed envelope %+v of %d", x, flushed, writes)
-				}
-				return nil
-			}
-			return populate, r.Read, c.Bounds(), converge, c.Close, nil
-		}},
-		{kind: "max-register", build: func(s int, cached bool) (func(), func() uint64, approxobj.Bounds, func() error, func(), error) {
-			opts := append([]approxobj.Option{
-				approxobj.WithProcs(2),
-				approxobj.WithBound(1 << 30),
-				approxobj.WithShards(s),
-			}, cachedOpt(cached)...)
-			m, err := approxobj.NewMaxRegister(opts...)
-			if err != nil {
-				return nil, nil, approxobj.Bounds{}, nil, nil, err
-			}
-			w, r := m.Handle(0), m.Handle(1)
-			populate := func() {
-				for i := 0; i < writes; i++ {
-					w.Write(uint64(i))
-				}
-			}
-			converge := func() error {
-				if x := r.Read(); x != uint64(writes-1) {
-					return fmt.Errorf("quiescent cached max-register read %d, want %d", x, writes-1)
-				}
-				return nil
-			}
-			return populate, r.Read, m.Bounds(), converge, m.Close, nil
-		}},
-		{kind: "snapshot", build: func(s int, cached bool) (func(), func() uint64, approxobj.Bounds, func() error, func(), error) {
-			opts := append([]approxobj.Option{
-				approxobj.WithProcs(2),
-				approxobj.WithShards(s),
-			}, cachedOpt(cached)...)
-			sn, err := approxobj.NewSnapshot(opts...)
-			if err != nil {
-				return nil, nil, approxobj.Bounds{}, nil, nil, err
-			}
-			w, r := sn.Handle(0), sn.Handle(1)
-			populate := func() {
-				for i := 1; i <= writes; i++ {
-					w.Update(uint64(i))
-				}
-			}
-			read := func() uint64 { return r.Scan()[0] }
-			converge := func() error {
-				if x := read(); x != uint64(writes) {
-					return fmt.Errorf("quiescent cached snapshot component %d, want %d", x, writes)
-				}
-				return nil
-			}
-			return populate, read, sn.Bounds(), converge, sn.Close, nil
-		}},
-		{kind: "histogram", build: func(s int, cached bool) (func(), func() uint64, approxobj.Bounds, func() error, func(), error) {
-			const bound = uint64(1) << 16
-			opts := append([]approxobj.Option{
-				approxobj.WithProcs(2),
-				approxobj.WithAccuracy(approxobj.Multiplicative(2)),
-				approxobj.WithBound(bound),
-				approxobj.WithShards(s),
-			}, cachedOpt(cached)...)
-			hg, err := approxobj.NewHistogram(opts...)
-			if err != nil {
-				return nil, nil, approxobj.Bounds{}, nil, nil, err
-			}
-			w, r := hg.Handle(0), hg.Handle(1)
-			populate := func() {
-				for i := 0; i < writes; i++ {
-					w.Observe(uint64(i) % bound)
-				}
-			}
-			read := func() uint64 { return r.Quantile(0.99) }
-			converge := func() error {
-				if c := r.Count(); c != uint64(writes) {
-					return fmt.Errorf("quiescent cached histogram count %d, want exactly %d", c, writes)
-				}
-				return nil
-			}
-			return populate, read, hg.Bounds(), converge, hg.Close, nil
-		}},
-	}
-
 	var sink uint64
-	for _, kc := range kinds {
+	for _, row := range kindRows {
 		for _, s := range shardCounts {
 			for _, cached := range []bool{false, true} {
-				populate, read, bounds, converge, closeFn, err := kc.build(s, cached)
+				opts := []approxobj.Option{approxobj.WithShards(s)}
+				if cached {
+					opts = append(opts, approxobj.WithReadCache(stale))
+				}
+				o, err := row.open(nil, opts...)
 				if err != nil {
 					return nil, err
 				}
-				populate()
-				read() // warm the cache cell so the loop measures the steady state
+				o.fill(writes)
+				o.read() // warm the cache cell so the loop measures the steady state
 				start := time.Now()
 				for i := 0; i < reads; i++ {
-					sink += read()
+					sink += o.read()
 				}
 				elapsed := time.Since(start)
 				if cached {
 					time.Sleep(2 * stale) // cell expires; the next read refreshes inline
-					if err := converge(); err != nil {
-						closeFn()
-						return nil, fmt.Errorf("bench: E17 %s S=%d: %w", kc.kind, s, err)
-					}
 				}
-				closeFn()
-				label := "off"
-				if cached {
-					label = "on"
+				err = o.settled(uint64(writes))
+				o.obj.Close()
+				if err != nil {
+					return nil, fmt.Errorf("bench: E17 %s S=%d: %w", row.name, s, err)
 				}
 				nsPerOp := float64(elapsed.Nanoseconds()) / float64(reads)
-				t.AddRow(kc.kind, s, label, fmt.Sprintf("%.1f", nsPerOp))
+				t.AddRow(row.name, s, onOff(cached), fmt.Sprintf("%.1f", nsPerOp))
 				t.AddRecord(Record{
 					Params: map[string]string{
-						"kind":   kc.kind,
+						"kind":   row.name,
 						"shards": strconv.Itoa(s),
-						"cached": label,
+						"cached": onOff(cached),
 					},
 					NsPerOp:  nsPerOp,
-					Envelope: EnvelopeOf(bounds),
+					Envelope: EnvelopeOf(o.obj.Bounds()),
 				})
 			}
 		}
@@ -266,15 +146,10 @@ cost of carrying the combiner goroutine when reads are rare.`,
 			if err != nil {
 				return nil, err
 			}
-			var wg sync.WaitGroup
-			startLine := make(chan struct{})
-			wg.Add(gs)
-			for i := 0; i < gs; i++ {
+			elapsed := race(gs, func(i int) func() {
 				h := c.Handle(i)
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*131 + 17))
-				go func() {
-					defer wg.Done()
-					<-startLine
+				return func() {
 					for j := 0; j < opsPer; j++ {
 						if rng.Float64() < p {
 							h.Read()
@@ -282,26 +157,18 @@ cost of carrying the combiner goroutine when reads are rare.`,
 							h.Inc()
 						}
 					}
-				}()
-			}
-			start := time.Now()
-			close(startLine)
-			wg.Wait()
-			elapsed := time.Since(start)
+				}
+			})
 			c.Close()
 
-			label := "off"
-			if cached {
-				label = "on"
-			}
 			totalOps := float64(gs * opsPer)
 			nsPerOp := float64(elapsed.Nanoseconds()) / totalOps
 			name := fmt.Sprintf("%d:%d", ratio.r, ratio.w)
-			t.AddRow(name, label, totalOps/elapsed.Seconds()/1e6, fmt.Sprintf("%.1f", nsPerOp))
+			t.AddRow(name, onOff(cached), totalOps/elapsed.Seconds()/1e6, fmt.Sprintf("%.1f", nsPerOp))
 			t.AddRecord(Record{
 				Params: map[string]string{
 					"ratio":  name,
-					"cached": label,
+					"cached": onOff(cached),
 				},
 				NsPerOp:  nsPerOp,
 				Envelope: EnvelopeOf(c.Bounds()),

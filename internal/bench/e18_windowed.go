@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"approxobj"
@@ -34,12 +33,12 @@ func E18Windowed(cfg Config) ([]*Table, error) {
 		windowDur    = 10 * time.Minute
 		windowEpochs = 5
 	)
-	window := []approxobj.Option{approxobj.WithWindow(windowDur, windowEpochs)}
+	window := approxobj.WithWindow(windowDur, windowEpochs)
 
 	t := &Table{
 		ID:    "E18",
 		Title: "windowed objects: read cost under concurrent observation, plus a registry scrape",
-		Note: `Each kind row times the windowed read (Read/Scan/p99 Quantile) through
+		Note: `Each kind row times the windowed read (Read/ScanInto/p99 Quantile) through
 one handle while a writer goroutine churns another: the read folds the
 live epoch ring (epochs x shards per-kind combines), which is the
 steady-state cost a windowed object adds over a cumulative one. The
@@ -51,123 +50,29 @@ so each cell re-verifies quiescent convergence exactly.`,
 		Header: []string{"case", "epochs", "read ns/op"},
 	}
 
-	type windowCase struct {
-		name string
-		// build returns the write step (returns how much it added to the
-		// tracked total), the timed read, the object's bounds, a
-		// quiescent convergence check against the written total, and a
-		// close function.
-		build func() (write func() uint64, read func() uint64, bounds approxobj.Bounds, converge func(total uint64) error, closeFn func(), err error)
-	}
-
-	cases := []windowCase{
-		{name: "counter", build: func() (func() uint64, func() uint64, approxobj.Bounds, func(uint64) error, func(), error) {
-			c, err := approxobj.NewCounter(append([]approxobj.Option{
-				approxobj.WithProcs(2),
-				approxobj.WithAccuracy(approxobj.Multiplicative(2)),
-				approxobj.WithShards(2),
-			}, window...)...)
-			if err != nil {
-				return nil, nil, approxobj.Bounds{}, nil, nil, err
-			}
-			w, r := c.Handle(0), c.Handle(1)
-			write := func() uint64 { w.Inc(); return 1 }
-			converge := func(total uint64) error {
-				flushed := c.Bounds()
-				flushed.Buffer = 0
-				if x := r.Read(); !flushed.Contains(total, x) {
-					return fmt.Errorf("windowed counter read %d outside flushed envelope %+v of %d", x, flushed, total)
-				}
-				return nil
-			}
-			return write, r.Read, c.Bounds(), converge, c.Close, nil
-		}},
-		{name: "max-register", build: func() (func() uint64, func() uint64, approxobj.Bounds, func(uint64) error, func(), error) {
-			m, err := approxobj.NewMaxRegister(append([]approxobj.Option{
-				approxobj.WithProcs(2),
-				approxobj.WithBound(1 << 30),
-			}, window...)...)
-			if err != nil {
-				return nil, nil, approxobj.Bounds{}, nil, nil, err
-			}
-			w, r := m.Handle(0), m.Handle(1)
-			var next uint64
-			write := func() uint64 { next++; w.Write(next); return 1 }
-			converge := func(total uint64) error {
-				if x := r.Read(); x != next {
-					return fmt.Errorf("windowed max-register read %d, want high-water mark %d", x, next)
-				}
-				return nil
-			}
-			return write, r.Read, m.Bounds(), converge, m.Close, nil
-		}},
-		{name: "snapshot", build: func() (func() uint64, func() uint64, approxobj.Bounds, func(uint64) error, func(), error) {
-			sn, err := approxobj.NewSnapshot(append([]approxobj.Option{
-				approxobj.WithProcs(2),
-			}, window...)...)
-			if err != nil {
-				return nil, nil, approxobj.Bounds{}, nil, nil, err
-			}
-			w, r := sn.Handle(0), sn.Handle(1)
-			var next uint64
-			write := func() uint64 { next++; w.Update(next); return 1 }
-			read := func() uint64 { return r.Scan()[0] }
-			converge := func(total uint64) error {
-				if x := read(); x != next {
-					return fmt.Errorf("windowed snapshot component %d, want high-water mark %d", x, next)
-				}
-				return nil
-			}
-			return write, read, sn.Bounds(), converge, sn.Close, nil
-		}},
-		{name: "histogram", build: func() (func() uint64, func() uint64, approxobj.Bounds, func(uint64) error, func(), error) {
-			const bound = uint64(1) << 16
-			hg, err := approxobj.NewHistogram(append([]approxobj.Option{
-				approxobj.WithProcs(2),
-				approxobj.WithAccuracy(approxobj.Multiplicative(2)),
-				approxobj.WithBound(bound),
-				approxobj.WithShards(2),
-			}, window...)...)
-			if err != nil {
-				return nil, nil, approxobj.Bounds{}, nil, nil, err
-			}
-			w, r := hg.Handle(0), hg.Handle(1)
-			var next uint64
-			write := func() uint64 { next++; w.Observe(next % bound); return 1 }
-			read := func() uint64 { return r.Quantile(0.99) }
-			converge := func(total uint64) error {
-				if c := r.Count(); c != total {
-					return fmt.Errorf("windowed histogram count %d, want exactly %d", c, total)
-				}
-				return nil
-			}
-			return write, read, hg.Bounds(), converge, hg.Close, nil
-		}},
-	}
-
 	var sink uint64
-	for _, wc := range cases {
-		write, read, bounds, converge, closeFn, err := wc.build()
+	for _, row := range kindRows {
+		o, err := row.open(nil, approxobj.WithShards(2), window)
 		if err != nil {
 			return nil, err
 		}
-		nsPerOp, err := timeUnderChurn(reads, write, read, converge, &sink)
-		closeFn()
+		nsPerOp, err := timeUnderChurn(reads, o, &sink)
+		o.obj.Close()
 		if err != nil {
-			return nil, fmt.Errorf("bench: E18 %s: %w", wc.name, err)
+			return nil, fmt.Errorf("bench: E18 %s: %w", row.name, err)
 		}
-		t.AddRow(wc.name, windowEpochs, fmt.Sprintf("%.1f", nsPerOp))
+		t.AddRow(row.name, windowEpochs, fmt.Sprintf("%.1f", nsPerOp))
 		t.AddRecord(Record{
-			Params:   map[string]string{"kind": wc.name},
+			Params:   map[string]string{"kind": row.name},
 			NsPerOp:  nsPerOp,
-			Envelope: EnvelopeOf(bounds),
+			Envelope: EnvelopeOf(o.obj.Bounds()),
 		})
 	}
 	if sink == ^uint64(0) {
 		return nil, fmt.Errorf("bench: impossible sink value")
 	}
 
-	scrape, err := e18Scrape(cfg, reads/100, window, windowDur, windowEpochs)
+	scrape, err := e18Scrape(reads/100, window, windowDur, windowEpochs)
 	if err != nil {
 		return nil, err
 	}
@@ -176,33 +81,33 @@ so each cell re-verifies quiescent convergence exactly.`,
 	return []*Table{t}, nil
 }
 
-// timeUnderChurn runs the timed read loop while a writer goroutine
-// applies write steps continuously, then stops the writer, flushes by
-// reading once more at quiescence, and runs the convergence check
-// against the total applied.
-func timeUnderChurn(reads int, write func() uint64, read func() uint64, converge func(total uint64) error, sink *uint64) (float64, error) {
-	var total atomic.Uint64
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				total.Add(write())
-			}
+// churn calls put(1), put(2), ... until stop is closed and returns how
+// many values it put.
+func churn(put func(uint64), stop <-chan struct{}) uint64 {
+	for n := uint64(0); ; {
+		select {
+		case <-stop:
+			return n
+		default:
+			n++
+			put(n)
 		}
-	}()
+	}
+}
+
+// timeUnderChurn runs the timed read loop while a writer goroutine
+// churns the object, then stops the writer and checks the quiescent
+// read against the number of values it put.
+func timeUnderChurn(reads int, o *kindObj, sink *uint64) (float64, error) {
+	stop, total := make(chan struct{}), make(chan uint64)
+	go func() { total <- churn(o.put, stop) }()
 	start := time.Now()
 	for i := 0; i < reads; i++ {
-		*sink += read()
+		*sink += o.read()
 	}
 	elapsed := time.Since(start)
 	close(stop)
-	<-done
-	if err := converge(total.Load()); err != nil {
+	if err := o.settled(<-total); err != nil {
 		return 0, err
 	}
 	return float64(elapsed.Nanoseconds()) / float64(reads), nil
@@ -212,58 +117,30 @@ func timeUnderChurn(reads int, write func() uint64, read func() uint64, converge
 // holding one windowed object of every kind, while one writer goroutine
 // per object churns it — the per-scrape cost of the exposition
 // endpoint.
-func e18Scrape(cfg Config, scrapes int, window []approxobj.Option, d time.Duration, epochs int) (*Table, error) {
+func e18Scrape(scrapes int, window approxobj.Option, d time.Duration, epochs int) (*Table, error) {
 	if scrapes < 100 {
 		scrapes = 100
 	}
 	reg := approxobj.NewRegistry()
-	c, err := reg.Counter("e18.requests", append([]approxobj.Option{
-		approxobj.WithProcs(2), approxobj.WithAccuracy(approxobj.Multiplicative(2)),
-	}, window...)...)
-	if err != nil {
-		return nil, err
-	}
-	m, err := reg.MaxRegister("e18.peak", append([]approxobj.Option{
-		approxobj.WithProcs(2), approxobj.WithBound(1 << 30),
-	}, window...)...)
-	if err != nil {
-		return nil, err
-	}
-	sn, err := reg.SnapshotObject("e18.progress", append([]approxobj.Option{
-		approxobj.WithProcs(2),
-	}, window...)...)
-	if err != nil {
-		return nil, err
-	}
-	hg, err := reg.HistogramObject("e18.latency", append([]approxobj.Option{
-		approxobj.WithProcs(2), approxobj.WithAccuracy(approxobj.Multiplicative(2)), approxobj.WithBound(1 << 16),
-	}, window...)...)
-	if err != nil {
-		return nil, err
-	}
 	defer reg.Close()
+	objs := make([]*kindObj, len(kindRows))
+	for i, row := range kindRows {
+		o, err := row.open(reg, window)
+		if err != nil {
+			return nil, err
+		}
+		objs[i] = o
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	churn := func(step func(i uint64)) {
-		wg.Add(1)
+	wg.Add(len(objs))
+	for _, o := range objs {
 		go func() {
 			defer wg.Done()
-			for i := uint64(1); ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-					step(i)
-				}
-			}
+			churn(o.put, stop)
 		}()
 	}
-	ch, cm, cs, chg := c.Handle(0), m.Handle(0), sn.Handle(0), hg.Handle(0)
-	churn(func(i uint64) { ch.Inc() })
-	churn(func(i uint64) { cm.Write(i) })
-	churn(func(i uint64) { cs.Update(i) })
-	churn(func(i uint64) { chg.Observe(i % (1 << 16)) })
 
 	start := time.Now()
 	for i := 0; i < scrapes; i++ {

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"approxobj"
@@ -71,23 +69,14 @@ trajectory tracks them for drift, not as a scaling proof.`,
 			if err != nil {
 				return nil, err
 			}
-			var wg sync.WaitGroup
-			startLine := make(chan struct{})
-			wg.Add(g)
-			for i := 0; i < g; i++ {
+			elapsed := race(g, func(i int) func() {
 				h := c.Handle(i)
-				go func() {
-					defer wg.Done()
-					<-startLine
+				return func() {
 					for j := 0; j < opsPer; j++ {
 						h.Inc()
 					}
-				}()
-			}
-			start := time.Now()
-			close(startLine)
-			wg.Wait()
-			elapsed := time.Since(start)
+				}
+			})
 			c.Close()
 
 			totalOps := float64(g * opsPer)
@@ -135,142 +124,38 @@ file's, like an envelope widening.`,
 		Header: []string{"kind", "cached", "allocs/read"},
 	}
 
-	type kindCase struct {
-		kind  string
-		build func(cached bool) (populate func(), read func() uint64, bounds approxobj.Bounds, closeFn func(), err error)
-	}
-
-	// An hour of staleness: the cell never expires mid-measurement, so
-	// the loop stays on the cached fast path (one refresh at warm-up).
-	cachedOpt := func(cached bool) []approxobj.Option {
-		if cached {
-			return []approxobj.Option{approxobj.WithReadCache(time.Hour)}
-		}
-		return nil
-	}
-
-	kinds := []kindCase{
-		{kind: "counter", build: func(cached bool) (func(), func() uint64, approxobj.Bounds, func(), error) {
-			opts := append([]approxobj.Option{
-				approxobj.WithProcs(2),
-				approxobj.WithAccuracy(approxobj.Multiplicative(2)),
-				approxobj.WithShards(shards),
-			}, cachedOpt(cached)...)
-			c, err := approxobj.NewCounter(opts...)
-			if err != nil {
-				return nil, nil, approxobj.Bounds{}, nil, err
-			}
-			w, r := c.Handle(0), c.Handle(1)
-			populate := func() {
-				for i := 0; i < writes; i++ {
-					w.Inc()
-				}
-			}
-			return populate, r.Read, c.Bounds(), c.Close, nil
-		}},
-		{kind: "max-register", build: func(cached bool) (func(), func() uint64, approxobj.Bounds, func(), error) {
-			opts := append([]approxobj.Option{
-				approxobj.WithProcs(2),
-				approxobj.WithBound(1 << 30),
-				approxobj.WithShards(shards),
-			}, cachedOpt(cached)...)
-			m, err := approxobj.NewMaxRegister(opts...)
-			if err != nil {
-				return nil, nil, approxobj.Bounds{}, nil, err
-			}
-			w, r := m.Handle(0), m.Handle(1)
-			populate := func() {
-				for i := 0; i < writes; i++ {
-					w.Write(uint64(i))
-				}
-			}
-			return populate, r.Read, m.Bounds(), m.Close, nil
-		}},
-		{kind: "snapshot", build: func(cached bool) (func(), func() uint64, approxobj.Bounds, func(), error) {
-			opts := append([]approxobj.Option{
-				approxobj.WithProcs(2),
-				approxobj.WithShards(shards),
-			}, cachedOpt(cached)...)
-			sn, err := approxobj.NewSnapshot(opts...)
-			if err != nil {
-				return nil, nil, approxobj.Bounds{}, nil, err
-			}
-			w, r := sn.Handle(0), sn.Handle(1)
-			populate := func() {
-				for i := 1; i <= writes; i++ {
-					w.Update(uint64(i))
-				}
-			}
-			var buf []uint64
-			read := func() uint64 {
-				buf = r.ScanInto(buf)
-				return buf[0]
-			}
-			return populate, read, sn.Bounds(), sn.Close, nil
-		}},
-		{kind: "histogram", build: func(cached bool) (func(), func() uint64, approxobj.Bounds, func(), error) {
-			const bound = uint64(1) << 16
-			opts := append([]approxobj.Option{
-				approxobj.WithProcs(2),
-				approxobj.WithAccuracy(approxobj.Multiplicative(2)),
-				approxobj.WithBound(bound),
-				approxobj.WithShards(shards),
-			}, cachedOpt(cached)...)
-			hg, err := approxobj.NewHistogram(opts...)
-			if err != nil {
-				return nil, nil, approxobj.Bounds{}, nil, err
-			}
-			w, r := hg.Handle(0), hg.Handle(1)
-			populate := func() {
-				for i := 0; i < writes; i++ {
-					w.Observe(uint64(i) % bound)
-				}
-			}
-			read := func() uint64 { return r.Quantile(0.99) }
-			return populate, read, hg.Bounds(), hg.Close, nil
-		}},
-	}
-
 	var sink uint64
-	for _, kc := range kinds {
+	for _, row := range kindRows {
 		for _, cached := range []bool{false, true} {
-			populate, read, bounds, closeFn, err := kc.build(cached)
+			opts := []approxobj.Option{approxobj.WithShards(shards)}
+			if cached {
+				// An hour of staleness: the cell never expires mid-measurement,
+				// so the loop stays on the cached fast path (one refresh at
+				// warm-up).
+				opts = append(opts, approxobj.WithReadCache(time.Hour))
+			}
+			o, err := row.open(nil, opts...)
 			if err != nil {
 				return nil, err
 			}
-			populate()
+			o.fill(writes)
 			// Warm-up: the first reads allocate the handle's scratch
 			// buffers and (when cached) the combined cell; steady state
 			// starts after.
 			for i := 0; i < 16; i++ {
-				sink += read()
+				sink += o.read()
 			}
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			for i := 0; i < reads; i++ {
-				sink += read()
-			}
-			runtime.ReadMemStats(&m1)
-			closeFn()
+			allocs := allocsPerRead(reads, o.read, &sink)
+			o.obj.Close()
 
-			allocs := float64(m1.Mallocs-m0.Mallocs) / float64(reads)
-			// Round to hundredths: Mallocs is process-global, so an
-			// unrelated stray allocation (a GC assist, a background
-			// tick) must not wobble the machine-independent gate.
-			allocs = float64(int64(allocs*100+0.5)) / 100
-
-			label := "off"
-			if cached {
-				label = "on"
-			}
-			t.AddRow(kc.kind, label, fmt.Sprintf("%.2f", allocs))
+			t.AddRow(row.name, onOff(cached), fmt.Sprintf("%.2f", allocs))
 			t.AddRecord(Record{
 				Params: map[string]string{
-					"kind":   kc.kind,
-					"cached": label,
+					"kind":   row.name,
+					"cached": onOff(cached),
 				},
 				AllocsPerRead: allocs,
-				Envelope:      EnvelopeOf(bounds),
+				Envelope:      EnvelopeOf(o.obj.Bounds()),
 			})
 		}
 	}

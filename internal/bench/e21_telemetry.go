@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -52,111 +51,52 @@ machine-dependent and tracked for drift only.`,
 		Header: []string{"kind", "shards", "batch", "telemetry", "ns/op", "steps/op", "allocs/read"},
 	}
 
-	type cell struct {
-		build func(shards, batch int, tel *approxobj.Telemetry) (w interface {
-			Steps() uint64
-		}, write func(), read func() uint64, closeFn func(), err error)
-		kind string
-	}
-
-	telOpt := func(tel *approxobj.Telemetry) []approxobj.Option {
-		if tel != nil {
-			return []approxobj.Option{approxobj.WithTelemetry(tel)}
-		}
-		return nil
-	}
-
-	kinds := []cell{
-		{kind: "counter", build: func(shards, batch int, tel *approxobj.Telemetry) (interface{ Steps() uint64 }, func(), func() uint64, func(), error) {
-			opts := append([]approxobj.Option{
-				approxobj.WithProcs(2),
-				approxobj.WithAccuracy(approxobj.Multiplicative(2)),
-				approxobj.WithShards(shards),
-				approxobj.WithBatch(batch),
-			}, telOpt(tel)...)
-			c, err := approxobj.NewCounter(opts...)
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			w, r := c.Handle(0), c.Handle(1)
-			return w, w.Inc, r.Read, c.Close, nil
-		}},
-		{kind: "histogram", build: func(shards, batch int, tel *approxobj.Telemetry) (interface{ Steps() uint64 }, func(), func() uint64, func(), error) {
-			const bound = uint64(1) << 16
-			opts := append([]approxobj.Option{
-				approxobj.WithProcs(2),
-				approxobj.WithAccuracy(approxobj.Multiplicative(2)),
-				approxobj.WithBound(bound),
-				approxobj.WithShards(shards),
-				approxobj.WithBatch(batch),
-			}, telOpt(tel)...)
-			hg, err := approxobj.NewHistogram(opts...)
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			w, r := hg.Handle(0), hg.Handle(1)
-			var v uint64
-			write := func() {
-				v = (v + 7919) % bound // fixed stride over the domain, no RNG in the hot loop
-				w.Observe(v)
-			}
-			read := func() uint64 { return r.Quantile(0.99) }
-			return w, write, read, hg.Close, nil
-		}},
-	}
-
 	var sink uint64
-	for _, kc := range kinds {
+	for _, row := range kindRows {
+		if row.kind != approxobj.KindCounter && row.kind != approxobj.KindHistogram {
+			continue // the two write-heaviest kinds only
+		}
 		for _, shards := range shardCounts {
 			for _, batch := range batches {
 				for _, instrumented := range []bool{false, true} {
-					var tel *approxobj.Telemetry
+					opts := []approxobj.Option{approxobj.WithShards(shards), approxobj.WithBatch(batch)}
 					if instrumented {
-						tel = approxobj.NewTelemetry()
+						opts = append(opts, approxobj.WithTelemetry(approxobj.NewTelemetry()))
 					}
-					w, write, read, closeFn, err := kc.build(shards, batch, tel)
+					o, err := row.open(nil, opts...)
 					if err != nil {
 						return nil, err
 					}
-					// Warm-up: scratch buffers, first flush.
+					// The writes put a fixed stride over the histogram's
+					// domain (no RNG in the hot loop; the counter ignores
+					// the value). Warm-up: scratch buffers, first flush.
+					var v uint64
 					for i := 0; i < 64; i++ {
-						write()
+						v += 7919
+						o.put(v)
 					}
-					sink += read()
+					sink += o.read()
 
-					steps0 := w.Steps()
+					steps0 := o.steps()
 					start := time.Now()
 					for i := 0; i < writes; i++ {
-						write()
+						v += 7919
+						o.put(v)
 					}
 					elapsed := time.Since(start)
-					stepsPerOp := float64(w.Steps()-steps0) / float64(writes)
+					stepsPerOp := float64(o.steps()-steps0) / float64(writes)
 					nsPerOp := float64(elapsed.Nanoseconds()) / float64(writes)
+					allocs := allocsPerRead(reads, o.read, &sink)
+					o.obj.Close()
 
-					var m0, m1 runtime.MemStats
-					runtime.ReadMemStats(&m0)
-					for i := 0; i < reads; i++ {
-						sink += read()
-					}
-					runtime.ReadMemStats(&m1)
-					closeFn()
-					allocs := float64(m1.Mallocs-m0.Mallocs) / float64(reads)
-					// Round to hundredths, like E20r: Mallocs is
-					// process-global and must not wobble the gate.
-					allocs = float64(int64(allocs*100+0.5)) / 100
-
-					label := "off"
-					if instrumented {
-						label = "on"
-					}
-					t.AddRow(kc.kind, shards, batch, label,
+					t.AddRow(row.name, shards, batch, onOff(instrumented),
 						fmt.Sprintf("%.1f", nsPerOp), fmt.Sprintf("%.3f", stepsPerOp), fmt.Sprintf("%.2f", allocs))
 					t.AddRecord(Record{
 						Params: map[string]string{
-							"kind":      kc.kind,
+							"kind":      row.name,
 							"shards":    strconv.Itoa(shards),
 							"batch":     strconv.Itoa(batch),
-							"telemetry": label,
+							"telemetry": onOff(instrumented),
 						},
 						NsPerOp:       nsPerOp,
 						StepsPerOp:    stepsPerOp,

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"approxobj/internal/core"
 	"approxobj/internal/counter"
@@ -17,16 +16,10 @@ import (
 // throughput runs gs goroutines of opsPer mixed operations (readFrac reads)
 // against per-goroutine op functions and returns million ops/sec.
 func throughput(seed int64, gs, opsPer int, readFrac float64, mkOps func(i int) (inc func(), read func())) float64 {
-	var wg sync.WaitGroup
-	var start, stop time.Time
-	startLine := make(chan struct{})
-	wg.Add(gs)
-	for i := 0; i < gs; i++ {
+	elapsed := race(gs, func(i int) func() {
 		inc, read := mkOps(i)
 		rng := rand.New(rand.NewSource(seed + int64(i) + 11))
-		go func() {
-			defer wg.Done()
-			<-startLine
+		return func() {
 			for j := 0; j < opsPer; j++ {
 				if rng.Float64() < readFrac {
 					read()
@@ -34,14 +27,9 @@ func throughput(seed int64, gs, opsPer int, readFrac float64, mkOps func(i int) 
 					inc()
 				}
 			}
-		}()
-	}
-	start = time.Now()
-	close(startLine)
-	wg.Wait()
-	stop = time.Now()
-	total := float64(gs * opsPer)
-	return total / stop.Sub(start).Seconds() / 1e6
+		}
+	})
+	return float64(gs*opsPer) / elapsed.Seconds() / 1e6
 }
 
 // E7Throughput is the motivation experiment (Section I, [2][4], and the
