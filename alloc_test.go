@@ -231,7 +231,9 @@ func TestPooledAcquireAllocations(t *testing.T) {
 // and the exact counter's tree — an unbounded max register per node —
 // inherits the same footprint. The budgets leave a little headroom over
 // the measured 49, 45 and 149 allocations (building every epoch up
-// front costs 1,053, 801 and 2,417).
+// front costs 1,053, 801 and 2,417). A histogram's bucket rows are built
+// by their slot's first write: the 2-slot, 4-shard histogram measures
+// 45 allocations (53 when every shard allocated a row per slot).
 func TestConstructionFootprint(t *testing.T) {
 	budget := func(name string, limit float64, build func() (interface{ Close() }, error)) {
 		t.Helper()
@@ -255,6 +257,49 @@ func TestConstructionFootprint(t *testing.T) {
 	budget("exact counter, 4 procs, 4 shards", 168, func() (interface{ Close() }, error) {
 		return approxobj.NewCounter(approxobj.WithProcs(4), approxobj.WithShards(4))
 	})
+	newHistogram := func() (*approxobj.Histogram, error) {
+		return approxobj.NewHistogram(approxobj.WithProcs(2), approxobj.WithShards(4), approxobj.WithAccuracy(approxobj.Multiplicative(2)))
+	}
+	budget("Multiplicative(2) histogram, 2 procs, 4 shards", 48, func() (interface{ Close() }, error) {
+		return newHistogram()
+	})
+
+	// A histogram shard holds one bucket row per process slot, and slot i
+	// writes only its home shard i mod S, so a row exists only once its
+	// slot writes there. An uncached read still reads every register of
+	// every row, built or not: Shards × procs × Buckets steps.
+	h, err := newHistogram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	buckets := uint64(h.Buckets())
+	slots := []approxobj.HistogramHandle{h.Handle(0), h.Handle(1)}
+	baseObjects := func(when string, want uint64) {
+		t.Helper()
+		if got := h.BaseObjects(); got != want {
+			t.Errorf("histogram %s: %d base objects, want %d", when, got, want)
+		}
+	}
+	readAll := func(when string) {
+		t.Helper()
+		for i, s := range slots {
+			before := s.Steps()
+			s.Count()
+			if got, want := s.Steps()-before, uint64(h.Shards())*2*buckets; got != want {
+				t.Errorf("histogram %s: Count through slot %d took %d steps, want %d (Shards × 2 × Buckets)", when, i, got, want)
+			}
+		}
+	}
+	baseObjects("when built", 0)
+	readAll("when built")
+	baseObjects("after reads through every slot", 0)
+	slots[0].Observe(5)
+	baseObjects("after slot 0's first Observe", buckets)
+	readAll("after slot 0's first Observe")
+	baseObjects("after slot 0's first Observe and reads through every slot", buckets)
+	slots[1].Observe(5) // homed on shard 1
+	baseObjects("after slot 1's first Observe", 2*buckets)
 
 	// BaseObjects counts what has materialized. A fresh unbounded max
 	// register holds one register per shard: the root of the exact

@@ -14,10 +14,12 @@ import (
 // row p (so AddN is one register write once the row value is known), and
 // a read sums each column over all rows — the classic collect, regular
 // like every combined read in this repository. All counts saturate at
-// MaxUint64.
+// MaxUint64. A row is built by its process's first addition; a process
+// that never adds (a slot homed on another shard, a reader-only slot)
+// never holds one, and reading its row still costs one step per bucket.
 type Vector struct {
 	buckets int
-	rows    [][]prim.Reg // [process][bucket], each row one dense arena
+	rows    []prim.LazyRegRow // [process], each row one dense arena once built
 }
 
 var _ object.Hist = (*Vector)(nil)
@@ -28,11 +30,7 @@ func NewVector(f *prim.Factory, buckets int) (*Vector, error) {
 	if buckets < 1 {
 		return nil, fmt.Errorf("histogram: need at least one bucket, got %d", buckets)
 	}
-	v := &Vector{buckets: buckets, rows: make([][]prim.Reg, f.N())}
-	for p := range v.rows {
-		v.rows[p] = f.RegRowDense(buckets)
-	}
-	return v, nil
+	return &Vector{buckets: buckets, rows: f.LazyRegRows(f.N(), buckets)}, nil
 }
 
 // Buckets returns the number of buckets.
@@ -48,13 +46,14 @@ func (v *Vector) HistHandle(p *prim.Proc) object.HistHandle {
 // the first addition to a bucket reads the register once — which also
 // lets a re-created handle for a slot that has written before continue
 // from the row's current counts — and every later addition is a single
-// register write. The cache is allocated by the handle's first AddN: a
-// handle that only reads (every handle of a shard but its home slot's)
-// never carries it.
+// register write. The handle's first AddN builds its row and allocates
+// the cache: a handle that only reads (every handle of a shard but its
+// home slot's) never carries either.
 type VectorHandle struct {
 	v     *Vector
 	p     *prim.Proc
-	own   []uint64 // nil until the first AddN
+	row   []prim.Reg // the process's own row; nil until the first AddN
+	own   []uint64
 	known []bool
 }
 
@@ -66,11 +65,12 @@ func (h *VectorHandle) AddN(b int, d uint64) {
 	if d == 0 {
 		return
 	}
-	if h.own == nil {
+	if h.row == nil {
+		h.row = h.v.rows[h.p.ID()].Build()
 		h.own = make([]uint64, h.v.buckets)
 		h.known = make([]bool, h.v.buckets)
 	}
-	r := &h.v.rows[h.p.ID()][b]
+	r := &h.row[b]
 	if !h.known[b] {
 		h.own[b] = r.Read(h.p)
 		h.known[b] = true
@@ -85,12 +85,22 @@ func (h *VectorHandle) Read() []uint64 { return h.ReadInto(nil) }
 
 // ReadInto is Read into a reused buffer: dst is grown (or allocated, if
 // nil) to the bucket count, zeroed, and filled with the totals. The
-// step count is identical to Read's.
+// step count is identical to Read's: one read per register, n × buckets,
+// whether or not a row is built.
 func (h *VectorHandle) ReadInto(dst []uint64) []uint64 {
 	dst = zeroed(dst, h.v.buckets)
-	for _, row := range h.v.rows {
-		for b := range row {
-			dst[b] = satmath.Add(dst[b], row[b].Read(h.p))
+	for i := range h.v.rows {
+		lr := &h.v.rows[i]
+		if row := lr.Row(); row != nil {
+			for b := range row {
+				dst[b] = satmath.Add(dst[b], row[b].Read(h.p))
+			}
+		} else if !lr.ReadUnbuilt(h.p) {
+			// A gated process reads register by register: the row may
+			// be built and written while it waits at a gate.
+			for b := range dst {
+				dst[b] = satmath.Add(dst[b], lr.Read(h.p, b))
+			}
 		}
 	}
 	return dst

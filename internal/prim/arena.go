@@ -1,6 +1,7 @@
 package prim
 
 import (
+	"sync/atomic"
 	"unsafe"
 
 	"approxobj/internal/telemetry"
@@ -19,13 +20,15 @@ import (
 //     DIFFERENT single writers and individually-allocated 16-byte
 //     registers false-share lines across writers.
 //
-//   - Dense rows (RegRowDense): elements are packed at their natural
+//   - Dense rows (LazyRegRow): elements are packed at their natural
 //     size with guard padding only at the row's ends, so the row is
 //     isolated from neighboring heap objects but shares lines
 //     internally. This is the layout for rows owned by ONE writer —
 //     a histogram writer's per-process bucket vector — where internal
 //     sharing is free (single writer) and per-element padding would
-//     multiply the footprint by 8x (ruinous at 2^20 buckets).
+//     multiply the footprint by 8x (ruinous at 2^20 buckets). A dense
+//     row is built by its writer's first write: a slot that never
+//     writes never holds one.
 //
 // The stride is 128 bytes — two 64-byte lines — for two reasons: the
 // adjacent-line prefetcher on x86 pulls line pairs, so 64-byte spacing
@@ -37,7 +40,8 @@ import (
 // ID assignment and Resident() accounting are element-wise through
 // allocID, identical to the one-object-per-allocation constructors, so
 // replay determinism (internal/sim) and the paper's space measure see
-// no difference between f.Regs(m) and f.RegRow(m).
+// no difference between f.Regs(m) and f.RegRow(m). A dense row reserves
+// its IDs when it is created and counts in Resident() once it is built.
 
 // falseSharingStride is the padded-row element stride: two 64-byte
 // cache lines (see the file comment for why not one).
@@ -150,23 +154,107 @@ func (f *Factory) PairRegRow(m int) []*PairReg {
 // falseSharingStride at each end of the row.
 const regGuard = (falseSharingStride + int(unsafe.Sizeof(Reg{})) - 1) / int(unsafe.Sizeof(Reg{}))
 
-// RegRowDense creates m fresh registers packed at natural size in one
-// allocation, with one stride of never-touched guard registers at each
-// end: the row shares no cache line with any neighboring heap object,
-// but elements share lines with each other. Use for large rows owned by
-// a single writer (per-process histogram bucket vectors), where
-// internal sharing costs nothing and padded rows would be 8x the
-// memory. The row is returned as the packed registers themselves (index
-// it and take the element's address; capacity stops at m, so the guards
-// stay out of reach), with no parallel slice of pointers to carry.
-// Guard cells hold no IDs and are not resident — accounting covers
-// exactly the m returned registers.
-func (f *Factory) RegRowDense(m int) []Reg {
-	f.tel.Inc(telemetry.EvArenaRow, 0)
-	cells := make([]Reg, m+2*regGuard)
-	row := cells[regGuard : regGuard+m : regGuard+m]
-	for i := range row {
-		row[i].id = f.allocID()
-	}
-	return row
+// LazyRegRow is a dense row of m registers, all initially 0, whose
+// storage is built by its first write. Its IDs are reserved when the row
+// is created, so every register keeps the ID an eagerly built row would
+// give it. Building is local memory management, not a step; the row's m
+// registers count in Resident once its publishing CAS wins.
+//
+// A built row is m registers packed at natural size in one allocation,
+// with one stride of never-touched guard registers at each end: the row
+// shares no cache line with any neighboring heap object, but elements
+// share lines with each other. Use it for large rows owned by a single
+// writer (per-process histogram bucket vectors), where internal sharing
+// costs nothing and padded rows would be 8x the memory, and where most
+// rows are never written. Guard cells hold no IDs and are not resident.
+//
+// Reading an unbuilt row follows the TASSeq.Read rule: every register
+// reads 0 and still counts one step.
+type LazyRegRow struct {
+	base  ObjID
+	m     int
+	f     *Factory            // the root factory: Resident and telemetry
+	cells atomic.Pointer[Reg] // register 0 of the built row; nil until built
 }
+
+// LazyRegRows creates n dense rows of m registers each (see LazyRegRow).
+// Each row reserves its block of m IDs in order, so row i's registers
+// get the IDs the i-th of n eager rows would get; no row holds storage
+// until it is built.
+func (f *Factory) LazyRegRows(n, m int) []LazyRegRow {
+	rows := make([]LazyRegRow, n)
+	for i := range rows {
+		rows[i].base = f.allocBlock(uint64(m))
+		rows[i].m = m
+		rows[i].f = f.origin()
+	}
+	return rows
+}
+
+// Build returns the row's registers, building the row if no caller has
+// yet: it is allocated in the guarded dense layout and published with a
+// CAS, and only the winning copy counts in Resident (and as an arena row
+// in telemetry), so racing builders all get the same registers. A writer
+// calls it before its first write and keeps the result: index it and
+// take the element's address (its capacity stops at m, so the guards
+// stay out of reach).
+func (r *LazyRegRow) Build() []Reg {
+	if row := r.Row(); row != nil {
+		return row
+	}
+	cells := make([]Reg, r.m+2*regGuard)
+	row := cells[regGuard : regGuard+r.m : regGuard+r.m]
+	for i := range row {
+		row[i].id = r.base + ObjID(i)
+	}
+	if r.cells.CompareAndSwap(nil, &cells[regGuard]) {
+		r.f.resident.Add(uint64(r.m))
+		r.f.tel.Inc(telemetry.EvArenaRow, 0)
+		return row
+	}
+	return r.Row()
+}
+
+// Row returns the row's registers once it is built, else nil. It takes
+// no step.
+func (r *LazyRegRow) Row() []Reg {
+	if c := r.cells.Load(); c != nil {
+		return unsafe.Slice(c, r.m)
+	}
+	return nil
+}
+
+// Read applies a read primitive to register i. The row is resolved
+// inside the step's enter/exit window, as in TASSeq.Read: a gated
+// process may park at the gate while the row is built and written, and
+// must observe that write. A register of an unbuilt row reads 0.
+func (r *LazyRegRow) Read(p *Proc, i int) uint64 {
+	if uint(i) >= uint(r.m) {
+		panic("prim: LazyRegRow index out of range")
+	}
+	p.enter()
+	var v uint64
+	if c := r.cells.Load(); c != nil {
+		v = unsafe.Slice(c, r.m)[i].v.Load()
+	}
+	p.exit(OpRead, r.base+ObjID(i), v)
+	return v
+}
+
+// ReadUnbuilt applies p's reads of all m registers of a row that Row
+// found unbuilt, at once where that is exact. In production mode every
+// register held 0 at that load (a row is built before its first write),
+// so the m reads cost m steps and no further loads, and ReadUnbuilt
+// reports true. A gated process must take each read as its own step
+// through Read, since the row may be built and written while it waits
+// at a gate: for it ReadUnbuilt takes no step and reports false.
+func (r *LazyRegRow) ReadUnbuilt(p *Proc) bool {
+	if p.gate != nil {
+		return false
+	}
+	p.steps += uint64(r.m)
+	return true
+}
+
+// ID returns the base-object identifier of register i.
+func (r *LazyRegRow) ID(i int) ObjID { return r.base + ObjID(i) }

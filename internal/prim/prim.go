@@ -237,16 +237,16 @@ func (t *TAS) ID() ObjID { return t.id }
 // Factory creates base objects with deterministic identifiers: IDs follow
 // creation order, so a system rebuilt by the same code gets the same IDs —
 // internal/sim relies on this for replay. Lazily-materialized structures
-// (tree nodes, switch levels, max-register epochs) may also allocate
-// during execution; allocation is atomic, so production-mode races are
+// (tree nodes, switch levels, max-register epochs, dense rows) may also
+// allocate during execution; allocation is atomic, so production-mode races are
 // safe, and simulated executions stay deterministic because the machine
 // runs one process's code at a time.
 type Factory struct {
 	next atomic.Uint64
 	// resident counts base objects with materialized storage: every
 	// eagerly allocated object (Reg, TAS, CASReg, ...) at creation, plus
-	// lazily built ones (TASSeq levels, tree nodes, epochs) once their
-	// publishing CAS wins. Unlike next it excludes reserved-but-untouched
+	// lazily built ones (TASSeq levels, tree nodes, epochs, dense rows)
+	// once their publishing CAS wins. Unlike next it excludes reserved-but-untouched
 	// ID blocks and the objects of a structure that lost its publishing
 	// race, so it is the space measure of the paper's model: how many
 	// base objects the execution actually holds.
@@ -330,8 +330,9 @@ func (f *Factory) allocBlock(size uint64) ObjID {
 // same structure. The view shares f's ID sequence, processes, gate and
 // telemetry, but the objects it creates count only in the view's own
 // Resident; the caller adds that count to f with Materialized once its
-// CAS wins, and a losing copy's objects are never counted. Cells that materialize later inside the published
-// structure (tree nodes, TASSeq levels) count in f directly.
+// CAS wins, and a losing copy's objects are never counted. Cells that
+// materialize later inside the published structure (tree nodes, TASSeq
+// levels, LazyRegRow rows) count in f directly.
 func (f *Factory) Stage() *Factory {
 	return &Factory{root: f.origin(), gate: f.gate, procs: f.procs, tel: f.tel}
 }
@@ -347,10 +348,10 @@ func (f *Factory) Objects() uint64 { return f.origin().next.Load() }
 
 // Resident returns the number of base objects with materialized storage —
 // the execution's space cost in the paper's model. It grows as lazily
-// built structures (TASSeq levels, tree nodes, max-register epochs)
-// materialize, so unbounded constructions report what they hold, not
-// what they reserve. On a Stage view it counts the objects the view
-// created, which the caller hands to Materialized.
+// built structures (TASSeq levels, tree nodes, max-register epochs,
+// dense rows) materialize, so unbounded constructions report what they
+// hold, not what they reserve. On a Stage view it counts the objects
+// the view created, which the caller hands to Materialized.
 func (f *Factory) Resident() uint64 { return f.resident.Load() }
 
 // Reg creates a fresh read/write register initialized to zero.

@@ -589,11 +589,11 @@ func (p *plane[O, H, V]) Bounds() Bounds {
 // TAS cells) across all shards — the plane's space cost in the paper's
 // model, where space is counted in base objects. Lazily allocated
 // structures (the unbounded switch sequences of Algorithm 1, the tree
-// nodes and epoch registers of the max registers) count what has
-// materialized, not what they reserve, so the number grows with the
-// execution. Windowed objects sum it over their epoch ring; the frontier
-// bench (E19) uses it to compare deterministic and randomized state at
-// equal target error.
+// nodes and epoch registers of the max registers, the histograms'
+// per-slot bucket rows) count what has materialized, not what they
+// reserve, so the number grows with the execution. Windowed objects sum
+// it over their epoch ring; the frontier bench (E19) uses it to compare
+// deterministic and randomized state at equal target error.
 func (p *plane[O, H, V]) BaseObjects() uint64 {
 	var total uint64
 	for _, f := range p.rt.facts {

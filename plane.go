@@ -156,7 +156,9 @@ func (c *objectCore[H]) Bounds() Bounds { return scaledBounds(c.rt.Bounds(), c.s
 // model. Lazily built structures count once an operation first touches
 // them, so a fresh unbounded max register reports only its top
 // registers, one per shard, and grows by an epoch register when a write
-// first reaches that epoch. The frontier bench (E19) reports it to
+// first reaches that epoch; a fresh histogram reports 0, and grows by
+// one bucket row (Buckets registers) when a slot first writes its home
+// shard. The frontier bench (E19) reports it to
 // compare deterministic and randomized state at equal target error.
 func (c *objectCore[H]) BaseObjects() uint64 { return c.rt.BaseObjects() }
 
