@@ -25,7 +25,7 @@ import (
 func requireZeroAllocs(t *testing.T, name string, f func()) {
 	t.Helper()
 	if avg := testing.AllocsPerRun(100, f); avg != 0 {
-		t.Errorf("%s: %.2f allocs per read, want 0", name, avg)
+		t.Errorf("%s: %.2f allocs per call, want 0", name, avg)
 	}
 }
 
@@ -202,18 +202,51 @@ func TestTelemetryDisabledZeroCost(t *testing.T) {
 	}
 }
 
-// TestPooledAcquireAllocations pins the acquisition hot path's
-// allocation budget: after the first lease builds the slot's handle,
-// each acquire/release cycle allocates only the release closure (the
-// idempotence guard rides the slot's generation counter, not a fresh
-// escaping atomic).
+// TestPooledAcquireAllocations pins the lease path's allocation budget
+// once every slot's handle is built: Do leases without a release
+// closure and allocates nothing for every kind, so a pooled read such as
+// Counter.Snapshot allocates nothing either, and an Acquire/release
+// cycle allocates only its release closure (the idempotence guard rides
+// the slot's lease generation, not a fresh escaping atomic).
 func TestPooledAcquireAllocations(t *testing.T) {
-	c, err := approxobj.NewCounter(approxobj.WithProcs(2), approxobj.WithAccuracy(approxobj.Multiplicative(2)))
+	mult := approxobj.WithAccuracy(approxobj.Multiplicative(2))
+	c, err := approxobj.NewCounter(approxobj.WithProcs(2), mult)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	c.Do(func(h approxobj.CounterHandle) { h.Inc() }) // warm the slot's cached handle
+	r, err := approxobj.NewMaxRegister(approxobj.WithProcs(2), mult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := approxobj.NewSnapshot(approxobj.WithProcs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := approxobj.NewHistogram(approxobj.WithProcs(2), mult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := func(h approxobj.CounterHandle) { h.Inc() }
+	write := func(h approxobj.MaxRegisterHandle) { h.Write(5) }
+	update := func(h approxobj.SnapshotHandle) { h.Update(3) }
+	observe := func(h approxobj.HistogramHandle) { h.Observe(7) }
+	// Leases take the slots in FIFO order, so two rounds build both
+	// slots' handles and their first-write state.
+	for range 2 {
+		c.Do(inc)
+		r.Do(write)
+		s.Do(update)
+		h.Do(observe)
+	}
+	requireZeroAllocs(t, "counter Do", func() { c.Do(inc) })
+	requireZeroAllocs(t, "max register Do", func() { r.Do(write) })
+	requireZeroAllocs(t, "snapshot Do", func() { s.Do(update) })
+	requireZeroAllocs(t, "histogram Do", func() { h.Do(observe) })
+	requireZeroAllocs(t, "counter Snapshot(false)", func() {
+		if _, err := c.Snapshot(false); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if avg := testing.AllocsPerRun(100, func() {
 		h, release := c.Acquire()
 		h.Inc()

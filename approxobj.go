@@ -317,9 +317,9 @@ func scaledBounds(b Bounds, spec Spec) Bounds {
 // range. The returned handle implements BatchedCounterHandle.
 func (c *Counter) Handle(i int) CounterHandle { return c.handle(i) }
 
-// snapshotValue reads the counter through the registry's snapshot slot;
+// snapshotRead reads the counter through the registry's snapshot slot;
 // see Registry.Snapshot.
-func (c *Counter) snapshotValue() uint64 { return c.snap.Read() }
+func (c *Counter) snapshotRead() (uint64, *HistogramDetail) { return c.snap.Read(), nil }
 
 // maxRegisterDescriptor registers the max-register family in the
 // backend-plane table: reads take the max over shards (no envelope
@@ -441,4 +441,4 @@ func (r *MaxRegister) Snapshot(reset bool) (uint64, error) {
 // range. The returned handle implements BatchedMaxRegisterHandle.
 func (r *MaxRegister) Handle(i int) MaxRegisterHandle { return r.handle(i) }
 
-func (r *MaxRegister) snapshotValue() uint64 { return r.snap.Read() }
+func (r *MaxRegister) snapshotRead() (uint64, *HistogramDetail) { return r.snap.Read(), nil }

@@ -1,21 +1,24 @@
 package approxobj
 
 import (
+	"fmt"
 	"sync/atomic"
 
-	"approxobj/internal/pool"
+	"approxobj/internal/telemetry"
 )
 
 // This file implements the pooled side of handle management: every object
-// owns a free list (internal/pool) of its process slots, and goroutines
-// borrow exclusive handles from it instead of computing slot indices.
-// Slot ownership transfers through the pool's channel, which also gives
-// the happens-before edge that lets successive owners reuse a slot's
-// cached handle (and its persistent per-process algorithm state) without
-// extra synchronization. Every family shares the slot-ownership and
-// step-accounting logic through the generic slotPool below, whose
-// handles are the kind's runtime handles themselves; each family
-// contributes only its typed Acquire/TryAcquire/Do wrappers.
+// owns a free list of its process slots, and goroutines borrow exclusive
+// handles from it instead of computing slot indices. The free list is a
+// buffered channel in FIFO order: a lease receives a slot, a release sends
+// it back. The channel gives the happens-before edge that lets successive
+// owners reuse a slot's cached handle (and its persistent per-process
+// algorithm state) without extra synchronization. Who holds a slot is
+// recorded once, in the slot's lease generation, which is odd exactly
+// while the slot is leased. Every family shares the lease and
+// step-accounting logic through the generic slotPool below, whose handles
+// are the kind's runtime handles themselves; each family contributes only
+// its typed Acquire/TryAcquire/Do wrappers.
 
 // pooledHandle is what the pool needs of a slot's handle: release
 // flushes its buffered mutations and credits its steps.
@@ -26,20 +29,21 @@ type pooledHandle interface {
 }
 
 // slotPool is the pooled-handle plumbing every object family embeds: the
-// slot free list, the per-slot handle cache, and retired-step
-// accounting.
+// slot free list, the per-slot handle cache and lease state, and
+// retired-step accounting.
 type slotPool[H pooledHandle] struct {
-	free    *pool.Pool
+	free    chan int         // free slots; room for all, so a release never blocks
 	handles []H              // lazily built, one per pool slot
 	leases  []slotLease      // per-slot lease state (see lease)
 	mk      func(slot int) H // builds a slot's handle on first lease
 	retired atomic.Uint64    // steps credited by released pooled handles
+	tel     *telemetry.Sink  // lease events; nil when uninstrumented
 }
 
-// slotLease is one slot's lease state: its monotonic generation (the
-// release idempotence guard, see lease) and the steps its cached handle
-// has already credited to the retired counter — handles survive across
-// leases, so each release credits only the delta.
+// slotLease is one slot's lease state: its generation (the ownership
+// word, see lease) and the steps its cached handle has already credited
+// to the retired counter — handles survive across leases, so each
+// release credits only the delta.
 type slotLease struct {
 	gen      atomic.Uint64
 	credited uint64
@@ -49,60 +53,91 @@ type slotLease struct {
 // be copied once in use) and binds the owning object's handle
 // constructor, so the acquisition hot path allocates no closures.
 func (p *slotPool[H]) init(slots int, mk func(slot int) H) {
-	p.free = pool.New(slots)
+	p.free = make(chan int, slots)
+	for i := range slots {
+		p.free <- i
+	}
 	p.handles = make([]H, slots)
 	p.leases = make([]slotLease, slots)
 	p.mk = mk
 }
 
-// acquire borrows a slot (blocking) and leases its handle.
+// acquire borrows a slot (blocking) and leases its handle, with an
+// idempotent release.
 func (p *slotPool[H]) acquire() (H, func()) {
-	return p.lease(p.free.Acquire())
+	slot := <-p.free
+	h, g := p.lease(slot)
+	return h, func() { p.release(slot, g) }
 }
 
 // tryAcquire is acquire without blocking; ok is false when every slot is
 // held.
 func (p *slotPool[H]) tryAcquire() (h H, release func(), ok bool) {
-	slot, ok := p.free.TryAcquire()
-	if !ok {
+	select {
+	case slot := <-p.free:
+		h, g := p.lease(slot)
+		return h, func() { p.release(slot, g) }, true
+	default:
+		p.tel.Inc(telemetry.EvPoolTryFail, 0)
 		return h, nil, false
 	}
-	h, release = p.lease(slot)
-	return h, release, true
+}
+
+// do runs f with a leased handle (blocking until a slot is free) and
+// releases it when f returns. It builds no release closure, so it
+// allocates nothing.
+func (p *slotPool[H]) do(f func(H)) {
+	slot := <-p.free
+	h, g := p.lease(slot)
+	defer p.release(slot, g)
+	f(h)
 }
 
 // lease hands out slot's cached handle, building it on first use (safe
-// without a lock — the pool hands each slot to one goroutine at a
-// time, and releases happen-before the next acquire), and returns it
-// with an idempotent release that flushes the handle, credits its steps
-// since the slot's last release, and frees the slot.
+// without a lock — the free list hands each slot to one goroutine at a
+// time, and a release happens-before the next lease), and returns the
+// lease's generation g for release.
 //
-// The idempotence guard is the slot's monotonic generation counter:
-// each lease bumps it to g and release succeeds only by advancing g to
-// g+1, so a cleanup path racing the owner's deferred release cannot
-// retire the handle twice or duplicate the slot in the free list — and
-// a stale closure surviving past a re-lease can never succeed either
-// (the generation has moved past g for good). Sharing the guard with
-// the slot keeps the acquisition hot path to one allocation (the
-// release closure itself) instead of two.
-func (p *slotPool[H]) lease(slot int) (H, func()) {
+// The generation is the slot's only ownership word: each lease advances
+// it to an odd g, and only release(slot, g) advances it to g+1, so it is
+// odd exactly while the slot is leased. A lease that finds the slot
+// leased already leaves it even and panics. A release racing the
+// owner's deferred one cannot retire the handle twice or put the slot on
+// the free list twice, and a stale release surviving past a re-lease can
+// never succeed (the generation has moved past g for good). Sharing the
+// guard with the slot keeps Acquire to one allocation, its release
+// closure.
+func (p *slotPool[H]) lease(slot int) (H, uint64) {
+	g := p.leases[slot].gen.Add(1)
+	if g%2 == 0 {
+		panic(fmt.Sprintf("approxobj: pool slot %d handed out while leased", slot))
+	}
+	if p.tel != nil {
+		p.tel.Inc(telemetry.EvPoolAcquire, slot)
+		p.tel.Trace(telemetry.TraceAcquire, slot, 0)
+	}
 	h := p.handles[slot]
 	if isNil(h) {
 		h = p.mk(slot)
 		p.handles[slot] = h
 	}
+	return h, g
+}
+
+// release ends lease g of slot: it flushes the slot's handle, credits
+// its steps since the slot's last release, and frees the slot. Every
+// call after the first for one lease is a no-op.
+func (p *slotPool[H]) release(slot int, g uint64) {
 	l := &p.leases[slot]
-	g := l.gen.Add(1)
-	return h, func() {
-		if !l.gen.CompareAndSwap(g, g+1) {
-			return
-		}
-		h.Flush()
-		steps := h.Steps()
-		p.retired.Add(steps - l.credited)
-		l.credited = steps
-		p.free.Release(slot)
+	if !l.gen.CompareAndSwap(g, g+1) {
+		return
 	}
+	h := p.handles[slot]
+	h.Flush()
+	steps := h.Steps()
+	p.retired.Add(steps - l.credited)
+	l.credited = steps
+	p.free <- slot
 }
 
 func isNil[H comparable](h H) bool {
@@ -132,11 +167,10 @@ func (c *Counter) TryAcquire() (h CounterHandle, release func(), ok bool) {
 }
 
 // Do runs f with a pooled handle, releasing it (and flushing batched
-// increments) when f returns. It blocks until a slot is free.
+// increments) when f returns. It blocks until a slot is free, and
+// allocates nothing.
 func (c *Counter) Do(f func(CounterHandle)) {
-	h, release := c.Acquire()
-	defer release()
-	f(h)
+	c.slots.do(func(h BatchedCounterHandle) { f(h) })
 }
 
 // Acquire borrows an exclusive handle from the register's slot pool,
@@ -161,11 +195,10 @@ func (r *MaxRegister) TryAcquire() (h MaxRegisterHandle, release func(), ok bool
 }
 
 // Do runs f with a pooled handle, releasing it (and flushing elided
-// writes) when f returns. It blocks until a slot is free.
+// writes) when f returns. It blocks until a slot is free, and allocates
+// nothing.
 func (r *MaxRegister) Do(f func(MaxRegisterHandle)) {
-	h, release := r.Acquire()
-	defer release()
-	f(h)
+	r.slots.do(func(h BatchedMaxRegisterHandle) { f(h) })
 }
 
 // Acquire borrows an exclusive handle from the snapshot's slot pool,
@@ -192,11 +225,10 @@ func (s *Snapshot) TryAcquire() (h SnapshotHandle, release func(), ok bool) {
 }
 
 // Do runs f with a pooled handle, releasing it (and flushing any elided
-// component update) when f returns. It blocks until a slot is free.
+// component update) when f returns. It blocks until a slot is free, and
+// allocates nothing.
 func (s *Snapshot) Do(f func(SnapshotHandle)) {
-	h, release := s.Acquire()
-	defer release()
-	f(h)
+	s.slots.do(func(h *snapshotSlotHandle) { f(h) })
 }
 
 // Acquire borrows an exclusive handle from the histogram's slot pool,
@@ -221,9 +253,8 @@ func (h *Histogram) TryAcquire() (hh HistogramHandle, release func(), ok bool) {
 }
 
 // Do runs f with a pooled handle, releasing it (and flushing buffered
-// observations) when f returns. It blocks until a slot is free.
+// observations) when f returns. It blocks until a slot is free, and
+// allocates nothing.
 func (h *Histogram) Do(f func(HistogramHandle)) {
-	hh, release := h.Acquire()
-	defer release()
-	f(hh)
+	h.slots.do(func(hh *histSlotHandle) { f(hh) })
 }

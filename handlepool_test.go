@@ -55,8 +55,9 @@ func TestHandlePoolSoak(t *testing.T) {
 }
 
 // TestTryAcquireExhaustion checks the non-blocking path: with every slot
-// held, TryAcquire reports failure instead of deadlocking; releasing one
-// slot makes it succeed again.
+// held, TryAcquire reports failure instead of deadlocking, with a nil
+// handle interface (no typed-nil handle of the kind's pooled type leaks
+// out) and a nil release; releasing one slot makes it succeed again.
 func TestTryAcquireExhaustion(t *testing.T) {
 	c, err := NewCounter(WithProcs(2))
 	if err != nil {
@@ -70,8 +71,8 @@ func TestTryAcquireExhaustion(t *testing.T) {
 	if !ok {
 		t.Fatal("TryAcquire failed with one of two slots held")
 	}
-	if _, _, ok := c.TryAcquire(); ok {
-		t.Fatal("TryAcquire succeeded with every slot held")
+	if h, rel, ok := c.TryAcquire(); ok || h != nil || rel != nil {
+		t.Fatalf("counter TryAcquire with every slot held = %v, %v, %v; want nil, nil, false", h, rel != nil, ok)
 	}
 	rel1()
 	h, rel3, ok := c.TryAcquire()
@@ -82,18 +83,38 @@ func TestTryAcquireExhaustion(t *testing.T) {
 	rel3()
 	rel2()
 
+	// Every kind, on a one-slot pool: hold the slot, fail, release, lease.
+	exhaust := func(kind string, try func() (any, func(), bool)) {
+		t.Helper()
+		_, rel, ok := try()
+		if !ok {
+			t.Fatalf("%s TryAcquire failed on a fresh pool", kind)
+		}
+		if h, rel, ok := try(); ok || h != nil || rel != nil {
+			t.Errorf("%s TryAcquire with every slot held = %v, %v, %v; want nil, nil, false", kind, h, rel != nil, ok)
+		}
+		rel()
+		_, rel, ok = try()
+		if !ok {
+			t.Fatalf("%s TryAcquire failed after a release", kind)
+		}
+		rel()
+	}
 	r, err := NewMaxRegister(WithProcs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, relM, ok := r.TryAcquire()
-	if !ok {
-		t.Fatal("max register TryAcquire failed on a fresh pool")
+	exhaust("max register", func() (any, func(), bool) { return r.TryAcquire() })
+	s, err := NewSnapshot(WithProcs(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, ok := r.TryAcquire(); ok {
-		t.Fatal("max register TryAcquire succeeded with every slot held")
+	exhaust("snapshot", func() (any, func(), bool) { return s.TryAcquire() })
+	hist, err := NewHistogram(WithProcs(1), WithAccuracy(Multiplicative(2)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	relM()
+	exhaust("histogram", func() (any, func(), bool) { return hist.TryAcquire() })
 }
 
 // TestDoBlocksUntilFree pins Do's blocking contract: a Do issued while
@@ -167,5 +188,223 @@ func TestMaxRegisterPoolSoak(t *testing.T) {
 				t.Error("released handles credited no steps")
 			}
 		})
+	}
+}
+
+// testHandle is a minimal pooled handle for driving slotPool directly:
+// steps is plain per-slot state that successive owners of the slot share,
+// and flushes counts the releases that reached the handle.
+type testHandle struct {
+	slot    int
+	steps   uint64
+	flushes int
+}
+
+func (h *testHandle) Flush()        { h.flushes++ }
+func (h *testHandle) Steps() uint64 { return h.steps }
+
+func newTestPool(slots int) *slotPool[*testHandle] {
+	p := new(slotPool[*testHandle])
+	p.init(slots, func(slot int) *testHandle { return &testHandle{slot: slot} })
+	return p
+}
+
+// TestPoolBasic checks the lease path on a small pool: leases get
+// distinct slots, an exhausted pool refuses tryAcquire, and a released
+// slot is leased again with its cached handle, flushed once and credited
+// only the steps taken since its last release.
+func TestPoolBasic(t *testing.T) {
+	p := newTestPool(3)
+	var held [3]*testHandle
+	var releases [3]func()
+	for range held {
+		h, release := p.acquire()
+		if h.slot < 0 || h.slot >= 3 || held[h.slot] != nil {
+			t.Fatalf("leased invalid or duplicate slot %d", h.slot)
+		}
+		held[h.slot], releases[h.slot] = h, release
+	}
+	if _, _, ok := p.tryAcquire(); ok {
+		t.Fatal("tryAcquire succeeded on an exhausted pool")
+	}
+	held[1].steps = 5
+	releases[1]()
+	h, release, ok := p.tryAcquire()
+	if !ok || h != held[1] {
+		t.Fatalf("tryAcquire after releasing slot 1 = %v, %v; want slot 1's cached handle", h, ok)
+	}
+	if h.flushes != 1 || p.retired.Load() != 5 {
+		t.Fatalf("release flushed %d times and credited %d steps, want 1 and 5", h.flushes, p.retired.Load())
+	}
+	h.steps = 7
+	release()
+	if got := p.retired.Load(); got != 7 {
+		t.Fatalf("retired = %d after a second lease took 2 more steps, want 7", got)
+	}
+	releases[0]()
+	releases[2]()
+	if len(p.free) != 3 {
+		t.Fatalf("%d free slots after releasing all, want 3", len(p.free))
+	}
+}
+
+// TestPoolPanics pins the ownership check: a slot handed out while it is
+// leased leaves its generation even, and the lease panics.
+func TestPoolPanics(t *testing.T) {
+	p := newTestPool(2)
+	h, _ := p.acquire()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("leasing slot %d while it is leased did not panic", h.slot)
+		}
+	}()
+	p.lease(h.slot)
+}
+
+// TestPoolDoubleReleaseWhileOtherHeld is the regression test for the
+// exclusivity hole of a counting free list: releasing slot A twice while
+// slot B is held leaves room on the free list for a duplicate of A. The
+// second release, and a stale release called after A was leased again,
+// must both be no-ops.
+func TestPoolDoubleReleaseWhileOtherHeld(t *testing.T) {
+	p := newTestPool(2)
+	a, relA := p.acquire()
+	b, relB := p.acquire() // keeps the free list non-full across the double release
+	relA()
+	relA()
+	if len(p.free) != 1 {
+		t.Fatalf("%d free slots after a double release of slot %d, want 1", len(p.free), a.slot)
+	}
+	a2, relA2, ok := p.tryAcquire()
+	if !ok || a2 != a {
+		t.Fatalf("tryAcquire = %v, %v; want slot %d's handle", a2, ok, a.slot)
+	}
+	relA() // stale: slot A is leased again
+	if _, _, ok := p.tryAcquire(); ok {
+		t.Fatal("tryAcquire found a third slot in a 2-slot pool")
+	}
+	if a.flushes != 1 {
+		t.Fatalf("slot %d flushed %d times, want 1 (one effective release)", a.slot, a.flushes)
+	}
+	relA2()
+	relB()
+	if len(p.free) != 2 || b.flushes != 1 {
+		t.Fatalf("%d free slots and %d flushes of slot %d, want 2 and 1", len(p.free), b.flushes, b.slot)
+	}
+}
+
+// TestPoolHeld pins the ownership word: a slot's lease generation is odd
+// while the slot is leased and even once it is released, and a repeated
+// release leaves it even.
+func TestPoolHeld(t *testing.T) {
+	p := newTestPool(3)
+	h, release := p.acquire()
+	gen := func() uint64 { return p.leases[h.slot].gen.Load() }
+	if gen()%2 != 1 {
+		t.Errorf("generation %d of slot %d is even while leased", gen(), h.slot)
+	}
+	release()
+	if gen()%2 != 0 {
+		t.Errorf("generation %d of slot %d is odd after release", gen(), h.slot)
+	}
+	release()
+	if gen()%2 != 0 {
+		t.Errorf("generation %d of slot %d is odd after a repeated release", gen(), h.slot)
+	}
+}
+
+// TestPoolSoak churns leases from far more goroutines than slots,
+// alternating acquire/release and do, and asserts mutual exclusion per
+// slot: a per-slot atomic flag is CASed 0->1 on lease and 1->0 before
+// release, so any double ownership trips the CAS. Run with -race, the
+// plain per-slot step counter on the cached handle also checks the
+// happens-before edge between successive owners, and the retired total
+// checks that every release credited exactly its own steps.
+func TestPoolSoak(t *testing.T) {
+	const slots = 4
+	const goroutines = 4 * slots
+	iters := 20_000
+	if testing.Short() {
+		iters = 2_000
+	}
+	p := newTestPool(slots)
+	held := make([]atomic.Uint32, slots)
+	use := func(h *testHandle) {
+		if !held[h.slot].CompareAndSwap(0, 1) {
+			t.Errorf("slot %d leased while already held", h.slot)
+		}
+		h.steps++
+		if !held[h.slot].CompareAndSwap(1, 0) {
+			t.Errorf("slot %d released while not held", h.slot)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if i%2 == 0 {
+					p.do(use)
+					continue
+				}
+				h, release := p.acquire()
+				use(h)
+				release()
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := p.retired.Load(), uint64(goroutines*iters); got != want {
+		t.Fatalf("retired steps = %d, want %d", got, want)
+	}
+	if len(p.free) != slots {
+		t.Fatalf("%d free slots after quiescence, want %d", len(p.free), slots)
+	}
+}
+
+// TestPoolMeterCounts pins the pool's telemetry exactly: every
+// successful lease, through Acquire, TryAcquire, Do and the object's own
+// Snapshot, counts one approx_runtime_pool_acquires, and a TryAcquire on
+// an exhausted pool counts one approx_runtime_pool_tryacquire_failures.
+func TestPoolMeterCounts(t *testing.T) {
+	tel := NewTelemetry()
+	reg := NewRegistry()
+	if err := reg.SelfMetrics(tel); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCounter(WithProcs(2), WithTelemetry(tel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meters := func() (acquires, failures uint64) {
+		for _, s := range reg.Snapshot() {
+			switch s.Name {
+			case "approx_runtime_pool_acquires":
+				acquires = s.Value
+			case "approx_runtime_pool_tryacquire_failures":
+				failures = s.Value
+			}
+		}
+		return acquires, failures
+	}
+	const rounds = 10
+	for i := 0; i < rounds; i++ {
+		_, release := c.Acquire()
+		release()
+		c.Do(func(h CounterHandle) { h.Inc() })
+		if _, err := c.Snapshot(false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, rel1, _ := c.TryAcquire()
+	_, rel2, _ := c.TryAcquire()
+	if _, _, ok := c.TryAcquire(); ok {
+		t.Fatal("TryAcquire succeeded with every slot held")
+	}
+	rel1()
+	rel2()
+	if acquires, failures := meters(); acquires != 3*rounds+2 || failures != 1 {
+		t.Errorf("pool meters = %d acquires, %d failures; want %d and 1", acquires, failures, 3*rounds+2)
 	}
 }

@@ -211,9 +211,8 @@ func (h *Histogram) Buckets() int { return h.bk.N() }
 // contract). Unlike handle queries, which each fold a fresh read, every
 // query on the returned snapshot folds the same frozen counts.
 func (h *Histogram) Snapshot(reset bool) (HistogramSnapshot, error) {
-	ph, release := h.slots.acquire()
-	counts := ph.h.ReadInto(nil)
-	release()
+	var counts []uint64
+	h.slots.do(func(ph *histSlotHandle) { counts = ph.h.ReadInto(nil) })
 	snap := HistogramSnapshot{bk: h.bk, counts: counts}
 	if reset {
 		return snap, h.Reset()
@@ -299,11 +298,6 @@ func (h *histSlotHandle) CDF(v uint64) float64 { return histogram.CDF(h.bk, h.re
 func (h *histSlotHandle) Steps() uint64        { return h.h.Steps() }
 func (h *histSlotHandle) Flush()               { h.h.Flush() }
 
-// snapshotValue reports the observation count — the scalar the registry
-// exports for this kind; pair it with Quantile queries through a
-// HistogramObject handle for the distribution itself.
-func (h *Histogram) snapshotValue() uint64 { return histogram.Count(h.snap.read()) }
-
 // snapshotBounds narrows the envelope to the one that bounds the
 // exported Value: the observation count lives purely in the rank
 // domain, where only the Buffer term applies — the value-domain
@@ -316,12 +310,14 @@ func (h *Histogram) snapshotBounds() Bounds {
 	return b
 }
 
-// snapshotDetail folds one consistent bucket read into the registry's
-// kind-agnostic distribution detail: cumulative counts at the upper
-// boundary of each occupied bucket (the Prometheus bucket shape — see
-// package expose). Only occupied buckets are emitted, which keeps the
-// detail compact even for exact layouts with one bucket per value.
-func (h *Histogram) snapshotDetail() *HistogramDetail {
+// snapshotRead folds one bucket read into the registry's kind-agnostic
+// distribution detail — cumulative counts at the upper boundary of each
+// occupied bucket (the Prometheus bucket shape — see package expose) —
+// and exports its observation count as the value; pair it with Quantile
+// queries through a HistogramObject handle for the distribution itself.
+// Only occupied buckets are emitted, which keeps the detail compact even
+// for exact layouts with one bucket per value.
+func (h *Histogram) snapshotRead() (uint64, *HistogramDetail) {
 	counts := h.snap.read()
 	d := &HistogramDetail{
 		Count: histogram.Count(counts),
@@ -339,5 +335,5 @@ func (h *Histogram) snapshotDetail() *HistogramDetail {
 			CumulativeCount: cum,
 		})
 	}
-	return d
+	return d.Count, d
 }

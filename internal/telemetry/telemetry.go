@@ -33,7 +33,7 @@ import (
 // Event enumerates the runtime events the sink counts. The set mirrors
 // the plane's moving parts layer by layer: buffer-policy activity and
 // flushes (internal/shard/plane.go), read-cache traffic and combiner
-// refreshes (readcache.go), pool handle churn (internal/pool), window
+// refreshes (readcache.go), pool handle churn (handlepool.go), window
 // rotation (window.go), and arena residency (internal/prim/arena.go).
 type Event uint8
 

@@ -29,21 +29,20 @@ type instance interface {
 	// combiner goroutine, when WithReadCache is set. Idempotent; a no-op
 	// for objects without any.
 	Close()
-	// snapshotValue reads the object's current value through the
+	// snapshotRead reads the object's current value through the
 	// registry's reserved snapshot slot (only registry-owned objects
-	// have one).
-	snapshotValue() uint64
-	// snapshotBounds returns the envelope that bounds snapshotValue —
-	// Bounds itself for kinds whose exported value is a single read, but
-	// widened for kinds whose exported value aggregates (a snapshot's
-	// component sum can trail by Buffer per written component).
+	// have one), with the distribution detail of histogram objects (for
+	// exposition formats — see package expose) folded from the same
+	// single read; the detail is nil for every scalar kind.
+	snapshotRead() (uint64, *HistogramDetail)
+	// snapshotBounds returns the envelope that bounds snapshotRead's
+	// value — Bounds itself for kinds whose exported value is a single
+	// read, but widened for kinds whose exported value aggregates (a
+	// snapshot's component sum can trail by Buffer per written
+	// component).
 	snapshotBounds() Bounds
 	// snapshotSteps returns the steps the snapshot slot has taken.
 	snapshotSteps() uint64
-	// snapshotDetail returns the distribution detail of histogram
-	// objects (one consistent bucket read, for exposition formats — see
-	// package expose), nil for every scalar kind.
-	snapshotDetail() *HistogramDetail
 }
 
 // objectCore is the state and accessor block every object family
@@ -96,7 +95,7 @@ func initObject[H pooledHandle, T shard.Epoch[E, V], E shard.EpochHandle[V], V a
 	}
 	c.spec = spec
 	c.slots.init(spec.procs, bind)
-	instrumentObject(spec, c.slots.free, c.BaseObjects)
+	c.slots.tel = instrumentObject(spec, c.BaseObjects)
 	if spec.snapshotSlot {
 		c.snap = bind(spec.procs)
 	}
@@ -183,13 +182,11 @@ func (c *objectCore[H]) Reset() error { return c.reset() }
 // holding goroutine and cannot be read safely mid-flight).
 func (c *objectCore[H]) StepsRetired() uint64 { return c.slots.retired.Load() }
 
-// snapshotBounds, snapshotSteps, and snapshotDetail are the kind-agnostic
-// parts of the registry's instance view (see Registry.Snapshot); kinds
-// whose exported value needs a different envelope or a distribution
-// detail override them.
-func (c *objectCore[H]) snapshotBounds() Bounds           { return c.Bounds() }
-func (c *objectCore[H]) snapshotSteps() uint64            { return c.snap.Steps() }
-func (c *objectCore[H]) snapshotDetail() *HistogramDetail { return nil }
+// snapshotBounds and snapshotSteps are the kind-agnostic parts of the
+// registry's instance view (see Registry.Snapshot); kinds whose exported
+// value needs a different envelope override snapshotBounds.
+func (c *objectCore[H]) snapshotBounds() Bounds { return c.Bounds() }
+func (c *objectCore[H]) snapshotSteps() uint64  { return c.snap.Steps() }
 
 // kindDescriptor is one registration in the backend-plane table:
 // everything the spec and registry layers need to know about an object

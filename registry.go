@@ -155,9 +155,9 @@ type ObjectSnapshot struct {
 	// registry's own snapshot reads. Steps of handles currently held (and
 	// of manual Handle(i) handles) are not included.
 	Steps uint64
-	// Histogram carries the distribution detail of histogram objects (one
-	// consistent bucket read, taken atomically with Value under the same
-	// snapshot-handle lock), nil for every scalar kind. Exposition
+	// Histogram carries the distribution detail of histogram objects (the
+	// bucket read Value comes from, so Value equals Histogram.Count), nil
+	// for every scalar kind. Exposition
 	// formats (see package expose) render it as a cumulative bucket
 	// series.
 	Histogram *HistogramDetail
@@ -212,13 +212,14 @@ func (r *Registry) Snapshot() []ObjectSnapshot {
 	out := make([]ObjectSnapshot, 0, len(entries))
 	for _, e := range entries {
 		e.snapMu.Lock()
+		v, detail := e.obj.snapshotRead()
 		snap := ObjectSnapshot{
 			Name:      e.name,
 			Kind:      e.spec.kind,
-			Value:     e.obj.snapshotValue(),
+			Value:     v,
 			Bounds:    e.obj.snapshotBounds(),
 			Steps:     e.obj.StepsRetired() + e.obj.snapshotSteps(),
-			Histogram: e.obj.snapshotDetail(),
+			Histogram: detail,
 		}
 		e.snapMu.Unlock()
 		out = append(out, snap)

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -163,6 +164,46 @@ func TestRegistryHistogramObject(t *testing.T) {
 			t.Errorf("p50 = %d not within factor %d below the true median 50", p50, k)
 		}
 	})
+}
+
+// TestRegistryHistogramSnapshotReadsOnce pins that Registry.Snapshot
+// reads a histogram once: Value and the Histogram detail come from one
+// bucket read. Between two quiescent snapshots the object's Steps
+// advance by one uncached read through the snapshot slot, Shards ×
+// (procs+1) × Buckets, and under a concurrent observer every snapshot's
+// Value equals its Histogram.Count.
+func TestRegistryHistogramSnapshotReadsOnce(t *testing.T) {
+	const procs, shards = 2, 4
+	r := NewRegistry()
+	h, err := r.HistogramObject("lat", WithProcs(procs), WithShards(shards), WithAccuracy(Multiplicative(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Do(func(hh HistogramHandle) { hh.Observe(5) })
+	first, second := r.Snapshot()[0], r.Snapshot()[0]
+	if got, want := second.Steps-first.Steps, uint64(shards*(procs+1)*h.Buckets()); got != want {
+		t.Errorf("one snapshot took %d steps, want %d (Shards × (procs+1) × Buckets)", got, want)
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for v := uint64(0); !stop.Load(); v++ {
+			h.Do(func(hh HistogramHandle) { hh.Observe(v % 1000) })
+		}
+	}()
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	for i := 0; i < 2_000; i++ {
+		s := r.Snapshot()[0]
+		if s.Value != s.Histogram.Count {
+			t.Fatalf("snapshot %d: Value = %d but Histogram.Count = %d", i, s.Value, s.Histogram.Count)
+		}
+	}
 }
 
 // TestRegistrySnapshotConcurrent takes snapshots while workers hold every

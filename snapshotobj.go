@@ -172,15 +172,15 @@ func (h *snapshotSlotHandle) ScanInto(dst []uint64) []uint64 {
 	return h.h.ScanInto(dst)[:h.n]
 }
 
-// snapshotValue sums the caller-visible components (saturating), the
+// snapshotRead sums the caller-visible components (saturating), the
 // scalar the registry exports for this kind; see Registry.Snapshot.
-func (s *Snapshot) snapshotValue() uint64 {
+func (s *Snapshot) snapshotRead() (uint64, *HistogramDetail) {
 	s.snapBuf = s.snap.ScanInto(s.snapBuf)
 	var sum uint64
 	for _, v := range s.snapBuf {
 		sum = satmath.Add(sum, v)
 	}
-	return sum
+	return sum, nil
 }
 
 // snapshotBounds widens the per-component envelope to one that bounds

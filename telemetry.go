@@ -126,20 +126,18 @@ func publicTraceEvent(ev telemetry.TraceEvent) TraceEvent {
 func WithTelemetry(t *Telemetry) Option { return func(s *Spec) { s.tel = t } }
 
 // instrumentObject wires the construction-time telemetry of one built
-// object: its pool's acquisition events, its contribution to the
-// resident-bytes gauge, and its slots' share of the lag accounting
-// behind the batched meters' Buffer envelope. baseObjects is the
+// object — its contribution to the resident-bytes gauge and its slots'
+// share of the lag accounting behind the batched meters' Buffer
+// envelope — and returns the sink its slot pool reports lease events
+// to (nil when the object is uninstrumented). baseObjects is the
 // object's BaseObjects method (called per scrape — resident bytes is a
 // pull gauge, so windowed objects report their live ring, not a stale
 // construction-time figure).
-func instrumentObject(spec Spec, free interface {
-	Instrument(*telemetry.Sink)
-}, baseObjects func() uint64) {
+func instrumentObject(spec Spec, baseObjects func() uint64) *telemetry.Sink {
 	if spec.tel == nil {
-		return
+		return nil
 	}
 	sink := spec.tel.sink
-	free.Instrument(sink)
 	// One lag unit per allocated slot: each slot's handle buffer owns at
 	// most one unpublished BumpLocal accumulator per batched meter.
 	sink.AddLagUnits(spec.totalProcs())
@@ -148,6 +146,7 @@ func instrumentObject(spec Spec, free interface {
 	// estimate (padding and arena guards are deliberately excluded —
 	// the meter tracks model cost, not allocator overhead).
 	sink.RegisterResident(func() uint64 { return 16 * baseObjects() })
+	return sink
 }
 
 // selfMeter is one approx_runtime_* meter: a read-only registry
@@ -164,14 +163,13 @@ type selfMeter struct {
 
 var _ instance = (*selfMeter)(nil)
 
-func (m *selfMeter) Spec() Spec                       { return m.spec }
-func (m *selfMeter) Bounds() Bounds                   { return m.bounds() }
-func (m *selfMeter) StepsRetired() uint64             { return 0 }
-func (m *selfMeter) Close()                           {}
-func (m *selfMeter) snapshotValue() uint64            { return m.read() }
-func (m *selfMeter) snapshotBounds() Bounds           { return m.bounds() }
-func (m *selfMeter) snapshotSteps() uint64            { return 0 }
-func (m *selfMeter) snapshotDetail() *HistogramDetail { return nil }
+func (m *selfMeter) Spec() Spec                               { return m.spec }
+func (m *selfMeter) Bounds() Bounds                           { return m.bounds() }
+func (m *selfMeter) StepsRetired() uint64                     { return 0 }
+func (m *selfMeter) Close()                                   {}
+func (m *selfMeter) snapshotRead() (uint64, *HistogramDetail) { return m.read(), nil }
+func (m *selfMeter) snapshotBounds() Bounds                   { return m.bounds() }
+func (m *selfMeter) snapshotSteps() uint64                    { return 0 }
 
 // exactMeterBounds is the envelope of the exactly-counted meters.
 func exactMeterBounds() Bounds { return Bounds{Mult: 1} }
