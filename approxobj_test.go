@@ -224,6 +224,43 @@ func TestMaxRegisterStepsCounted(t *testing.T) {
 	}
 }
 
+// TestHistogramSaturatedQuantile pins queries over a saturated count:
+// 2^63 observations of 1 and 2^63 of 1000 saturate Count at MaxUint64,
+// and Quantile(1) must still find the maximum's bucket floor, 512 for
+// k = 2, on a handle and on a frozen snapshot.
+func TestHistogramSaturatedQuantile(t *testing.T) {
+	h, err := NewHistogram(WithAccuracy(Multiplicative(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hh := h.Handle(0)
+	hh.ObserveN(1, 1<<63)
+	hh.ObserveN(1000, 1<<63)
+	if got := hh.Count(); got != ^uint64(0) {
+		t.Fatalf("Count = %d, want saturated MaxUint64", got)
+	}
+	if got := hh.Quantile(1); got != 512 {
+		t.Errorf("handle Quantile(1) = %d, want 512", got)
+	}
+	snap, err := h.Snapshot(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Quantile(1); got != 512 {
+		t.Errorf("snapshot Quantile(1) = %d, want 512", got)
+	}
+}
+
+// TestHistogramSnapshotZeroValue pins the documented zero value: an
+// empty snapshot whose five queries all return zero.
+func TestHistogramSnapshotZeroValue(t *testing.T) {
+	var s HistogramSnapshot
+	if s.Count() != 0 || s.Sum() != 0 || s.Rank(5) != 0 || s.Quantile(0.5) != 0 || s.CDF(5) != 0 {
+		t.Errorf("zero HistogramSnapshot: Count %d, Sum %d, Rank(5) %d, Quantile(0.5) %d, CDF(5) %v; want all 0",
+			s.Count(), s.Sum(), s.Rank(5), s.Quantile(0.5), s.CDF(5))
+	}
+}
+
 func TestAdditiveCounter(t *testing.T) {
 	c, err := NewCounter(WithProcs(4), WithAccuracy(Additive(40)))
 	if err != nil {

@@ -7,6 +7,8 @@
 package approxobj_test
 
 import (
+	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -356,6 +358,76 @@ func BenchmarkCounterRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = h.Read()
+	}
+}
+
+// BenchmarkCounterReadDeep reads Algorithm 1 directly with its scan
+// stopped in interval q = 12, where the cost of ReturnValue in q shows.
+func BenchmarkCounterReadDeep(b *testing.B) {
+	f := prim.NewFactory(1)
+	c, err := core.NewMultCounter(f, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := c.Handle(f.Proc(0))
+	for _, q := h.ScanStop(); q < 12; _, q = h.ScanStop() {
+		for range 1 << 10 {
+			h.Inc()
+		}
+		h.Read()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = h.Read()
+	}
+}
+
+// logUniform returns n values whose bit lengths spread evenly over the
+// uint64 domain, the spread a rounded histogram is built for.
+func logUniform(n int) []uint64 {
+	rng := rand.New(rand.NewSource(1))
+	vs := make([]uint64, n)
+	for i := range vs {
+		vs[i] = rng.Uint64() >> rng.Intn(64)
+	}
+	return vs
+}
+
+func BenchmarkHistogramObserve(b *testing.B) {
+	h, err := approxobj.NewHistogram(approxobj.WithAccuracy(approxobj.Multiplicative(2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	hh := h.Handle(0)
+	vs := logUniform(1 << 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hh.Observe(vs[i%len(vs)])
+	}
+}
+
+// BenchmarkRegistrySnapshotHistograms snapshots a registry of 64
+// 4-shard histograms, each prefilled across every bucket: the
+// histogram half of a scrape before rendering.
+func BenchmarkRegistrySnapshotHistograms(b *testing.B) {
+	reg := approxobj.NewRegistry()
+	defer reg.Close()
+	vs := logUniform(1 << 12)
+	for i := range 64 {
+		h, err := reg.HistogramObject(fmt.Sprintf("h%02d", i),
+			approxobj.WithShards(4), approxobj.WithAccuracy(approxobj.Multiplicative(2)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Do(func(hh approxobj.HistogramHandle) {
+			for _, v := range vs {
+				hh.Observe(v)
+			}
+		})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = reg.Snapshot()
 	}
 }
 

@@ -157,6 +157,38 @@ func TestEmptyWindowedHistogram(t *testing.T) {
 	}
 }
 
+// TestSaturatedHistogramScrape pins the bucket series of a histogram
+// whose count saturates: MaxUint64 observations of 1 and two of 1000
+// must export cumulative counts that never fall, ending at the
+// saturated Count, so the scrape stays lintable.
+func TestSaturatedHistogramScrape(t *testing.T) {
+	reg := approxobj.NewRegistry()
+	h, err := reg.HistogramObject("sat", approxobj.WithAccuracy(approxobj.Multiplicative(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Do(func(hh approxobj.HistogramHandle) {
+		hh.ObserveN(1, ^uint64(0))
+		hh.ObserveN(1000, 2)
+	})
+	d := reg.Snapshot()[0].Histogram
+	var prev uint64
+	for _, b := range d.Buckets {
+		if b.CumulativeCount < prev {
+			t.Fatalf("bucket le=%d: cumulative count %d fell below %d", b.UpperBound, b.CumulativeCount, prev)
+		}
+		prev = b.CumulativeCount
+	}
+	if prev != d.Count || d.Count != ^uint64(0) {
+		t.Errorf("last cumulative count %d, Count %d, want both MaxUint64", prev, d.Count)
+	}
+	var b strings.Builder
+	if err := WriteRegistry(&b, reg); err != nil {
+		t.Fatal(err)
+	}
+	validateText(t, b.String())
+}
+
 // TestRandomizedCounterDeltaBound checks the accuracy plane's new axis
 // on the wire: a Randomized(k, delta) counter must export its failure
 // probability as a _bound{term="delta"} gauge, summarize it in the HELP

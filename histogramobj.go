@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"approxobj/internal/histogram"
+	"approxobj/internal/satmath"
 	"approxobj/internal/shard"
 )
 
@@ -329,7 +330,7 @@ func (h *Histogram) snapshotRead() (uint64, *HistogramDetail) {
 		if c == 0 {
 			continue
 		}
-		cum += c
+		cum = satmath.Add(cum, c)
 		d.Buckets = append(d.Buckets, HistogramBucket{
 			UpperBound:      h.bk.Hi(j),
 			CumulativeCount: cum,

@@ -273,13 +273,19 @@ func (h *MultHandle) Read() uint64 {
 // counts for t_l, and p more switches of interval q+1 count for t_(q+1)
 // each; the result is scaled by k to centre it in the accuracy envelope.
 // (With the paper's t1 = k this is k*(1 + sum_{l=1..q} k^(l+1) + p*k^(q+1)),
-// matching lines 30-34 verbatim.)
+// matching lines 30-34 verbatim.) The thresholds come from one running
+// product th = t_l, so a read costs O(q) multiplies rather than a power
+// per interval; saturating multiplication is monotone and stays at
+// MaxUint64 once there, so th equals threshold(l) bit for bit, and the
+// saturating sum does not depend on the order of its terms.
 func (c *MultCounter) returnValue(p, q uint64) uint64 {
-	ret := addSat(1, mulSat(p, c.threshold(q+1))) // line 31
-	for l := uint64(1); l <= q; l++ {             // lines 32-33
-		ret = addSat(ret, mulSat(c.k, c.threshold(l)))
+	ret, th := uint64(1), c.t1
+	for l := uint64(1); l <= q; l++ { // lines 32-33
+		ret = addSat(ret, mulSat(c.k, th))
+		th = mulSat(th, c.k)
 	}
-	return mulSat(c.k, ret) // line 34
+	ret = addSat(ret, mulSat(p, th)) // line 31: th = t_(q+1)
+	return mulSat(c.k, ret)          // line 34
 }
 
 // Steps returns the number of primitive steps taken by the bound process.

@@ -323,6 +323,43 @@ func TestReturnValueFormula(t *testing.T) {
 	}
 }
 
+// refReturnValue is ReturnValue(p, q) computed as the paper writes it
+// (lines 30-34), with one saturating power per interval: the O(q^2)
+// reference that returnValue's running threshold must match bit for bit.
+func refReturnValue(c *MultCounter, p, q uint64) uint64 {
+	ret := addSat(1, mulSat(p, c.threshold(q+1)))
+	for l := uint64(1); l <= q; l++ {
+		ret = addSat(ret, mulSat(c.k, c.threshold(l)))
+	}
+	return mulSat(c.k, ret)
+}
+
+// TestReturnValueMatchesReference pins returnValue against the per-interval
+// power formula across small and huge k, including every regime where the
+// thresholds or the sum saturate, for both first-interval thresholds.
+// n = 64 (below k >= sqrt(n) for small k, hence Unchecked) repairs t1
+// below k, which n <= 3 never does.
+func TestReturnValueMatchesReference(t *testing.T) {
+	const max = ^uint64(0)
+	for _, k := range []uint64{2, 3, 4, 10, 1 << 20, 1<<32 + 7, max} {
+		for _, n := range []int{1, 2, 3, 64} {
+			for _, opts := range [][]Option{{Unchecked()}, {Unchecked(), Verbatim()}} {
+				c, err := NewMultCounter(prim.NewFactory(n), k, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range []uint64{0, 1, k / 2, k - 1} {
+					for q := uint64(0); q < 80; q++ {
+						if got, want := c.returnValue(p, q), refReturnValue(c, p, q); got != want {
+							t.Fatalf("k=%d n=%d t1=%d: returnValue(%d, %d) = %d, want %d", k, n, c.t1, p, q, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestReturnValueMonotoneQuick(t *testing.T) {
 	f := prim.NewFactory(1)
 	c, err := NewMultCounter(f, 3)

@@ -1,9 +1,12 @@
 package histogram
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"approxobj/internal/planetest"
 	"approxobj/internal/prim"
@@ -73,6 +76,142 @@ func TestBucketsLayout(t *testing.T) {
 	}
 	if !bb.Contains(1023) || bb.Contains(1024) {
 		t.Error("Contains must accept 1023 and reject 1024 for bound 1024")
+	}
+}
+
+// refIndex is the bucket index as a log-k loop of saturating multiplies,
+// the layout's original arithmetic: the reference the boundary table
+// must reproduce.
+func refIndex(k, v uint64) int {
+	if v == 0 {
+		return 0
+	}
+	j, lo := 1, uint64(1)
+	for {
+		if lo > math.MaxUint64/k || v <= lo*k-1 {
+			return j
+		}
+		j++
+		lo *= k
+	}
+}
+
+// refLo and refHi are bucket j's bounds as saturating powers of k.
+func refLo(k uint64, j int) uint64 {
+	if j == 0 {
+		return 0
+	}
+	return satmath.Pow(k, uint64(j-1))
+}
+
+func refHi(k uint64, j int) uint64 {
+	if j == 0 {
+		return 0
+	}
+	if lo := refLo(k, j); lo <= math.MaxUint64/k {
+		return lo*k - 1
+	}
+	return math.MaxUint64
+}
+
+// checkIndex fails unless Index(v) and the bounds of v's bucket match
+// the reference arithmetic.
+func checkIndex(t *testing.T, b Buckets, k, v uint64) {
+	t.Helper()
+	j := b.Index(v)
+	if want := refIndex(k, v); j != want {
+		t.Fatalf("k=%d: Index(%d) = %d, want %d", k, v, j, want)
+	}
+	if lo, hi := b.Lo(j), b.Hi(j); lo != refLo(k, j) || hi != refHi(k, j) || v < lo || v > hi {
+		t.Fatalf("k=%d: bucket %d of %d = [%d, %d], want [%d, %d]", k, j, v, lo, hi, refLo(k, j), refHi(k, j))
+	}
+}
+
+// TestBucketsMatchReference checks the boundary table against the
+// reference arithmetic: Index, and Lo and Hi of the bucket it picks, at
+// every reference boundary, one either side of it and at log-uniform
+// random values, and N of full and bounded layouts, for small, large,
+// power-of-two-adjacent and random factors.
+func TestBucketsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	logUniform := func() uint64 { return rng.Uint64() >> rng.Intn(64) }
+	ks := []uint64{2, 3, 4, 5, 7, 10, 16, 100, 1 << 20, 1<<32 - 1, 1 << 32, 1<<32 + 1,
+		1 << 62, 1<<63 + 5, math.MaxUint64 - 1, math.MaxUint64}
+	for range 200 {
+		ks = append(ks, 2+logUniform()%(math.MaxUint64-1))
+	}
+	for _, k := range ks {
+		b, err := NewBuckets(k, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := b.N(), refIndex(k, math.MaxUint64)+1; got != want {
+			t.Fatalf("k=%d: N = %d, want %d", k, got, want)
+		}
+		for j := 0; j < b.N(); j++ {
+			lo, hi := refLo(k, j), refHi(k, j)
+			for _, v := range []uint64{lo - 1, lo, lo + 1, hi - 1, hi, hi + 1} {
+				checkIndex(t, b, k, v) // wrapped probes land on 0 or MaxUint64
+			}
+		}
+		for range 100 {
+			checkIndex(t, b, k, logUniform())
+		}
+		for _, bound := range []uint64{1, 2, k - 1, k, k + 1, 1000, 1 << 40, 1 + logUniform()} {
+			bb, err := NewBuckets(k, bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := bb.N(), refIndex(k, bound-1)+1; got != want {
+				t.Fatalf("k=%d bound %d: N = %d, want %d", k, bound, got, want)
+			}
+		}
+	}
+}
+
+// FuzzBucketsIndex checks Index and the bounds of the bucket it picks
+// against the reference arithmetic for any factor k >= 2 and value v.
+// Each input builds its own unshared table: interning every fuzzed k
+// would keep a table per input alive for the rest of the run.
+func FuzzBucketsIndex(f *testing.F) {
+	for _, seed := range [][2]uint64{
+		{2, 0}, {2, 1}, {2, math.MaxUint64}, {3, 8}, {3, 9}, {10, 999}, {10, 1000},
+		{1 << 32, 1 << 32}, {1<<32 + 1, math.MaxUint64}, {math.MaxUint64, math.MaxUint64 - 1},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, k, v uint64) {
+		if k < 2 {
+			t.Skip("rounded layouts need k >= 2")
+		}
+		checkIndex(t, Buckets{t: newTable(k)}, k, v)
+	})
+}
+
+// TestBucketsFootprint pins what the boundary table costs a layout: a
+// Buckets stays three words (the table pointer replaced the factor), and
+// every layout with the same k shares one table.
+func TestBucketsFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Buckets{}); got != 24 {
+		t.Errorf("Buckets is %d bytes, want 24", got)
+	}
+	full, err := NewBuckets(3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounded, err := NewBuckets(3, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewBuckets(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.t != bounded.t {
+		t.Error("two layouts with k = 3 built separate tables")
+	}
+	if full.t == other.t {
+		t.Error("layouts with k = 3 and k = 4 share a table")
 	}
 }
 
@@ -187,6 +326,63 @@ func TestQuantileEdge(t *testing.T) {
 			}()
 			Quantile(b, counts, q)
 		}()
+	}
+}
+
+// TestBucketsConcurrentIntern builds layouts for a few factors from many
+// goroutines at once: each factor still gets exactly one table. Run with
+// -race.
+func TestBucketsConcurrentIntern(t *testing.T) {
+	const goroutines, factors = 8, 5
+	got := make([][factors]*table, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range factors {
+				k := uint64(1000 + (g+i)%factors)
+				b, err := NewBuckets(k, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][k-1000] = b.t
+			}
+		}()
+	}
+	wg.Wait()
+	for g := 1; g < goroutines; g++ {
+		if got[g] != got[0] {
+			t.Fatalf("goroutine %d got tables %v, goroutine 0 got %v", g, got[g], got[0])
+		}
+	}
+}
+
+// TestTargetRankLargeTotals pins the rank convention where float64 can no
+// longer hold the total: q = 1 must still target the maximum (a product
+// of 2^64 used to convert out of range and clamp to rank 1), and q = 0
+// the minimum. At 2^53+1, float64(total) rounds down to 2^53, so the
+// median's product rounds before the ceiling.
+func TestTargetRankLargeTotals(t *testing.T) {
+	for _, tc := range []struct {
+		total uint64
+		q     float64
+		want  uint64
+	}{
+		{1<<53 + 1, 0, 1},
+		{1<<53 + 1, 0.5, 1 << 52},
+		{1<<53 + 1, 1, 1<<53 + 1},
+		{1 << 63, 0, 1},
+		{1 << 63, 0.5, 1 << 62},
+		{1 << 63, 1, 1 << 63},
+		{math.MaxUint64, 0, 1},
+		{math.MaxUint64, 0.5, 1 << 63},
+		{math.MaxUint64, 1, math.MaxUint64},
+	} {
+		if got := TargetRank(tc.q, tc.total); got != tc.want {
+			t.Errorf("TargetRank(%v, %d) = %d, want %d", tc.q, tc.total, got, tc.want)
+		}
 	}
 }
 

@@ -59,7 +59,12 @@ func Sum(b Buckets, counts []uint64) uint64 {
 // (v, Hi(Index(v))] — values above v but within its bucket, hence below
 // k*v. The deterministic bound: A(v) - U <= Rank(v) <= A(Hi(Index(v))),
 // with Hi(Index(v)) <= min(k*v, domain max) for v >= 1 and = 0 for v = 0.
+// Empty counts rank 0 without consulting the layout, so the zero
+// Buckets of an empty snapshot is never indexed.
 func Rank(b Buckets, counts []uint64, v uint64) uint64 {
+	if len(counts) == 0 {
+		return 0
+	}
 	j := b.Index(v)
 	var r uint64
 	for i := 0; i <= j && i < len(counts); i++ {
@@ -69,22 +74,24 @@ func Rank(b Buckets, counts []uint64, v uint64) uint64 {
 }
 
 // TargetRank is the rank Quantile targets for q over total counted
-// observations: ceil(q * total) clamped to [1, total] (q = 0 is the
-// minimum; float rounding must not push past the maximum), or 0 when
-// the histogram is empty. Exported so checkers mirror the exact rank
-// convention instead of re-deriving it.
+// observations: ceil(q * total), computed in float64, clamped to
+// [1, total] (q = 0 is the minimum), or 0 when the histogram is empty.
+// The clamp to total happens in the float domain: float64(total) rounds
+// (up to 2^64 for totals near MaxUint64, past the uint64 range), so any
+// product at or above it is the maximum. Exported so checkers mirror the
+// exact rank convention instead of re-deriving it.
 func TargetRank(q float64, total uint64) uint64 {
 	if total == 0 {
 		return 0
 	}
-	r := uint64(math.Ceil(q * float64(total)))
-	if r < 1 {
-		r = 1
+	x := math.Ceil(q * float64(total))
+	if x >= float64(total) {
+		return total
 	}
-	if r > total {
-		r = total
+	if x < 1 {
+		return 1
 	}
-	return r
+	return uint64(x)
 }
 
 // Quantile returns the q-quantile of the counted observations, rounded

@@ -4,17 +4,19 @@
 // wrapped response would violate the accuracy envelope.
 package satmath
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
-// Mul multiplies with saturation at MaxUint64.
+// Mul multiplies with saturation at MaxUint64. The full 128-bit product
+// detects overflow without a divide.
 func Mul(a, b uint64) uint64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a > math.MaxUint64/b {
+	hi, lo := bits.Mul64(a, b)
+	if hi != 0 {
 		return math.MaxUint64
 	}
-	return a * b
+	return lo
 }
 
 // Add adds with saturation at MaxUint64.

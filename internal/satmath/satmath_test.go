@@ -2,6 +2,8 @@ package satmath_test
 
 import (
 	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -19,6 +21,31 @@ func TestMul(t *testing.T) {
 	} {
 		if got := satmath.Mul(tc.a, tc.b); got != tc.want {
 			t.Errorf("Mul(%d, %d) = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
+	}
+}
+
+// TestMulMatchesBig checks Mul against the exact math/big product,
+// clamped to MaxUint64, on every pair of edge operands around zero, the
+// 32-bit halves ((2^32-1)(2^32+1) is exactly MaxUint64), the top bit and
+// the ceiling, plus random pairs.
+func TestMulMatchesBig(t *testing.T) {
+	edges := []uint64{0, 1, 2, 3, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63,
+		math.MaxUint64 - 1, math.MaxUint64}
+	rng := rand.New(rand.NewSource(3))
+	for range 100 {
+		edges = append(edges, rng.Uint64()>>rng.Intn(64))
+	}
+	limit := new(big.Int).SetUint64(math.MaxUint64)
+	for _, a := range edges {
+		for _, b := range edges {
+			want := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
+			if want.Cmp(limit) > 0 {
+				want = limit
+			}
+			if got := satmath.Mul(a, b); got != want.Uint64() {
+				t.Fatalf("Mul(%d, %d) = %d, want %d", a, b, got, want.Uint64())
+			}
 		}
 	}
 }
