@@ -149,15 +149,7 @@ var counterDescriptor = &kindDescriptor{
 	name:   "counter",
 	plural: "counters",
 
-	policy:   shard.CounterPolicyRow(),
-	envelope: "Mult unchanged; Add widens to S·k; Buffer = (B-1)·n",
-	scenario: "E12",
-
-	staleTerm:    "Read may miss Incs of the last maxStale (window opens maxStale early)",
-	readScenario: "E17",
-
-	windowTerm:     "Read sums the Incs of the last d (Add widens to epochs·S·k; one epoch of edge skew)",
-	windowScenario: "E18",
+	policy: shard.CounterPolicyRow(),
 
 	accuracies: map[accMode]func(s Spec) error{
 		accExact:          nil,
@@ -169,8 +161,7 @@ var counterDescriptor = &kindDescriptor{
 		// propagation, is doing the work.
 		accRandomized: nil,
 	},
-	frontierScenario: "E19",
-	build:            func(s Spec) (instance, error) { return newCounter(s) },
+	build: func(s Spec) (instance, error) { return newCounter(s) },
 }
 
 // checkMultCounter mirrors core.NewMultCounter's precondition (defense in
@@ -330,15 +321,7 @@ var maxRegisterDescriptor = &kindDescriptor{
 	name:   "max register",
 	plural: "max registers",
 
-	policy:   shard.MaxRegPolicyRow(),
-	envelope: "Mult unchanged (independent of S); Buffer = B-1, per handle",
-	scenario: "E14",
-
-	staleTerm:    "Read may trail the maximum by writes of the last maxStale",
-	readScenario: "E17",
-
-	windowTerm:     "Read is the maximum written in the last d (an expiring high-water mark; no widening)",
-	windowScenario: "E18",
+	policy: shard.MaxRegPolicyRow(),
 
 	accuracies: map[accMode]func(s Spec) error{
 		accExact:          nil,

@@ -21,7 +21,7 @@ import "approxobj/internal/object"
 // envelope holds against some true value in the regularity window
 // opened Stale before the read began. It is a time-domain term — it
 // widens the window checkers evaluate ContainsRange over, not the
-// arithmetic of the envelope itself; see the read-plane table in Kinds
+// arithmetic of the envelope itself; see each kind's type documentation
 // for the per-kind reading. Window is the analogous epoch-truncation
 // skew of WithWindow objects: reads cover at least the last d - Window
 // and at most the last d of mutations.

@@ -22,13 +22,8 @@
 // trajectory is derived from the experiment table (bench.All declares
 // each experiment's record scenarios), not kept by hand here: a run whose
 // output is missing a declared scenario exits 1 instead of silently
-// dropping it from the trajectory — and a run starts by cross-checking
-// the backend-plane table (approxobj.Kinds) against those declarations,
-// exiting 1 if any registered object kind lacks a declared-and-emitted
-// bench scenario (including the read-plane and windowed scenarios of
-// kinds documenting those policies), so a new kind cannot ship without
-// a measured workload. Every coverage gap is reported before exiting,
-// not just the first.
+// dropping it from the trajectory. That every object kind is measured
+// is checked by internal/bench's TestKindTableCoversKinds.
 //
 // -compare diffs this run's records against a committed record file and
 // exits 1 on regressions, which makes BENCH_*.json files checkable
@@ -80,7 +75,6 @@ import (
 	"strings"
 	"time"
 
-	"approxobj"
 	"approxobj/internal/bench"
 )
 
@@ -160,26 +154,6 @@ func main() {
 			fmt.Printf("%-5s %s\n", exp.ID, exp.Desc)
 		}
 		return
-	}
-
-	// Every kind registered in the backend-plane table must be covered by
-	// a declared bench scenario: a new object family without a measured
-	// workload fails the smoke run, not a code review. (-list is exempt
-	// above — it is the diagnostic you would reach for.) All coverage
-	// gaps are collected and reported together — a run with three
-	// missing scenarios names all three, not the first, so one fix-run
-	// cycle suffices.
-	declared := map[string]bool{}
-	for _, exp := range all {
-		for _, sc := range exp.Scenarios {
-			declared[sc] = true
-		}
-	}
-	if problems := kindCoverageProblems(approxobj.Kinds(), declared); len(problems) > 0 {
-		for _, p := range problems {
-			fmt.Fprintf(os.Stderr, "approxbench: %s\n", p)
-		}
-		os.Exit(1)
 	}
 
 	known := make(map[string]bool, len(all))
@@ -293,62 +267,6 @@ func main() {
 		fmt.Printf("# compare: no regressions against %s (%d baseline records, tolerance %.0f%%)\n",
 			*compare, len(base.Records), *compareTol)
 	}
-}
-
-// kindCoverageProblems cross-checks the backend-plane table against the
-// declared bench scenarios and returns every gap it finds (never
-// stopping at the first): each kind needs an emitted BenchScenario,
-// each kind documenting a staleness term needs an emitted
-// ReadBenchScenario, each kind documenting a window term needs an
-// emitted WindowBenchScenario, and each kind supporting the randomized
-// accuracy needs an emitted FrontierBenchScenario.
-func kindCoverageProblems(kinds []approxobj.KindPolicy, declared map[string]bool) []string {
-	var problems []string
-	add := func(format string, args ...any) {
-		problems = append(problems, fmt.Sprintf(format, args...))
-	}
-	for _, kp := range kinds {
-		if kp.BenchScenario == "" {
-			add("object kind %q declares no bench scenario in the backend table", kp.Kind)
-		} else if !declared[kp.BenchScenario] {
-			add("object kind %q declares bench scenario %q, which no experiment in bench.All emits", kp.Kind, kp.BenchScenario)
-		}
-		// A kind that opts into the read-cache policy (it documents a
-		// staleness term) must also name a read-dominated scenario that
-		// some experiment emits, so the O(1) cached-read claim is
-		// measured, not assumed.
-		if kp.StaleTerm != "" {
-			if kp.ReadBenchScenario == "" {
-				add("object kind %q documents a read-cache staleness term but declares no read-dominated bench scenario", kp.Kind)
-			} else if !declared[kp.ReadBenchScenario] {
-				add("object kind %q declares read bench scenario %q, which no experiment in bench.All emits", kp.Kind, kp.ReadBenchScenario)
-			}
-		}
-		// Likewise for window support: a kind documenting a window term
-		// must name an emitted windowed observe+scrape scenario.
-		if kp.WindowTerm != "" {
-			if kp.WindowBenchScenario == "" {
-				add("object kind %q documents a window term but declares no windowed bench scenario", kp.Kind)
-			} else if !declared[kp.WindowBenchScenario] {
-				add("object kind %q declares window bench scenario %q, which no experiment in bench.All emits", kp.Kind, kp.WindowBenchScenario)
-			}
-		}
-		// And for the accuracy plane: a kind whose row set includes the
-		// randomized accuracy must name an emitted frontier scenario, so
-		// the deterministic-vs-randomized cost comparison (the paper's
-		// central contrast) is measured whenever the choice exists.
-		for _, acc := range kp.Accuracies {
-			if acc != "randomized" {
-				continue
-			}
-			if kp.FrontierBenchScenario == "" {
-				add("object kind %q supports the randomized accuracy but declares no deterministic-vs-randomized frontier bench scenario", kp.Kind)
-			} else if !declared[kp.FrontierBenchScenario] {
-				add("object kind %q declares frontier bench scenario %q, which no experiment in bench.All emits", kp.Kind, kp.FrontierBenchScenario)
-			}
-		}
-	}
-	return problems
 }
 
 // recordKey identifies a record cell across runs: its scenario plus its

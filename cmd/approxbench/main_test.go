@@ -4,57 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"approxobj"
 	"approxobj/internal/bench"
 )
-
-// TestKindCoverageAccumulatesAllProblems drives the startup gate with a
-// table that has several independent gaps and checks every one is
-// reported — the gate must not stop at the first problem, so one
-// fix-run cycle names all the missing scenarios.
-func TestKindCoverageAccumulatesAllProblems(t *testing.T) {
-	kinds := []approxobj.KindPolicy{
-		{Kind: approxobj.KindCounter},                                                                                           // no scenario at all
-		{Kind: approxobj.KindMaxRegister, BenchScenario: "E-nowhere"},                                                           // declared but unemitted
-		{Kind: approxobj.KindSnapshot, BenchScenario: "E-ok", StaleTerm: "trails"},                                              // missing read scenario
-		{Kind: approxobj.KindHistogram, BenchScenario: "E-ok", WindowTerm: "folds the last d"},                                  // missing window scenario
-		{Kind: approxobj.KindCounter, BenchScenario: "E-ok", WindowTerm: "x", WindowBenchScenario: "E-no"},                      // window scenario unemitted
-		{Kind: approxobj.KindCounter, BenchScenario: "E-ok", Accuracies: []string{"exact", "randomized"}},                       // missing frontier scenario
-		{Kind: approxobj.KindCounter, BenchScenario: "E-ok", Accuracies: []string{"randomized"}, FrontierBenchScenario: "E-no"}, // frontier scenario unemitted
-	}
-	problems := kindCoverageProblems(kinds, map[string]bool{"E-ok": true})
-	if len(problems) != 7 {
-		t.Fatalf("want all 7 problems reported, got %d:\n%s", len(problems), strings.Join(problems, "\n"))
-	}
-	for i, want := range []string{
-		"declares no bench scenario",
-		`bench scenario "E-nowhere", which no experiment`,
-		"declares no read-dominated bench scenario",
-		"declares no windowed bench scenario",
-		`window bench scenario "E-no", which no experiment`,
-		"declares no deterministic-vs-randomized frontier bench scenario",
-		`frontier bench scenario "E-no", which no experiment`,
-	} {
-		if !strings.Contains(problems[i], want) {
-			t.Errorf("problem %d = %q, want it to mention %q", i, problems[i], want)
-		}
-	}
-}
-
-// TestKindCoverageCleanTable checks the real backend table against the
-// real experiment declarations — the gate must pass on the shipped
-// configuration.
-func TestKindCoverageCleanTable(t *testing.T) {
-	declared := map[string]bool{}
-	for _, exp := range bench.All() {
-		for _, sc := range exp.Scenarios {
-			declared[sc] = true
-		}
-	}
-	if problems := kindCoverageProblems(approxobj.Kinds(), declared); len(problems) > 0 {
-		t.Fatalf("startup gate fails on the shipped table:\n%s", strings.Join(problems, "\n"))
-	}
-}
 
 // TestCompareRecordsAccumulatesAllProblems checks that -compare reports
 // every regression in one pass: a missing scenario, three widened

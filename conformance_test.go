@@ -713,7 +713,8 @@ func TestSelfMetricsConformance(t *testing.T) {
 		}
 		snaps[s.Name] = s
 	}
-	for _, name := range selfMetricNames {
+	for _, m := range selfMeters(tel.sink) {
+		name := m.name
 		s, ok := snaps[name]
 		if !ok {
 			t.Errorf("meter %q missing from Snapshot", name)

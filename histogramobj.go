@@ -90,15 +90,7 @@ var histogramDescriptor = &kindDescriptor{
 	name:   "histogram",
 	plural: "histograms",
 
-	policy:   shard.HistogramPolicyRow(),
-	envelope: "value error Mult = k from bucket rounding (independent of S); rank error Buffer = (B-1)·n",
-	scenario: "E16",
-
-	staleTerm:    "queries may miss observations of the last maxStale",
-	readScenario: "E17",
-
-	windowTerm:     "queries fold the observations of the last d (per-bucket sums across epochs; rounding k and rank slack unchanged; one epoch of edge skew)",
-	windowScenario: "E18",
+	policy: shard.HistogramPolicyRow(),
 
 	accuracies: map[accMode]func(s Spec) error{
 		accExact:          checkExactHistogram,

@@ -78,9 +78,11 @@ func handles[H any](n int, handle func(int) H) []H {
 
 // kindRow is one row of the harness's kind table: how the cross-kind
 // experiments (E17, E18, E20r, E21) build, write, read and check one
-// object kind through the public API. A new kind adds one row;
+// object kind through the public API, and which of the kind's own
+// experiments measure it. A new kind adds one row;
 // TestKindTableCoversKinds fails while a kind in approxobj.Kinds has
-// none.
+// none, or while its row names a scenario no experiment in All
+// declares.
 type kindRow struct {
 	name string // the records' kind param
 	kind approxobj.Kind
@@ -88,6 +90,11 @@ type kindRow struct {
 	// build makes the object from opts, or registers it in reg under
 	// name when reg is non-nil.
 	build func(reg *approxobj.Registry, name string, opts []approxobj.Option) (*kindObj, error)
+	// sweep is the kind's shards x batch scaling sweep.
+	sweep func() sweep
+	// frontier is the deterministic-vs-randomized frontier scenario,
+	// which a kind with a randomized accuracy row must name.
+	frontier string
 }
 
 // open builds the row's object from its base spec followed by extra;
@@ -132,7 +139,8 @@ var kindRows = []kindRow{
 			w, r := c.Handle(0), c.Handle(1)
 			return &kindObj{obj: c, steps: w.Steps, put: func(uint64) { w.Inc() }, read: r.Read,
 				settled: func(n uint64) error { return settledWithin(c.Bounds(), n, r.Read()) }}, nil
-		}},
+		},
+		sweep: e12Sweep, frontier: "E19"},
 	{name: "max-register", kind: approxobj.KindMaxRegister,
 		base: []approxobj.Option{approxobj.WithProcs(2), approxobj.WithBound(1 << 30)},
 		build: func(reg *approxobj.Registry, name string, opts []approxobj.Option) (*kindObj, error) {
@@ -143,7 +151,8 @@ var kindRows = []kindRow{
 			w, r := m.Handle(0), m.Handle(1)
 			return &kindObj{obj: m, steps: w.Steps, put: w.Write, read: r.Read,
 				settled: func(n uint64) error { return settledWithin(m.Bounds(), n, r.Read()) }}, nil
-		}},
+		},
+		sweep: e14Sweep},
 	{name: "snapshot", kind: approxobj.KindSnapshot,
 		base: []approxobj.Option{approxobj.WithProcs(2)},
 		build: func(reg *approxobj.Registry, name string, opts []approxobj.Option) (*kindObj, error) {
@@ -159,7 +168,8 @@ var kindRows = []kindRow{
 			}
 			return &kindObj{obj: sn, steps: w.Steps, put: w.Update, read: read,
 				settled: func(n uint64) error { return settledWithin(sn.Bounds(), n, read()) }}, nil
-		}},
+		},
+		sweep: e15Sweep},
 	{name: "histogram", kind: approxobj.KindHistogram,
 		base: []approxobj.Option{approxobj.WithProcs(2), approxobj.WithAccuracy(approxobj.Multiplicative(2)), approxobj.WithBound(histBound)},
 		build: func(reg *approxobj.Registry, name string, opts []approxobj.Option) (*kindObj, error) {
@@ -172,7 +182,8 @@ var kindRows = []kindRow{
 			return &kindObj{obj: hg, steps: w.Steps, put: func(v uint64) { w.Observe(v % histBound) },
 				read:    func() uint64 { return r.Quantile(0.99) },
 				settled: func(n uint64) error { return settledWithin(approxobj.ExactBounds(), n, r.Count()) }}, nil
-		}},
+		},
+		sweep: e16Sweep},
 }
 
 // newObj builds an object from opts, or registers it in reg under name

@@ -1,31 +1,100 @@
 package bench
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"approxobj"
 )
 
-// TestKindTableCoversKinds checks that every kind registered in the
-// backend-plane table has exactly one row in the harness's kind table,
-// so a new kind cannot be missing from the cross-kind experiments that
-// iterate the table; TestAllExperimentsQuick checks that E17, E18 and
-// E20r emit a record for every row.
-func TestKindTableCoversKinds(t *testing.T) {
-	kinds := approxobj.Kinds()
-	if len(kindRows) != len(kinds) {
-		t.Errorf("kind table has %d rows for %d registered kinds", len(kindRows), len(kinds))
+// kindTableProblems checks a kind table against the registered kinds
+// and the record scenarios exps declare, and returns every problem, not
+// only the first: each registered kind needs exactly one row, each row
+// a registered kind and a declared sweep scenario, and a row whose kind
+// has a randomized accuracy row a declared frontier scenario.
+func kindTableProblems(rows []kindRow, kinds []approxobj.KindPolicy, exps []Experiment) []string {
+	declared := map[string]bool{}
+	for _, exp := range exps {
+		for _, sc := range exp.Scenarios {
+			declared[sc] = true
+		}
+	}
+	policies := map[approxobj.Kind]approxobj.KindPolicy{}
+	for _, kp := range kinds {
+		policies[kp.Kind] = kp
+	}
+	var problems []string
+	add := func(format string, args ...any) { problems = append(problems, fmt.Sprintf(format, args...)) }
+	rowsOf := map[approxobj.Kind]int{}
+	for _, row := range rows {
+		rowsOf[row.kind]++
+		kp, ok := policies[row.kind]
+		if !ok {
+			add("row %q is for kind %q, which approxobj.Kinds does not register", row.name, row.kind)
+		}
+		if id := row.sweep().id; !declared[id] {
+			add("row %q names sweep scenario %q, which no experiment in All declares", row.name, id)
+		}
+		if slices.Contains(kp.Accuracies, "randomized") && !declared[row.frontier] {
+			add("row %q: kind %q has a randomized accuracy row, but frontier scenario %q is not declared in All", row.name, row.kind, row.frontier)
+		}
 	}
 	for _, kp := range kinds {
-		n := 0
-		for _, row := range kindRows {
-			if row.kind == kp.Kind {
-				n++
-			}
+		if n := rowsOf[kp.Kind]; n != 1 {
+			add("kind %q has %d rows in the kind table, want exactly 1", kp.Kind, n)
 		}
-		if n != 1 {
-			t.Errorf("kind %q has %d rows in the kind table, want exactly 1", kp.Kind, n)
+	}
+	return problems
+}
+
+// TestKindTableCoversKinds checks the kind table against the backend
+// table and the experiment table (see kindTableProblems), so a new kind
+// is missing from neither the cross-kind experiments nor its own;
+// TestAllExperimentsQuick checks that E17, E18 and E20r emit a record
+// for every row.
+func TestKindTableCoversKinds(t *testing.T) {
+	if len(approxobj.Kinds()) == 0 {
+		t.Fatal("backend table registers no kinds")
+	}
+	for _, p := range kindTableProblems(kindRows, approxobj.Kinds(), All()) {
+		t.Error(p)
+	}
+}
+
+// TestKindTableProblemsReportsEveryFault feeds kindTableProblems a
+// table with one fault per rule and checks that each is reported.
+func TestKindTableProblemsReportsEveryFault(t *testing.T) {
+	kinds := []approxobj.KindPolicy{
+		{Kind: approxobj.KindCounter, Accuracies: []string{"exact", "randomized"}},
+		{Kind: approxobj.KindMaxRegister},
+		{Kind: approxobj.KindSnapshot},
+		{Kind: approxobj.KindHistogram},
+	}
+	rows := []kindRow{
+		{name: "counter", kind: approxobj.KindCounter, sweep: e12Sweep}, // randomized, no frontier
+		{name: "max-register", kind: approxobj.KindMaxRegister, sweep: e14Sweep},
+		{name: "max-register", kind: approxobj.KindMaxRegister, sweep: e14Sweep},                          // duplicate
+		{name: "snapshot", kind: approxobj.KindSnapshot, sweep: func() sweep { return sweep{id: "E99"} }}, // undeclared sweep
+		{name: "bloom", kind: approxobj.Kind(99), sweep: e12Sweep},                                        // unregistered kind
+		// no histogram row
+	}
+	problems := kindTableProblems(rows, kinds, All())
+	want := []string{
+		`kind "histogram" has 0 rows`,
+		`kind "max register" has 2 rows`,
+		`sweep scenario "E99", which no experiment`,
+		`row "counter": kind "counter" has a randomized accuracy row, but frontier scenario ""`,
+		`row "bloom" is for kind "invalid"`,
+	}
+	if len(problems) != len(want) {
+		t.Fatalf("want %d problems, got %d:\n%s", len(want), len(problems), strings.Join(problems, "\n"))
+	}
+	for _, w := range want {
+		if !slices.ContainsFunc(problems, func(p string) bool { return strings.Contains(p, w) }) {
+			t.Errorf("no problem mentions %q:\n%s", w, strings.Join(problems, "\n"))
 		}
 	}
 }

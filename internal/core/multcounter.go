@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"approxobj/internal/object"
 	"approxobj/internal/prim"
@@ -99,9 +100,17 @@ func NewMultCounter(f *prim.Factory, k uint64, opts ...Option) (*MultCounter, er
 	if !o.unchecked && !satmath.SquareAtLeast(k, uint64(n)) {
 		return nil, fmt.Errorf("core: accuracy guarantee needs k >= sqrt(n): k=%d, n=%d", k, n)
 	}
-	t1 := (k*k-1)/uint64(n) + 1
-	if t1 > k || o.verbatim {
-		t1 = k
+	t1 := k
+	if !o.verbatim {
+		// t1 = min(k, floor((k²-1)/n) + 1) over the naturals: k² takes
+		// 128 bits, and a quotient that overflows 64 bits exceeds k.
+		hi, lo := bits.Mul64(k, k)
+		lo, borrow := bits.Sub64(lo, 1, 0)
+		if hi -= borrow; hi < uint64(n) {
+			if q, _ := bits.Div64(hi, lo, uint64(n)); q < k {
+				t1 = q + 1
+			}
+		}
 	}
 	return &MultCounter{
 		n:        n,

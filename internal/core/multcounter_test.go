@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -61,6 +62,12 @@ func TestFirstThreshold(t *testing.T) {
 		{25, 5, 1}, // n = k^2
 		{9, 3, 1},  // n = k^2
 		{5, 3, 2},  // floor(8/5)+1 = 2
+		// k >= n gives t1 = k, also where k² overflows 64 bits.
+		{3, 1<<32 + 1, 1<<32 + 1},
+		{64, 1<<32 + 7, 1<<32 + 7},
+		{1, math.MaxUint64, math.MaxUint64},
+		{3, math.MaxUint64, math.MaxUint64},
+		{64, math.MaxUint64, math.MaxUint64},
 	}
 	for _, c := range cases {
 		f := prim.NewFactory(c.n)
@@ -338,7 +345,8 @@ func refReturnValue(c *MultCounter, p, q uint64) uint64 {
 // power formula across small and huge k, including every regime where the
 // thresholds or the sum saturate, for both first-interval thresholds.
 // n = 64 (below k >= sqrt(n) for small k, hence Unchecked) repairs t1
-// below k, which n <= 3 never does.
+// below k for the k below 64, which n <= 3 never does (t1 = k whenever
+// k >= n).
 func TestReturnValueMatchesReference(t *testing.T) {
 	const max = ^uint64(0)
 	for _, k := range []uint64{2, 3, 4, 10, 1 << 20, 1<<32 + 7, max} {

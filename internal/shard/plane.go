@@ -293,9 +293,6 @@ type meta struct {
 // Name returns the backend's name (for tables and error messages).
 func (m meta) Name() string { return m.name }
 
-// Bound returns the backend's value bound, or 0 for unbounded backends.
-func (m meta) Bound() uint64 { return m.bound }
-
 func (m meta) multOf(k uint64) uint64 {
 	if m.mult == nil {
 		return 1
@@ -378,9 +375,6 @@ type PolicyRow struct {
 	Combine string
 	// Buffer names the handle-local buffering discipline.
 	Buffer string
-	// AddScalesWithShards reports whether the per-shard additive slack
-	// sums over shards under this combine.
-	AddScalesWithShards bool
 	// BufferScalesWithProcs reports whether the B-1 buffering headroom
 	// multiplies by the slot count.
 	BufferScalesWithProcs bool
@@ -390,7 +384,6 @@ func (p *policy[V]) row() PolicyRow {
 	return PolicyRow{
 		Combine:               p.name,
 		Buffer:                p.buffer.String(),
-		AddScalesWithShards:   p.addScalesWithShards,
 		BufferScalesWithProcs: p.bufferScalesWithProcs,
 	}
 }
@@ -441,9 +434,9 @@ type slotBinding[H any] struct {
 
 // plane is the generic sharded object: S shards of O combined on read by
 // the kind's Combine, with handle-local buffering per the kind's policy.
-// Kind-specific object types embed it — inheriting the accessors N, K,
-// Shards, Batch, Backend, ReadCache, Close, Bounds, and BaseObjects —
-// and add nothing but their Handle and its mutation method.
+// Kind-specific object types embed it — inheriting N, Close, Bounds,
+// and BaseObjects — and add nothing but their Handle and its mutation
+// method.
 type plane[O any, H Reader[V], V any] struct {
 	rt       *runtime[O]
 	k        uint64
@@ -517,15 +510,6 @@ func newPlane[O any, H Reader[V], V any](
 	return p, nil
 }
 
-// ReadCache returns the read-cache staleness window (0 when the
-// read-combiner tier is off).
-func (p *plane[O, H, V]) ReadCache() time.Duration {
-	if p.cache == nil {
-		return 0
-	}
-	return p.cache.staleness()
-}
-
 // Close stops the plane's background combiner goroutine, if any, and
 // waits for it to exit. Idempotent; reads stay valid afterwards (cached
 // reads fall back to inline refreshes).
@@ -537,18 +521,6 @@ func (p *plane[O, H, V]) Close() {
 
 // N returns the number of process slots.
 func (p *plane[O, H, V]) N() int { return p.rt.n }
-
-// K returns the accuracy parameter passed to the backend.
-func (p *plane[O, H, V]) K() uint64 { return p.k }
-
-// Shards returns the shard count S.
-func (p *plane[O, H, V]) Shards() int { return len(p.rt.shards) }
-
-// Batch returns the per-handle buffer size B (1 means unbuffered).
-func (p *plane[O, H, V]) Batch() uint64 { return p.batch }
-
-// Backend returns the configured backend.
-func (p *plane[O, H, V]) Backend() backend[O] { return p.be }
 
 // kindPolicy and sink hand the window tier the kind's policy row and
 // the telemetry sink (see Epoch).

@@ -50,11 +50,10 @@ import (
 // that handle's own per-shard readers into a reused buffer (the
 // argument; scalar kinds ignore it).
 type readCache[V any] interface {
-	// read returns the cached combined value, refreshing inline through
-	// refresh when the cell is stale. The result is owned by the caller.
-	read(refresh func(V) V) V
-	// readInto is read with the result written into dst (grown as
-	// needed); the scalar cache ignores dst.
+	// readInto returns the cached combined value, refreshing inline
+	// through refresh when the cell is stale. The vector cache writes it
+	// into dst (grown as needed), the scalar cache ignores dst; the
+	// result is owned by the caller.
 	readInto(dst V, refresh func(V) V) V
 	// run is the background combiner loop; one goroutine per plane,
 	// stopped by close.
@@ -141,7 +140,7 @@ func (rc *scalarReadCache) fresh() (uint64, bool) {
 	return rc.val.Load(), true
 }
 
-func (rc *scalarReadCache) read(refresh func(uint64) uint64) uint64 {
+func (rc *scalarReadCache) readInto(_ uint64, refresh func(uint64) uint64) uint64 {
 	if v, ok := rc.fresh(); ok {
 		return v
 	}
@@ -156,10 +155,6 @@ func (rc *scalarReadCache) read(refresh func(uint64) uint64) uint64 {
 	}
 	rc.mu.Unlock()
 	return v
-}
-
-func (rc *scalarReadCache) readInto(_ uint64, refresh func(uint64) uint64) uint64 {
-	return rc.read(refresh)
 }
 
 // refreshLocked re-combines and publishes the cell. Callers hold rc.mu.
@@ -237,10 +232,6 @@ type vecReadCache struct {
 
 func newVecReadCache(maxStale time.Duration) readCache[[]uint64] {
 	return &vecReadCache{maxStale: maxStale, lc: newCacheLifecycle()}
-}
-
-func (rc *vecReadCache) read(refresh func([]uint64) []uint64) []uint64 {
-	return rc.readInto(nil, refresh)
 }
 
 func (rc *vecReadCache) readInto(dst []uint64, refresh func([]uint64) []uint64) []uint64 {

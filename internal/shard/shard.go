@@ -240,9 +240,9 @@ var counterPolicy = &policy[uint64]{
 }
 
 // Counter is the sharded counter: S independently accurate shards summed
-// by readers, with the plane's accessors (N, K, Shards, Batch, Backend,
-// ReadCache, Close, Bounds, BaseObjects). Create handles with Handle;
-// the zero value is not usable.
+// by readers, with the plane's accessors (N, Close, Bounds,
+// BaseObjects). Create handles with Handle; the zero value is not
+// usable.
 type Counter struct {
 	*plane[object.Counter, object.CounterHandle, uint64]
 }

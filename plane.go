@@ -190,10 +190,9 @@ func (c *objectCore[H]) snapshotSteps() uint64  { return c.snap.Steps() }
 
 // kindDescriptor is one registration in the backend-plane table:
 // everything the spec and registry layers need to know about an object
-// kind — its text name, which accuracy modes its backends implement
-// (with any extra per-mode precondition), whether WithBound applies, how
-// its envelope composes on the sharded runtime, which bench scenario
-// covers it, and how to build it.
+// kind — its text name, its policy row on the plane, which accuracy
+// modes its backends implement (with any extra per-mode precondition),
+// whether WithBound applies, and how to build it.
 type kindDescriptor struct {
 	kind   Kind
 	name   string // Kind text name (String/MarshalText/ParseKind)
@@ -201,32 +200,8 @@ type kindDescriptor struct {
 
 	// The kind's policy row on the plane, taken verbatim from
 	// internal/shard (the single source of truth for combine/buffer
-	// names and envelope scaling; Kinds exposes it for docs, tables, and
-	// the bench-coverage check).
-	policy   shard.PolicyRow
-	envelope string // how the per-shard envelope composes (prose)
-	scenario string // bench scenario covering this kind (CI-checked)
-
-	// staleTerm documents, per kind, what the WithReadCache staleness
-	// window adds to the envelope (the read-plane analogue of envelope;
-	// source for the README's read-plane table).
-	staleTerm string
-	// readScenario names the read-dominated bench scenario covering this
-	// kind's cached read path. Every kind accepts WithReadCache (the
-	// read-combiner tier is generic), so the startup gate and the bench
-	// coverage test require it to be declared and emitted, like scenario.
-	readScenario string
-
-	// windowTerm documents, per kind, what a windowed read means under
-	// the kind's combine — which aggregate "over the last d" the live
-	// ring folds to (source for the README's windowed-objects table).
-	windowTerm string
-	// windowScenario names the windowed observe+scrape bench scenario
-	// covering this kind. Every kind supports WithWindow (the epoch ring
-	// is generic), so the startup gate and the bench coverage test
-	// require it to be declared and emitted, like scenario and
-	// readScenario.
-	windowScenario string
+	// names and envelope scaling; Kinds exposes it for docs and tables).
+	policy shard.PolicyRow
 
 	// accuracies is the kind's row set in the accuracy plane: each
 	// supported accuracy mode maps to an extra precondition check (nil =
@@ -234,11 +209,6 @@ type kindDescriptor struct {
 	// absent from the map is rejected by validation, so accuracy support
 	// is declared here — per kind, per row — not switched on anywhere.
 	accuracies map[accMode]func(s Spec) error
-	// frontierScenario names the deterministic-vs-randomized frontier
-	// bench scenario for kinds that register a randomized accuracy row
-	// (CI-checked like scenario: a randomized-capable kind without one
-	// fails the startup gate).
-	frontierScenario string
 	// allowBound reports whether WithBound applies to this kind.
 	allowBound bool
 	// boundLimitsBatch reports whether the kind's batch parameter is a
@@ -284,8 +254,7 @@ func buildSpec(s Spec) (instance, error) {
 // KindPolicy is one row of the backend-plane policy table: how a
 // registered object kind composes on the sharded runtime. It is the
 // public, read-only view of the registration table — the source for the
-// README's policy table and for the CI check that every kind has a bench
-// scenario.
+// README's policy table.
 type KindPolicy struct {
 	// Kind identifies the object family.
 	Kind Kind
@@ -295,36 +264,11 @@ type KindPolicy struct {
 	// Buffer names the handle-local buffering discipline ("count
 	// batching", "write elision", "component elision").
 	Buffer string
-	// Envelope describes how the per-shard envelope composes over S
-	// shards and WithBatch(B) buffering.
-	Envelope string
-	// BenchScenario names the bench record scenario covering this kind
-	// (see internal/bench and cmd/approxbench).
-	BenchScenario string
-	// StaleTerm describes what the WithReadCache staleness window adds
-	// to the kind's envelope (the read-plane analogue of Envelope).
-	StaleTerm string
-	// ReadBenchScenario names the read-dominated bench scenario covering
-	// this kind's cached read path (CI-checked like BenchScenario: a kind
-	// on the read-combiner tier without one fails the startup gate).
-	ReadBenchScenario string
-	// WindowTerm describes what a WithWindow read aggregates under the
-	// kind's combine — the per-kind reading of "over the last d".
-	WindowTerm string
-	// WindowBenchScenario names the windowed observe+scrape bench
-	// scenario covering this kind (CI-checked like BenchScenario: a kind
-	// declaring window support without one fails the startup gate).
-	WindowBenchScenario string
 	// Accuracies lists the accuracy classes the kind's backends
 	// implement, in accuracy-table order (e.g. "exact", "additive",
 	// "multiplicative", "randomized") — the exported view of the kind's
 	// accuracy row set.
 	Accuracies []string
-	// FrontierBenchScenario names the deterministic-vs-randomized
-	// frontier bench scenario for kinds with a "randomized" accuracy row
-	// (CI-checked like BenchScenario: a randomized-capable kind without
-	// one fails the startup gate); empty for deterministic-only kinds.
-	FrontierBenchScenario string
 }
 
 // Kinds returns the policy table of every registered object kind, in
@@ -339,17 +283,10 @@ func Kinds() []KindPolicy {
 			}
 		}
 		out = append(out, KindPolicy{
-			Kind:                  d.kind,
-			Combine:               d.policy.Combine,
-			Buffer:                d.policy.Buffer,
-			Envelope:              d.envelope,
-			BenchScenario:         d.scenario,
-			StaleTerm:             d.staleTerm,
-			ReadBenchScenario:     d.readScenario,
-			WindowTerm:            d.windowTerm,
-			WindowBenchScenario:   d.windowScenario,
-			Accuracies:            accs,
-			FrontierBenchScenario: d.frontierScenario,
+			Kind:       d.kind,
+			Combine:    d.policy.Combine,
+			Buffer:     d.policy.Buffer,
+			Accuracies: accs,
 		})
 	}
 	return out

@@ -114,6 +114,11 @@ func TestRandomizedComposesAcrossThePlane(t *testing.T) {
 			h.Inc()
 		}
 	})
+	// A cached read may serve a cell refreshed up to Stale before it,
+	// possibly mid-loop, and Contains has no time term: wait until every
+	// cell the read could be served from is newer than the last
+	// increment.
+	time.Sleep(2 * b.Stale)
 	var got uint64
 	c.Do(func(h CounterHandle) {
 		h.(BatchedCounterHandle).Flush()

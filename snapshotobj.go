@@ -54,15 +54,7 @@ var snapshotDescriptor = &kindDescriptor{
 	name:   "snapshot",
 	plural: "snapshots",
 
-	policy:   shard.SnapshotPolicyRow(),
-	envelope: "exact per component (independent of S); Buffer = B-1, per component",
-	scenario: "E15",
-
-	staleTerm:    "Scan may trail each component by updates of the last maxStale",
-	readScenario: "E17",
-
-	windowTerm:     "Scan reads each component's high-water mark over the last d (max across epochs; untouched components expire to 0)",
-	windowScenario: "E18",
+	policy: shard.SnapshotPolicyRow(),
 
 	accuracies: map[accMode]func(s Spec) error{
 		accExact: nil,

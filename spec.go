@@ -431,8 +431,8 @@ func WithReadCache(maxStale time.Duration) Option {
 // reads combine the live epochs with the kind's combine policy, so
 // NewHistogram(WithWindow(time.Minute, 6)) serves p99-over-the-last-
 // minute with the same deterministic per-window envelope. The per-kind
-// window reading (what "the last d" means under each combine) is the
-// WindowTerm column of Kinds.
+// window reading (what "the last d" means under each combine) is in the
+// kind's type documentation (Counter, MaxRegister, Snapshot, Histogram).
 //
 // The envelope gains the time-domain Window term d/n: the combined
 // value covers at least the last d - d/n and at most the last d of

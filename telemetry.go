@@ -155,6 +155,7 @@ func instrumentObject(spec Spec, baseObjects func() uint64) *telemetry.Sink {
 // getters reject the name instead of handing out a meter as a user
 // object.
 type selfMeter struct {
+	name   string
 	spec   Spec
 	sink   *telemetry.Sink
 	read   func() uint64
@@ -174,23 +175,47 @@ func (m *selfMeter) snapshotSteps() uint64                    { return 0 }
 // exactMeterBounds is the envelope of the exactly-counted meters.
 func exactMeterBounds() Bounds { return Bounds{Mult: 1} }
 
-// selfMetricNames lists the meter names SelfMetrics registers, in
+// selfMeters returns the meters SelfMetrics registers over sink, in
 // registration order (exported indirectly through Registry.Names).
-var selfMetricNames = []string{
-	"approx_runtime_flushes",
-	"approx_runtime_buffer_hits",
-	"approx_runtime_elided_writes",
-	"approx_runtime_readcache_hits",
-	"approx_runtime_readcache_misses",
-	"approx_runtime_readcache_inline_refreshes",
-	"approx_runtime_combiner_ticks",
-	"approx_runtime_refresh_ns_peak",
-	"approx_runtime_pool_acquires",
-	"approx_runtime_pool_tryacquire_failures",
-	"approx_runtime_window_rotations",
-	"approx_runtime_rehomed_handles",
-	"approx_runtime_arena_rows",
-	"approx_runtime_resident_bytes",
+func selfMeters(sink *telemetry.Sink) []*selfMeter {
+	exact := func(name string, read func() uint64) *selfMeter {
+		return &selfMeter{name: name, spec: Spec{kind: KindCounter}, sink: sink, read: read, bounds: exactMeterBounds}
+	}
+	counted := func(name string, ev telemetry.Event) *selfMeter {
+		return exact(name, func() uint64 { return sink.Total(ev) })
+	}
+	lagged := func(name string, ev telemetry.Event) *selfMeter {
+		m := counted(name, ev)
+		m.bounds = func() Bounds { return Bounds{Mult: 1, Buffer: sink.LagBound()} }
+		return m
+	}
+	gauge := func(name string, kind Kind, read func() uint64) *selfMeter {
+		m := exact(name, read)
+		m.spec = Spec{kind: kind}
+		return m
+	}
+	return []*selfMeter{
+		counted("approx_runtime_flushes", telemetry.EvFlush),
+		lagged("approx_runtime_buffer_hits", telemetry.EvBufferHit),
+		lagged("approx_runtime_elided_writes", telemetry.EvElidedWrite),
+		exact("approx_runtime_readcache_hits", func() uint64 {
+			reads, misses := sink.Total(telemetry.EvCacheRead), sink.Total(telemetry.EvCacheMiss)
+			if misses > reads {
+				return 0
+			}
+			return reads - misses
+		}),
+		counted("approx_runtime_readcache_misses", telemetry.EvCacheMiss),
+		counted("approx_runtime_readcache_inline_refreshes", telemetry.EvInlineRefresh),
+		counted("approx_runtime_combiner_ticks", telemetry.EvCombinerTick),
+		gauge("approx_runtime_refresh_ns_peak", KindMaxRegister, sink.RefreshHighWaterNs),
+		counted("approx_runtime_pool_acquires", telemetry.EvPoolAcquire),
+		counted("approx_runtime_pool_tryacquire_failures", telemetry.EvPoolTryFail),
+		counted("approx_runtime_window_rotations", telemetry.EvRotation),
+		counted("approx_runtime_rehomed_handles", telemetry.EvRehome),
+		counted("approx_runtime_arena_rows", telemetry.EvArenaRow),
+		gauge("approx_runtime_resident_bytes", KindSnapshot, sink.ResidentBytes),
+	}
 }
 
 // SelfMetrics registers the telemetry domain's runtime meters in the
@@ -229,70 +254,28 @@ func (r *Registry) SelfMetrics(t *Telemetry) error {
 	if t == nil || t.sink == nil {
 		return fmt.Errorf("approxobj: SelfMetrics needs a telemetry domain built by NewTelemetry")
 	}
-	sink := t.sink
-	exact := func(read func() uint64) *selfMeter {
-		return &selfMeter{spec: Spec{kind: KindCounter}, sink: sink, read: read, bounds: exactMeterBounds}
-	}
-	counted := func(ev telemetry.Event) *selfMeter {
-		return exact(func() uint64 { return sink.Total(ev) })
-	}
-	lagged := func(ev telemetry.Event) *selfMeter {
-		return &selfMeter{
-			spec: Spec{kind: KindCounter},
-			sink: sink,
-			read: func() uint64 { return sink.Total(ev) },
-			bounds: func() Bounds {
-				return Bounds{Mult: 1, Buffer: sink.LagBound()}
-			},
-		}
-	}
-	gauge := func(kind Kind, read func() uint64) *selfMeter {
-		return &selfMeter{spec: Spec{kind: kind}, sink: sink, read: read, bounds: exactMeterBounds}
-	}
-	meters := map[string]*selfMeter{
-		"approx_runtime_flushes":       counted(telemetry.EvFlush),
-		"approx_runtime_buffer_hits":   lagged(telemetry.EvBufferHit),
-		"approx_runtime_elided_writes": lagged(telemetry.EvElidedWrite),
-		"approx_runtime_readcache_hits": exact(func() uint64 {
-			reads, misses := sink.Total(telemetry.EvCacheRead), sink.Total(telemetry.EvCacheMiss)
-			if misses > reads {
-				return 0
-			}
-			return reads - misses
-		}),
-		"approx_runtime_readcache_misses":           counted(telemetry.EvCacheMiss),
-		"approx_runtime_readcache_inline_refreshes": counted(telemetry.EvInlineRefresh),
-		"approx_runtime_combiner_ticks":             counted(telemetry.EvCombinerTick),
-		"approx_runtime_refresh_ns_peak":            gauge(KindMaxRegister, sink.RefreshHighWaterNs),
-		"approx_runtime_pool_acquires":              counted(telemetry.EvPoolAcquire),
-		"approx_runtime_pool_tryacquire_failures":   counted(telemetry.EvPoolTryFail),
-		"approx_runtime_window_rotations":           counted(telemetry.EvRotation),
-		"approx_runtime_rehomed_handles":            counted(telemetry.EvRehome),
-		"approx_runtime_arena_rows":                 counted(telemetry.EvArenaRow),
-		"approx_runtime_resident_bytes":             gauge(KindSnapshot, sink.ResidentBytes),
-	}
+	meters := selfMeters(t.sink)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// Validate the whole batch before registering any of it, so a
 	// partial failure does not leave half the meters behind.
-	for _, name := range selfMetricNames {
-		if e, ok := r.entries[name]; ok {
-			m, isMeter := e.obj.(*selfMeter)
+	for _, m := range meters {
+		if e, ok := r.entries[m.name]; ok {
+			had, isMeter := e.obj.(*selfMeter)
 			if !isMeter {
-				return fmt.Errorf("approxobj: SelfMetrics name %q already registered as %s", name, e.spec)
+				return fmt.Errorf("approxobj: SelfMetrics name %q already registered as %s", m.name, e.spec)
 			}
-			if m.sink != sink {
-				return fmt.Errorf("approxobj: SelfMetrics name %q already bound to a different telemetry domain", name)
+			if had.sink != t.sink {
+				return fmt.Errorf("approxobj: SelfMetrics name %q already bound to a different telemetry domain", m.name)
 			}
 		}
 	}
-	for _, name := range selfMetricNames {
-		if _, ok := r.entries[name]; ok {
+	for _, m := range meters {
+		if _, ok := r.entries[m.name]; ok {
 			continue
 		}
-		m := meters[name]
-		r.entries[name] = &regEntry{name: name, spec: m.spec, obj: m}
-		r.order = append(r.order, name)
+		r.entries[m.name] = &regEntry{name: m.name, spec: m.spec, obj: m}
+		r.order = append(r.order, m.name)
 	}
 	return nil
 }
