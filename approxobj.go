@@ -302,10 +302,13 @@ func scaledBounds(b Bounds, spec Spec) Bounds {
 	return b
 }
 
-// Handle binds process slot i (0 <= i < N) to the counter, for callers
-// managing slot assignment themselves. Each concurrent goroutine must use
-// its own slot; do not mix Handle(i) with Acquire/Do on the same slot
-// range. The returned handle implements BatchedCounterHandle.
+// Handle returns the handle of process slot i (0 <= i < N), for callers
+// managing slot assignment themselves. Each slot has one handle, built
+// on first use: every Handle(i) call returns it, and so does every lease
+// of slot i, with the same buffered increments. Each concurrent
+// goroutine must use its own slot; do not mix Handle(i) with Acquire/Do
+// on the same slot range. The returned handle implements
+// BatchedCounterHandle.
 func (c *Counter) Handle(i int) CounterHandle { return c.handle(i) }
 
 // snapshotRead reads the counter through the registry's snapshot slot;
@@ -418,10 +421,12 @@ func (r *MaxRegister) Snapshot(reset bool) (uint64, error) {
 	return v, nil
 }
 
-// Handle binds process slot i (0 <= i < N) to the register, for callers
-// managing slot assignment themselves. Each concurrent goroutine must use
-// its own slot; do not mix Handle(i) with Acquire/Do on the same slot
-// range. The returned handle implements BatchedMaxRegisterHandle.
+// Handle returns the handle of process slot i (0 <= i < N), for callers
+// managing slot assignment themselves. Each slot has one handle, built
+// on first use: every Handle(i) call returns it, and so does every lease
+// of slot i, with the same elided writes. Each concurrent goroutine must
+// use its own slot; do not mix Handle(i) with Acquire/Do on the same
+// slot range. The returned handle implements BatchedMaxRegisterHandle.
 func (r *MaxRegister) Handle(i int) MaxRegisterHandle { return r.handle(i) }
 
 func (r *MaxRegister) snapshotRead() (uint64, *HistogramDetail) { return r.snap.Read(), nil }

@@ -22,10 +22,12 @@
 // equal to the observation count (an unbounded layout's saturated last
 // bucket renders as +Inf directly), so an empty windowed histogram
 // still exposes a valid series: one le="+Inf" bucket at 0. Registered
-// names that collide after sanitization (e.g. "a.b" and "a_b") are
-// disambiguated in registration order: the first keeps the sanitized
-// name, later ones render with a _2, _3, ... suffix, so one scrape
-// never emits two families under the same metric name.
+// names that collide after sanitization (e.g. "a.b" and "a_b"), or
+// whose families would share a series name (a histogram "h" emits
+// h_count, so a gauge "h_count" beside it collides), are disambiguated
+// in registration order: the first keeps the sanitized name, later
+// ones render with a _2, _3, ... suffix, so one scrape never emits two
+// families under the same metric name or sample name.
 //
 // # Accuracy annotations
 //
@@ -79,13 +81,19 @@ func Handler(reg *approxobj.Registry) http.Handler {
 
 // WriteRegistry renders one Registry.Snapshot of reg into w in the
 // Prometheus text exposition format, in registration order. Names that
-// collide after sanitization are disambiguated with _2, _3, ...
-// suffixes (see the package comment). It returns the first write
-// error.
+// collide after sanitization or through a derived series name are
+// disambiguated with _2, _3, ... suffixes (see the package comment). It
+// returns the first write error.
 func WriteRegistry(w io.Writer, reg *approxobj.Registry) error {
-	used := map[string]bool{}
+	reserved, emitted := map[string]bool{}, map[string]bool{}
 	for _, s := range reg.Snapshot() {
-		if err := writeObject(w, disambiguate(SanitizeName(s.Name), s.Kind, used), s); err != nil {
+		// ObjectSnapshot.Bounds narrows a histogram's Mult to 1 (counts
+		// never round); restore the bucket layout's rounding factor for
+		// the bucket series and its annotations.
+		if s.Histogram != nil && s.Histogram.Mult > s.Bounds.Mult {
+			s.Bounds.Mult = s.Histogram.Mult
+		}
+		if err := writeObject(w, disambiguate(SanitizeName(s.Name), s, reserved, emitted), s); err != nil {
 			return err
 		}
 	}
@@ -93,19 +101,49 @@ func WriteRegistry(w io.Writer, reg *approxobj.Registry) error {
 }
 
 // disambiguate claims a unique base name for one object in this scrape:
-// base itself when free, else the first free base_2, base_3, ...
-// Uniqueness is checked on the base AND the kind-suffixed family name —
-// a counter "x" occupies both x (its _bound family) and x_total, so
-// neither a later gauge "x" nor a later counter "x_total" can land on
-// an already-emitted series.
-func disambiguate(base string, kind approxobj.Kind, used map[string]bool) string {
+// base itself when free, else the first free base_2, base_3, ... A name
+// is taken while its base or family name is reserved — a counter "x"
+// reserves both x (its _bound family) and x_total, so neither a later
+// gauge "x" nor a later counter "x_total" can land on an emitted
+// series — or while any name it would emit has been emitted already:
+// beside a histogram "h", a gauge "h_count" is renamed (in either
+// order), and so is a max register "x_bound" beside a batched counter
+// "x". A counter "h_count" keeps h_count_total: its base is reserved,
+// never emitted.
+func disambiguate(base string, s approxobj.ObjectSnapshot, reserved, emitted map[string]bool) string {
 	name := base
-	for i := 2; used[name] || used[familyName(name, kind)]; i++ {
+	for i := 2; reserved[name] || reserved[familyName(name, s.Kind)] || anyIn(emitted, emits(name, s)); i++ {
 		name = base + "_" + strconv.Itoa(i)
 	}
-	used[name] = true
-	used[familyName(name, kind)] = true
+	reserved[name] = true
+	reserved[familyName(name, s.Kind)] = true
+	for _, e := range emits(name, s) {
+		emitted[e] = true
+	}
 	return name
+}
+
+// emits lists the names an object renders under base, in TYPE lines or
+// as sample names: its family, a histogram's _bucket, _sum and _count
+// series, and the _bound family when its envelope is not exact.
+func emits(base string, s approxobj.ObjectSnapshot) []string {
+	out := []string{familyName(base, s.Kind)}
+	if s.Kind == approxobj.KindHistogram {
+		out = append(out, base+"_bucket", base+"_sum", base+"_count")
+	}
+	if !s.Bounds.IsExact() {
+		out = append(out, base+"_bound")
+	}
+	return out
+}
+
+func anyIn(set map[string]bool, names []string) bool {
+	for _, n := range names {
+		if set[n] {
+			return true
+		}
+	}
+	return false
 }
 
 // familyName returns the metric family a base renders as: counters
@@ -130,12 +168,6 @@ func writeObject(w io.Writer, base string, s approxobj.ObjectSnapshot) error {
 	case approxobj.KindSnapshot:
 		err = writeScalar(w, base, "gauge", s, "component sum")
 	case approxobj.KindHistogram:
-		// ObjectSnapshot.Bounds narrows Mult to 1 (counts never round);
-		// restore the bucket layout's rounding factor for the bucket
-		// series and its annotations.
-		if s.Histogram != nil && s.Histogram.Mult > s.Bounds.Mult {
-			s.Bounds.Mult = s.Histogram.Mult
-		}
 		err = writeHistogram(w, base, s)
 	default:
 		return fmt.Errorf("expose: unknown object kind %v for %q", s.Kind, s.Name)

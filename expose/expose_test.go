@@ -321,6 +321,177 @@ func TestCollisionAcrossKindSuffix(t *testing.T) {
 	}
 }
 
+// goldenScrape is WriteRegistry's output for goldenRegistry. The
+// registry's scrape is valid, so disambiguation renames nothing: the
+// counter "latency_count" keeps latency_count_total beside the
+// histogram "latency", whose latency_count sample it does not share.
+const goldenScrape = `# HELP requests_total approxobj counter "requests": incremented count (approximate: buffer=6)
+# TYPE requests_total counter
+requests_total 9
+# HELP requests_bound nonzero accuracy-envelope terms of requests (see approxobj.Bounds)
+# TYPE requests_bound gauge
+requests_bound{term="buffer"} 6
+# HELP latency approxobj histogram "latency": observed value distribution (approximate: mult=2)
+# TYPE latency histogram
+latency_bucket{le="1"} 1
+latency_bucket{le="3"} 3
+latency_bucket{le="63"} 4
+latency_bucket{le="1023"} 5
+latency_bucket{le="+Inf"} 5
+latency_sum 549
+latency_count 5
+# HELP latency_bound nonzero accuracy-envelope terms of latency (see approxobj.Bounds)
+# TYPE latency_bound gauge
+latency_bound{term="mult"} 2
+# HELP latency_count_total approxobj counter "latency_count": incremented count (exact)
+# TYPE latency_count_total counter
+latency_count_total 2
+# HELP queue_depth approxobj max register "queue.depth": high-water mark (exact)
+# TYPE queue_depth gauge
+queue_depth 17
+# HELP progress approxobj snapshot "progress": component sum (exact)
+# TYPE progress gauge
+progress 5
+`
+
+// goldenRegistry registers one object of each kind, with a histogram
+// "latency" beside a counter "latency_count", and gives each a fixed
+// value.
+func goldenRegistry(t *testing.T) *approxobj.Registry {
+	t.Helper()
+	reg := approxobj.NewRegistry()
+	req, err := reg.Counter("requests", approxobj.WithProcs(2), approxobj.WithShards(2), approxobj.WithBatch(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat, err := reg.HistogramObject("latency", approxobj.WithProcs(2),
+		approxobj.WithAccuracy(approxobj.Multiplicative(2)), approxobj.WithBound(1<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := reg.Counter("latency_count", approxobj.WithProcs(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := reg.MaxRegister("queue.depth", approxobj.WithProcs(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := reg.SnapshotObject("progress", approxobj.WithProcs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Do(func(h approxobj.CounterHandle) {
+		for range 9 {
+			h.Inc()
+		}
+	})
+	lat.Do(func(h approxobj.HistogramHandle) {
+		for _, v := range []uint64{1, 3, 3, 40, 700} {
+			h.Observe(v)
+		}
+	})
+	lc.Do(func(h approxobj.CounterHandle) { h.Inc(); h.Inc() })
+	q.Do(func(h approxobj.MaxRegisterHandle) { h.Write(17) })
+	p.Do(func(h approxobj.SnapshotHandle) { h.Update(5) })
+	return reg
+}
+
+// TestWriteRegistryGolden pins a valid registry's scrape byte for byte.
+func TestWriteRegistryGolden(t *testing.T) {
+	var b strings.Builder
+	if err := WriteRegistry(&b, goldenRegistry(t)); err != nil {
+		t.Fatal(err)
+	}
+	validateText(t, b.String())
+	if b.String() != goldenScrape {
+		t.Errorf("scrape differs from the golden text:\n%s\nwant:\n%s", b.String(), goldenScrape)
+	}
+}
+
+// TestCollisionThroughDerivedSeries registers objects whose families
+// would share a series name: a batched counter's _bound family, or a
+// histogram's _count and _sum samples. The later object must be
+// renamed, in either registration order, and the scrape must lint.
+func TestCollisionThroughDerivedSeries(t *testing.T) {
+	counter := func(name string, opts ...approxobj.Option) func(*approxobj.Registry) error {
+		return func(reg *approxobj.Registry) error { _, err := reg.Counter(name, opts...); return err }
+	}
+	gauge := func(name string) func(*approxobj.Registry) error {
+		return func(reg *approxobj.Registry) error { _, err := reg.MaxRegister(name); return err }
+	}
+	snapshot := func(name string) func(*approxobj.Registry) error {
+		return func(reg *approxobj.Registry) error { _, err := reg.SnapshotObject(name); return err }
+	}
+	histogram := func(name string) func(*approxobj.Registry) error {
+		return func(reg *approxobj.Registry) error {
+			_, err := reg.HistogramObject(name, approxobj.WithAccuracy(approxobj.Multiplicative(2)))
+			return err
+		}
+	}
+	batched := []approxobj.Option{approxobj.WithProcs(2), approxobj.WithBatch(4)}
+	for _, tc := range []struct {
+		name string
+		reg  []func(*approxobj.Registry) error
+		want []string
+	}{
+		{"bound-then-gauge", []func(*approxobj.Registry) error{counter("x", batched...), gauge("x_bound")},
+			[]string{"# TYPE x_total counter", "# TYPE x_bound gauge", "# TYPE x_bound_2 gauge"}},
+		{"gauge-then-bound", []func(*approxobj.Registry) error{gauge("x_bound"), counter("x", batched...)},
+			[]string{"# TYPE x_bound gauge", "# TYPE x_2_total counter", "# TYPE x_2_bound gauge"}},
+		{"histogram-then-gauge", []func(*approxobj.Registry) error{histogram("h"), gauge("h_count")},
+			[]string{"# TYPE h histogram", "# TYPE h_count_2 gauge"}},
+		{"gauge-then-histogram", []func(*approxobj.Registry) error{gauge("h_count"), histogram("h")},
+			[]string{"# TYPE h_count gauge", "# TYPE h_2 histogram"}},
+		{"histogram-then-snapshot", []func(*approxobj.Registry) error{histogram("h"), snapshot("h_sum")},
+			[]string{"# TYPE h histogram", "# TYPE h_sum_2 gauge"}},
+		{"histogram-then-histogram", []func(*approxobj.Registry) error{histogram("h"), histogram("h_bucket")},
+			[]string{"# TYPE h histogram", "# TYPE h_bucket_2 histogram"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := approxobj.NewRegistry()
+			for _, add := range tc.reg {
+				if err := add(reg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var b strings.Builder
+			if err := WriteRegistry(&b, reg); err != nil {
+				t.Fatal(err)
+			}
+			body := b.String()
+			validateText(t, body)
+			for _, want := range tc.want {
+				if !strings.Contains(body, want) {
+					t.Errorf("output missing %q:\n%s", want, body)
+				}
+			}
+		})
+	}
+}
+
+// TestLintRejectsSharedName feeds Lint scrapes in which two families
+// claim one name, as unrenamed objects would render them: a histogram
+// "h" beside a gauge "h_count" (both orders) or a snapshot "h_sum", and
+// a gauge or a histogram named like one of h's samples. Each must be
+// rejected.
+func TestLintRejectsSharedName(t *testing.T) {
+	const hist = "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n"
+	for name, body := range map[string]string{
+		"histogram-then-gauge":    hist + "# TYPE h_count gauge\nh_count 5\n",
+		"gauge-then-histogram":    "# TYPE h_count gauge\nh_count 5\n" + hist,
+		"histogram-then-snapshot": hist + "# TYPE h_sum gauge\nh_sum 5\n",
+		"sample-named-family":     "# TYPE h_bucket gauge\nh_bucket 5\n" + hist,
+		"histogram-named-sample": hist + "# TYPE h_bucket histogram\nh_bucket_bucket{le=\"+Inf\"} 1\n" +
+			"h_bucket_sum 1\nh_bucket_count 1\n",
+	} {
+		err := Lint(body)
+		if err == nil || !strings.Contains(err.Error(), "claimed by families") {
+			t.Errorf("%s: Lint = %v, want a name claimed by two families", name, err)
+		}
+	}
+}
+
 // TestSelfMetricsRender registers a telemetry domain's meters and
 // checks the scrape: approx_runtime_* series appear, the batched
 // meters carry a _bound{term="buffer"} companion, and the whole body

@@ -22,11 +22,16 @@ var leRe = regexp.MustCompile(`le="([^"]*)"`)
 // Lint checks that body is well-formed Prometheus text exposition
 // format (version 0.0.4) as this package emits it: every line is a
 // HELP/TYPE comment, a sample, or blank; every sample's family was
-// TYPEd before its first sample; and every histogram family has
+// TYPEd before its first sample; no name is claimed by two families,
+// as a TYPE name or a sample name; and every histogram family has
 // nondecreasing cumulative buckets ending in an le="+Inf" bucket equal
-// to its _count. It returns the first violation, or nil.
+// to its _count. A histogram's _bucket, _sum and _count samples belong
+// to it only while it is the family TYPEd last. It returns the first
+// violation, or nil.
 func Lint(body string) error {
 	typed := map[string]string{} // family -> type
+	owner := map[string]string{} // TYPE or sample name -> family
+	cur := ""                    // the family TYPEd last
 	buckets := map[string][]uint64{}
 	lastLE := map[string]string{}
 	counts := map[string]uint64{}
@@ -43,7 +48,10 @@ func Lint(body string) error {
 			if typed[f[2]] != "" {
 				return fmt.Errorf("expose: family %s TYPEd twice (name collision in the scrape?)", f[2])
 			}
-			typed[f[2]] = f[3]
+			if o := owner[f[2]]; o != "" {
+				return fmt.Errorf("expose: name %s claimed by families %s and %s", f[2], o, f[2])
+			}
+			typed[f[2]], owner[f[2]], cur = f[3], f[2], f[2]
 			continue
 		}
 		m := sampleRe.FindStringSubmatch(line)
@@ -51,16 +59,19 @@ func Lint(body string) error {
 			return fmt.Errorf("expose: malformed sample line %q", line)
 		}
 		name, labels, val := m[1], m[2], m[3]
-		family := name
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			if base, ok := strings.CutSuffix(name, suf); ok && typed[base] == "histogram" {
-				family = base
-			}
+		family, suffix := name, ""
+		if s, ok := strings.CutPrefix(name, cur); ok && typed[cur] == "histogram" &&
+			(s == "_bucket" || s == "_sum" || s == "_count") {
+			family, suffix = cur, s
 		}
 		if typed[family] == "" {
 			return fmt.Errorf("expose: sample %q has no preceding TYPE", line)
 		}
-		if strings.HasSuffix(name, "_bucket") && typed[family] == "histogram" {
+		if o := owner[name]; o != "" && o != family {
+			return fmt.Errorf("expose: name %s claimed by families %s and %s", name, o, family)
+		}
+		owner[name] = family
+		if suffix == "_bucket" {
 			v, err := strconv.ParseUint(val, 10, 64)
 			if err != nil {
 				return fmt.Errorf("expose: non-integer bucket value in %q: %v", line, err)
@@ -77,7 +88,7 @@ func Lint(body string) error {
 				lastLE[family] = le[1]
 			}
 		}
-		if strings.HasSuffix(name, "_count") && typed[family] == "histogram" {
+		if suffix == "_count" {
 			v, _ := strconv.ParseUint(val, 10, 64)
 			counts[family] = v
 		}

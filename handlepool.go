@@ -33,9 +33,9 @@ type pooledHandle interface {
 // retired-step accounting.
 type slotPool[H pooledHandle] struct {
 	free    chan int         // free slots; room for all, so a release never blocks
-	handles []H              // lazily built, one per pool slot
+	handles []H              // lazily built, one per slot (see handle)
 	leases  []slotLease      // per-slot lease state (see lease)
-	mk      func(slot int) H // builds a slot's handle on first lease
+	mk      func(slot int) H // builds a slot's handle on first use
 	retired atomic.Uint64    // steps credited by released pooled handles
 	tel     *telemetry.Sink  // lease events; nil when uninstrumented
 }
@@ -93,10 +93,23 @@ func (p *slotPool[H]) do(f func(H)) {
 	f(h)
 }
 
-// lease hands out slot's cached handle, building it on first use (safe
-// without a lock — the free list hands each slot to one goroutine at a
-// time, and a release happens-before the next lease), and returns the
-// lease's generation g for release.
+// handle returns slot's one handle, building it on first use. Every
+// lease of the slot and every public Handle(slot) call get this handle,
+// so the slot's buffered mutations and per-process algorithm state live
+// in one place. Building it needs no lock: the free list hands each
+// slot to one goroutine at a time, a release happens-before the next
+// lease, and a manually managed slot has one goroutine by contract.
+func (p *slotPool[H]) handle(slot int) H {
+	h := p.handles[slot]
+	if isNil(h) {
+		h = p.mk(slot)
+		p.handles[slot] = h
+	}
+	return h
+}
+
+// lease hands out slot's handle and returns the lease's generation g for
+// release.
 //
 // The generation is the slot's only ownership word: each lease advances
 // it to an odd g, and only release(slot, g) advances it to g+1, so it is
@@ -116,12 +129,7 @@ func (p *slotPool[H]) lease(slot int) (H, uint64) {
 		p.tel.Inc(telemetry.EvPoolAcquire, slot)
 		p.tel.Trace(telemetry.TraceAcquire, slot, 0)
 	}
-	h := p.handles[slot]
-	if isNil(h) {
-		h = p.mk(slot)
-		p.handles[slot] = h
-	}
-	return h, g
+	return p.handle(slot), g
 }
 
 // release ends lease g of slot: it flushes the slot's handle, credits

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestHandlePoolSoak churns Acquire/release on a batched counter from far
@@ -188,6 +189,138 @@ func TestMaxRegisterPoolSoak(t *testing.T) {
 				t.Error("released handles credited no steps")
 			}
 		})
+	}
+}
+
+// slotHandleKind drives one object kind through TestSlotHandle, with
+// its handles typed as any.
+type slotHandleKind struct {
+	name string
+	// build returns the object's Handle, Acquire and Close.
+	build func(opts []Option) (handle func(int) any, acquire func() (any, func()), close func(), err error)
+	// round makes round r (1 to 4) of the regression's mutations through
+	// h: seven increments, writes 7r-6 to 7r, one component update to r,
+	// or seven observations.
+	round func(h any, r int)
+	// read reads h; after the four rounds it must read want exactly.
+	read func(h any) uint64
+	want uint64
+}
+
+var slotHandleKinds = []slotHandleKind{
+	{
+		name: "counter",
+		build: func(opts []Option) (func(int) any, func() (any, func()), func(), error) {
+			c, err := NewCounter(opts...)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			return func(i int) any { return c.Handle(i) }, func() (any, func()) { return c.Acquire() }, c.Close, nil
+		},
+		round: func(h any, _ int) {
+			for range 7 {
+				h.(CounterHandle).Inc()
+			}
+		},
+		read: func(h any) uint64 { return h.(CounterHandle).Read() },
+		want: 28,
+	},
+	{
+		name: "max-register",
+		build: func(opts []Option) (func(int) any, func() (any, func()), func(), error) {
+			m, err := NewMaxRegister(opts...)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			return func(i int) any { return m.Handle(i) }, func() (any, func()) { return m.Acquire() }, m.Close, nil
+		},
+		round: func(h any, r int) {
+			for v := 7*r - 6; v <= 7*r; v++ {
+				h.(MaxRegisterHandle).Write(uint64(v))
+			}
+		},
+		read: func(h any) uint64 { return h.(MaxRegisterHandle).Read() },
+		want: 28,
+	},
+	{
+		name: "snapshot",
+		build: func(opts []Option) (func(int) any, func() (any, func()), func(), error) {
+			s, err := NewSnapshot(opts...)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			return func(i int) any { return s.Handle(i) }, func() (any, func()) { return s.Acquire() }, s.Close, nil
+		},
+		round: func(h any, r int) { h.(SnapshotHandle).Update(uint64(r)) },
+		read:  func(h any) uint64 { return h.(SnapshotHandle).Scan()[0] },
+		want:  4,
+	},
+	{
+		name: "histogram",
+		build: func(opts []Option) (func(int) any, func() (any, func()), func(), error) {
+			hg, err := NewHistogram(append(opts, WithAccuracy(Multiplicative(2)))...)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			return func(i int) any { return hg.Handle(i) }, func() (any, func()) { return hg.Acquire() }, hg.Close, nil
+		},
+		round: func(h any, r int) {
+			for v := 7*r - 6; v <= 7*r; v++ {
+				h.(HistogramHandle).Observe(uint64(v))
+			}
+		},
+		read: func(h any) uint64 { return h.(HistogramHandle).Count() },
+		want: 28,
+	},
+}
+
+// TestSlotHandle pins that each process slot has one handle, for every
+// kind, cumulative and windowed: Handle(i) returns the same handle on
+// every call, and a lease of slot i gets that handle too. The
+// regression half makes four rounds of mutations, each through a fresh
+// Handle(0) call, on a batch-8 object, then flushes through Handle(0).
+// If Handle(0) built a new handle per call, a counter would read 0 of
+// 28 (each round's seven increments stranded in an abandoned buffer)
+// and a snapshot component 0 of 4.
+func TestSlotHandle(t *testing.T) {
+	for _, k := range slotHandleKinds {
+		for _, mode := range []struct {
+			name string
+			opts []Option
+		}{
+			{"cumulative", nil},
+			{"windowed", []Option{WithWindow(time.Hour, 2)}},
+		} {
+			t.Run(k.name+"/"+mode.name, func(t *testing.T) {
+				handle, acquire, closeObj, err := k.build(append([]Option{WithProcs(1)}, mode.opts...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer closeObj()
+				h := handle(0)
+				if handle(0) != h {
+					t.Error("a second Handle(0) call returned another handle")
+				}
+				leased, release := acquire()
+				if leased != h {
+					t.Error("a lease of slot 0 got a handle other than Handle(0)'s")
+				}
+				release()
+
+				handle, _, closeObj, err = k.build(append([]Option{WithProcs(2), WithBatch(8)}, mode.opts...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer closeObj()
+				for r := 1; r <= 4; r++ {
+					k.round(handle(0), r)
+				}
+				handle(0).(interface{ Flush() }).Flush()
+				if got := k.read(handle(0)); got != k.want {
+					t.Errorf("read %d after four rounds through Handle(0) and a Flush, want %d", got, k.want)
+				}
+			})
+		}
 	}
 }
 

@@ -243,10 +243,12 @@ func (s HistogramSnapshot) Quantile(q float64) uint64 {
 // of the bucket of) v.
 func (s HistogramSnapshot) CDF(v uint64) float64 { return histogram.CDF(s.bk, s.counts, v) }
 
-// Handle binds process slot i (0 <= i < N) to the histogram, for
-// callers managing slot assignment themselves. Each concurrent
-// goroutine must use its own slot; do not mix Handle(i) with Acquire/Do
-// on the same slot range. The returned handle implements
+// Handle returns the handle of process slot i (0 <= i < N), for
+// callers managing slot assignment themselves. Each slot has one
+// handle, built on first use: every Handle(i) call returns it, and so
+// does every lease of slot i, with the same buffered observations. Each
+// concurrent goroutine must use its own slot; do not mix Handle(i) with
+// Acquire/Do on the same slot range. The returned handle implements
 // BatchedHistogramHandle.
 func (h *Histogram) Handle(i int) HistogramHandle { return h.handle(i) }
 

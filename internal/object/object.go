@@ -105,17 +105,6 @@ type SnapshotHandle interface {
 	ScanInto(dst []uint64) []uint64
 }
 
-// ComponentReader is implemented by snapshot handles that can read one
-// component more cheaply than a full Scan (one register read instead of
-// a collect). ReadComponent(i) returns the current value of component i
-// — a regular read of a single-writer register, so for component i read
-// through any handle it is as strong as Scan()[i]. Callers needing only
-// one component (e.g. a re-created sharded handle recovering its elision
-// anchor) type-assert for the fast path and fall back to Scan.
-type ComponentReader interface {
-	ReadComponent(i int) uint64
-}
-
 // Accuracy describes the multiplicative accuracy guarantee of an object: a
 // read may return x for a true value v whenever v/K <= x <= v*K. Exact
 // objects have K == 1.

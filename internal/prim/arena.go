@@ -11,7 +11,7 @@ import (
 // carve a known-shape row of base objects out of ONE backing allocation
 // instead of one heap object per register. Two layouts:
 //
-//   - Padded rows (RegRow, TASRow, CASRegRow, RefRegRow, PairRegRow):
+//   - Padded rows (RegRow, CASRegRow, RefRegRow, PairRegRow):
 //     each element is padded to falseSharingStride bytes, so every
 //     element owns its cache line(s) outright. This is the layout for
 //     rows indexed by writer slot — counter collect/additive rows,
@@ -52,11 +52,6 @@ type paddedReg struct {
 	_ [falseSharingStride - unsafe.Sizeof(Reg{})]byte
 }
 
-type paddedTAS struct {
-	t TAS
-	_ [falseSharingStride - unsafe.Sizeof(TAS{})]byte
-}
-
 type paddedCASReg struct {
 	r CASReg
 	_ [falseSharingStride - unsafe.Sizeof(CASReg{})]byte
@@ -86,18 +81,6 @@ func (f *Factory) RegRow(m int) []*Reg {
 		rs[i] = &cells[i].r
 	}
 	return rs
-}
-
-// TASRow creates m fresh test&set bits in one padded arena (see RegRow).
-func (f *Factory) TASRow(m int) []*TAS {
-	f.tel.Inc(telemetry.EvArenaRow, 0)
-	cells := make([]paddedTAS, m)
-	ts := make([]*TAS, m)
-	for i := range cells {
-		cells[i].t.id = f.allocID()
-		ts[i] = &cells[i].t
-	}
-	return ts
 }
 
 // CASRegRow creates m fresh CAS registers in one padded arena (see

@@ -18,13 +18,6 @@ func TestPaddedRowStride(t *testing.T) {
 			t.Fatalf("RegRow stride between %d and %d: got %d bytes, want %d", i-1, i, d, falseSharingStride)
 		}
 	}
-	tass := f.TASRow(8)
-	for i := 1; i < len(tass); i++ {
-		d := uintptr(unsafe.Pointer(tass[i])) - uintptr(unsafe.Pointer(tass[i-1]))
-		if d != falseSharingStride {
-			t.Fatalf("TASRow stride: got %d bytes, want %d", d, falseSharingStride)
-		}
-	}
 	cas := f.CASRegRow(4)
 	for i := 1; i < len(cas); i++ {
 		d := uintptr(unsafe.Pointer(cas[i])) - uintptr(unsafe.Pointer(cas[i-1]))
@@ -283,14 +276,6 @@ func TestRowObjectsBehave(t *testing.T) {
 	regs[1].Write(p, 42)
 	if regs[0].Read(p) != 0 || regs[1].Read(p) != 42 || regs[2].Read(p) != 0 {
 		t.Fatal("RegRow write leaked into a neighbor or was lost")
-	}
-
-	tass := f.TASRow(2)
-	if !tass[0].TestAndSet(p) || tass[0].TestAndSet(p) {
-		t.Fatal("TASRow bit did not behave as test&set")
-	}
-	if tass[1].Read(p) != 0 {
-		t.Fatal("TASRow neighbor bit flipped")
 	}
 
 	cas := f.PaddedCASReg()

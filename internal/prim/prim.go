@@ -90,12 +90,6 @@ type Proc struct {
 	gate  Gate
 }
 
-// NewProc returns a production-mode process handle (no gate).
-func NewProc(id int) *Proc { return &Proc{id: id} }
-
-// NewGatedProc returns a process handle whose steps are mediated by gate.
-func NewGatedProc(id int, gate Gate) *Proc { return &Proc{id: id, gate: gate} }
-
 // ID returns the process identifier, in [0, n).
 func (p *Proc) ID() int { return p.id }
 
@@ -368,12 +362,3 @@ func (f *Factory) Regs(m int) []*Reg {
 
 // TAS creates a fresh test&set bit initialized to zero.
 func (f *Factory) TAS() *TAS { return &TAS{id: f.allocID()} }
-
-// TASs creates a slice of m fresh test&set bits.
-func (f *Factory) TASs(m int) []*TAS {
-	ts := make([]*TAS, m)
-	for i := range ts {
-		ts[i] = f.TAS()
-	}
-	return ts
-}

@@ -18,15 +18,6 @@ func (f *Factory) RefReg() *RefReg {
 	return &RefReg{id: f.allocID()}
 }
 
-// RefRegs creates a slice of m fresh reference registers.
-func (f *Factory) RefRegs(m int) []*RefReg {
-	rs := make([]*RefReg, m)
-	for i := range rs {
-		rs[i] = f.RefReg()
-	}
-	return rs
-}
-
 // refBox wraps values so atomic.Value accepts differing dynamic types
 // (including nil-like states) uniformly.
 type refBox struct{ val any }

@@ -123,15 +123,6 @@ func (f *Factory) PairReg() *PairReg {
 	return &PairReg{reg: Reg{id: f.allocID()}}
 }
 
-// PairRegs creates a slice of m fresh pair registers.
-func (f *Factory) PairRegs(m int) []*PairReg {
-	ps := make([]*PairReg, m)
-	for i := range ps {
-		ps[i] = f.PairReg()
-	}
-	return ps
-}
-
 // PackPair packs (val, sn) into the uint64 wire format of a PairReg.
 func PackPair(val, sn uint32) uint64 { return uint64(val)<<32 | uint64(sn) }
 

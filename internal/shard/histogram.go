@@ -59,10 +59,6 @@ func sumBuckets(acc, next []uint64) []uint64 {
 type Histogram struct {
 	*plane[object.Hist, object.HistHandle, []uint64]
 	buckets int
-	// bufs pools each slot's bucketBatching buffer (see bucketBuf):
-	// re-created handles for a slot inherit its pending counts instead
-	// of stranding them, and acquire stops allocating the vector.
-	bufs []*bucketBuf
 }
 
 // NewHistogram creates a sharded histogram over `buckets` buckets for n
@@ -79,25 +75,23 @@ func NewHistogram(n int, k uint64, buckets int, cfg Config) (*Histogram, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Histogram{plane: p, buckets: buckets, bufs: make([]*bucketBuf, n)}, nil
+	return &Histogram{plane: p, buckets: buckets}, nil
 }
 
 // Buckets returns the number of buckets.
 func (hg *Histogram) Buckets() int { return hg.buckets }
 
-// Handle binds process slot i (0 <= i < n) to the histogram. The handle
-// adds to shard i mod S and reads all shards through slot i of each
-// shard's factory. Like every handle in this repository it must be used
-// by a single goroutine.
+// Handle binds process slot i (0 <= i < n) to the histogram; a slot
+// binds once (see coreAt). The handle adds to shard i mod S and reads
+// all shards through slot i of each shard's factory. Like every handle
+// in this repository it must be used by a single goroutine.
 func (hg *Histogram) Handle(i int) *HistHandle {
 	h := &HistHandle{handleCore: hg.newCore(i)}
-	if hg.bufs[i] == nil {
-		hg.bufs[i] = &bucketBuf{
-			vec:     make([]uint64, hg.buckets),
-			touched: make([]int, 0, hg.buckets),
-		}
+	h.bb = bucketBuf{
+		vec:     make([]uint64, hg.buckets),
+		touched: make([]int, 0, hg.buckets),
 	}
-	h.buf.bb = hg.bufs[i]
+	h.buf.bb = &h.bb
 	h.buf.flushBucket = h.home.AddN
 	return h
 }
@@ -105,9 +99,10 @@ func (hg *Histogram) Handle(i int) *HistHandle {
 // HistHandle is one process's view of the sharded histogram: bucket
 // additions (AddN) against its home shard, merged bucket reads
 // (Buckets) over all shards, and Flush for draining the observation
-// buffer before quiescent reads.
+// buffer before quiescent reads. It holds its slot's observation buffer.
 type HistHandle struct {
 	handleCore[object.HistHandle, []uint64]
+	bb bucketBuf
 }
 
 // Add adds one observation to bucket b.

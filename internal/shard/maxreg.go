@@ -113,10 +113,10 @@ func NewMaxReg(n int, k uint64, be MaxRegBackend, cfg Config) (*MaxReg, error) {
 	return &MaxReg{p}, nil
 }
 
-// Handle binds process slot i (0 <= i < n) to the register. The handle
-// writes to shard i mod S and reads all shards through slot i of each
-// shard's factory. Like every handle in this repository it must be used
-// by a single goroutine.
+// Handle binds process slot i (0 <= i < n) to the register; a slot
+// binds once (see coreAt). The handle writes to shard i mod S and reads
+// all shards through slot i of each shard's factory. Like every handle
+// in this repository it must be used by a single goroutine.
 func (m *MaxReg) Handle(i int) *MaxRegHandle {
 	h := &MaxRegHandle{handleCore: m.newCore(i), bound: m.be.bound}
 	h.buf.flush = h.home.Write

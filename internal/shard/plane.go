@@ -73,12 +73,8 @@ const (
 // bucketBuf is the bucketBatching state: per-bucket pending counts
 // (pending holds their total) and the indices with a nonzero pending
 // count, so a flush visits only touched buckets — an unbuffered B = 1
-// handle flushes in O(1), not O(buckets). It is pooled per process slot
-// by the owning Histogram (see Histogram.Handle): a re-created handle
-// for a slot inherits the slot's pending counts instead of stranding
-// them — counts stuck in an abandoned handle's buffer would violate the
-// (B-1)-per-handle staleness the Buffer term of Bounds promises — and
-// the acquire path stops allocating the vector.
+// handle flushes in O(1), not O(buckets). It lives in its slot's one
+// HistHandle (see Histogram.Handle).
 type bucketBuf struct {
 	pending uint64
 	vec     []uint64
@@ -419,19 +415,6 @@ type policy[V any] struct {
 	newCache func(d time.Duration) readCache[V]
 }
 
-// slotBinding is one process slot's cached binding to every shard: the
-// per-shard procs and the per-shard read handles, built once and reused
-// by every handle (re)creation for the slot. Reuse is safe — per-shard
-// handles carry persistent per-process local state (sequence numbers,
-// cached own-row values) that a slot's successive handles are meant to
-// continue from, and slot handles are single-goroutine by contract — and
-// it makes re-creating a handle (pooled churn, windowed epoch rebinds)
-// allocation-free below the handle struct itself.
-type slotBinding[H any] struct {
-	readers []H
-	procs   []*prim.Proc
-}
-
 // plane is the generic sharded object: S shards of O combined on read by
 // the kind's Combine, with handle-local buffering per the kind's policy.
 // Kind-specific object types embed it — inheriting N, Close, Bounds,
@@ -449,8 +432,8 @@ type plane[O any, H Reader[V], V any] struct {
 	// set, combined reads fold through two per-handle scratch buffers
 	// instead of allocating per shard read.
 	readInto func(h H, dst V) V
-	// slots caches each process slot's shard binding (see slotBinding).
-	slots []slotBinding[H]
+	// bound marks the slots that have their handle (see coreAt).
+	bound []bool
 	// cache is the read-combiner tier (see readcache.go), nil when the
 	// plane serves every read as a full combine. When non-nil, the last
 	// process slot is reserved for the background combiner goroutine.
@@ -460,42 +443,26 @@ type plane[O any, H Reader[V], V any] struct {
 	tel *telemetry.Sink
 }
 
-// newPlane validates the shared configuration (batch range, batch vs.
-// backend bound, read-cache slot reservation) and builds S shards of n
-// slots each. cfg.ReadStale > 0 enables the read-combiner tier with
-// that staleness window, built by the policy's newCache; the LAST of
-// the n slots is then reserved for the background combiner goroutine
-// and must not be handed out. readInto is the per-shard read into a
-// reused buffer, nil for scalar kinds.
+// newPlane builds S shards of n slots each from a configuration the
+// spec layer has validated. cfg.ReadStale > 0 enables the read-combiner
+// tier with that staleness window, built by the policy's newCache; the
+// LAST of the n slots (n >= 2) is then reserved for the background
+// combiner goroutine and must not be handed out. readInto is the
+// per-shard read into a reused buffer, nil for scalar kinds.
 func newPlane[O any, H Reader[V], V any](
 	n int, k uint64, cfg Config, be backend[O], pol *policy[V],
 	handleOf func(o O, p *prim.Proc) H, readInto func(h H, dst V) V,
 ) (*plane[O, H, V], error) {
-	shards, batch := orOne(cfg.Shards), orOne(cfg.Batch)
-	if batch < 1 {
-		return nil, errBatch(batch)
-	}
-	// Legal writes satisfy v < m, so the largest is m-1: an elision
-	// window of B-1 >= m-1 (i.e. B >= m) would swallow every legal write.
-	if be.bound > 0 && uint64(batch) >= be.bound {
-		return nil, fmt.Errorf("shard: batch %d exceeds the %d-bounded backend's value range", batch, be.bound)
-	}
-	if cfg.ReadStale < 0 {
-		return nil, fmt.Errorf("shard: read-cache staleness must be >= 0, got %v", cfg.ReadStale)
-	}
-	if cfg.ReadStale > 0 && n < 2 {
-		return nil, fmt.Errorf("shard: read cache needs a dedicated combiner slot (n >= 2), got n = %d", n)
-	}
-	rt, err := newRuntime(be.name, n, shards, cfg.Tel, func(f *prim.Factory) (O, error) {
+	rt, err := newRuntime(be.name, n, orOne(cfg.Shards), cfg.Tel, func(f *prim.Factory) (O, error) {
 		return be.make(f, k)
 	})
 	if err != nil {
 		return nil, err
 	}
 	p := &plane[O, H, V]{
-		rt: rt, k: k, batch: uint64(batch), be: be, pol: pol,
+		rt: rt, k: k, batch: uint64(orOne(cfg.Batch)), be: be, pol: pol,
 		handleOf: handleOf, readInto: readInto,
-		slots: make([]slotBinding[H], n),
+		bound: make([]bool, n),
 		tel:   cfg.Tel,
 	}
 	if cfg.ReadStale > 0 {
@@ -598,24 +565,26 @@ func (p *plane[O, H, V]) newCore(i int) handleCore[H, V] {
 // handle core: per-shard readers, the home shard's handle, the combine
 // loop, the policy's buffer (whose flush function the kind-specific
 // handle wires to its home-shard mutation), and the plane's read cache.
-// The slot's shard binding is built on first use and cached (see
-// slotBinding), so re-creating a slot's handle allocates no slices.
-// Distinct slots may bind concurrently (they touch distinct entries);
-// binding the SAME slot concurrently is excluded by the single-goroutine
-// handle contract, exactly as using it would be.
+// A slot binds once. Its per-shard handles hold the paper's
+// per-process local state (a sequence number, a counter's own leaf, an
+// elision anchor), which a second set would restart from zero, so a
+// second binding of one slot panics: callers keep the slot's one
+// handle (the public layer's slot pool does). Distinct slots may bind
+// concurrently (they touch distinct entries).
 func (p *plane[O, H, V]) coreAt(i int) handleCore[H, V] {
-	sb := &p.slots[i]
-	if sb.readers == nil {
-		sb.procs = p.rt.slotProcs(i)
-		sb.readers = make([]H, len(p.rt.shards))
-		for s := range p.rt.shards {
-			sb.readers[s] = p.handleOf(p.rt.shards[s], sb.procs[s])
-		}
+	if p.bound[i] {
+		panic(fmt.Sprintf("shard: slot %d is already bound; a slot has one handle", i))
+	}
+	p.bound[i] = true
+	procs := p.rt.slotProcs(i)
+	readers := make([]H, len(procs))
+	for s, o := range p.rt.shards {
+		readers[s] = p.handleOf(o, procs[s])
 	}
 	return handleCore[H, V]{
-		readers:  sb.readers,
-		home:     sb.readers[p.rt.home(i)],
-		procs:    sb.procs,
+		readers:  readers,
+		home:     readers[p.rt.home(i)],
+		procs:    procs,
 		combine:  p.pol.combine,
 		readInto: p.readInto,
 		buf:      buffer{policy: p.pol.buffer, batch: p.batch, tel: p.tel, slot: i},

@@ -47,9 +47,9 @@ func runEnvelopeCheck(t *testing.T, incers int, k uint64, perG int, be shard.Bac
 	var checks uint64
 	var readerWG sync.WaitGroup
 	readerWG.Add(1)
+	rh := c.Handle(n - 1)
 	go func() {
 		defer readerWG.Done()
-		rh := c.Handle(n - 1)
 		check := func() {
 			vmin := completed.Load()
 			x := rh.Read()
@@ -80,7 +80,7 @@ func runEnvelopeCheck(t *testing.T, incers int, k uint64, perG int, be shard.Bac
 	}
 	flushed := bounds
 	flushed.Buffer = 0
-	if x := c.Handle(n - 1).Read(); !flushed.Contains(total, x) {
+	if x := rh.Read(); !flushed.Contains(total, x) {
 		t.Errorf("quiescent flushed read %d outside envelope %+v of true count %d", x, flushed, total)
 	}
 }

@@ -27,12 +27,6 @@ type runtime[O any] struct {
 // attached to each shard's factory before the shard is built, so
 // construction-time arena rows are counted.
 func newRuntime[O any](kind string, n, shards int, tel *telemetry.Sink, mk func(f *prim.Factory) (O, error)) (*runtime[O], error) {
-	if n < 1 {
-		return nil, fmt.Errorf("shard: need at least one process slot, got %d", n)
-	}
-	if shards < 1 {
-		return nil, fmt.Errorf("shard: shard count must be >= 1, got %d", shards)
-	}
 	rt := &runtime[O]{
 		n:      n,
 		shards: make([]O, shards),
@@ -65,12 +59,6 @@ func (rt *runtime[O]) slotProcs(i int) []*prim.Proc {
 // mutations all land on shard i mod S, keeping its cache traffic within
 // one shard's base objects).
 func (rt *runtime[O]) home(i int) int { return i % len(rt.shards) }
-
-// errBatch rejects non-positive per-handle buffer sizes (shared by both
-// kinds' constructors).
-func errBatch(b int) error {
-	return fmt.Errorf("shard: batch size must be >= 1, got %d", b)
-}
 
 // stepsOf sums the shared-memory steps a slot has taken across all shards.
 func stepsOf(procs []*prim.Proc) uint64 {

@@ -134,7 +134,6 @@
 package shard
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"approxobj/internal/core"
@@ -193,7 +192,7 @@ func AdditiveBackend() Backend {
 // picks the Morris accuracy parameter from k and delta via Chebyshev),
 // so the summed read is in range with probability >= 1 - S*delta — the
 // Delta term of Bounds. Requires k >= 2 (the envelope must have an
-// inside to land in) and 0 < delta < 1.
+// inside to land in) and 0 < delta < 1, which the spec layer checks.
 //
 // Each call to the returned backend's make — one per shard, and one per
 // shard per epoch under a window's rotation — derives a fresh seed from
@@ -205,12 +204,6 @@ func RandomizedBackend(delta float64, seed int64) Backend {
 	return Backend{
 		meta: meta{name: "morris", mult: kIdentity, delta: delta},
 		make: func(f *prim.Factory, k uint64) (object.Counter, error) {
-			if k < 2 {
-				return nil, fmt.Errorf("shard: randomized backend needs k >= 2, got %d", k)
-			}
-			if delta <= 0 || delta >= 1 {
-				return nil, fmt.Errorf("shard: randomized backend needs 0 < delta < 1, got %v", delta)
-			}
 			return counter.NewMorris(f, counter.MorrisParam(k, delta), seed+nth.Add(1)-1)
 		},
 	}
@@ -261,10 +254,10 @@ func New(n int, k uint64, be Backend, cfg Config) (*Counter, error) {
 	return &Counter{p}, nil
 }
 
-// Handle binds process slot i (0 <= i < n) to the counter. The handle
-// increments shard i mod S and reads all shards through slot i of each
-// shard's factory. Like every handle in this repository it must be used by
-// a single goroutine.
+// Handle binds process slot i (0 <= i < n) to the counter; a slot binds
+// once (see coreAt). The handle increments shard i mod S and reads all
+// shards through slot i of each shard's factory. Like every handle in
+// this repository it must be used by a single goroutine.
 func (c *Counter) Handle(i int) *Handle {
 	h := &Handle{handleCore: c.newCore(i)}
 	if bulk, ok := h.home.(object.BulkCounterHandle); ok {

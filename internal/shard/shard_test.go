@@ -1,8 +1,10 @@
 package shard_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"approxobj/internal/core"
 	"approxobj/internal/prim"
@@ -21,8 +23,6 @@ func TestNewValidation(t *testing.T) {
 		{name: "ok-defaults", n: 4, k: 2, be: shard.MultBackend()},
 		{name: "ok-sharded-batched", n: 8, k: 4, be: shard.MultBackend(), cfg: shard.Config{Shards: 4, Batch: 16}},
 		{name: "no-processes", n: 0, k: 2, be: shard.MultBackend(), want: "at least one process"},
-		{name: "negative-shards", n: 4, k: 2, be: shard.MultBackend(), cfg: shard.Config{Shards: -1}, want: "shard count"},
-		{name: "negative-batch", n: 4, k: 2, be: shard.MultBackend(), cfg: shard.Config{Batch: -1}, want: "batch size"},
 		// The mult backend's k >= sqrt(n) precondition applies per shard
 		// (every shard has n slots) and surfaces through New.
 		{name: "k-too-small", n: 16, k: 2, be: shard.MultBackend(), want: "sqrt(n)"},
@@ -213,4 +213,55 @@ func TestShardedSteps(t *testing.T) {
 	if batched*8 > plain {
 		t.Errorf("batch=64 took %d steps vs %d unbatched; expected >= 8x reduction", batched, plain)
 	}
+}
+
+// TestSlotBindsOnce pins that each slot of every kind has one handle:
+// a second Handle(i) on one object panics, because a second set of
+// per-shard handles would restart the slot's per-process state (a fresh
+// AACH handle writes its leaf starting from 0). With the read cache on,
+// the combiner's reserved last slot still panics with its own message.
+func TestSlotBindsOnce(t *testing.T) {
+	cfg := shard.Config{Shards: 2, ReadStale: time.Hour}
+	c, err := shard.New(2, 1, shard.AACHBackend(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := shard.NewMaxReg(2, 1, shard.ExactMaxBackend(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := shard.NewSnapshot(2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hg, err := shard.NewHistogram(2, 2, 8, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []struct {
+		name   string
+		handle func(i int)
+		close  func()
+	}{
+		{"counter", func(i int) { c.Handle(i) }, c.Close},
+		{"max-register", func(i int) { m.Handle(i) }, m.Close},
+		{"snapshot", func(i int) { s.Handle(i) }, s.Close},
+		{"histogram", func(i int) { hg.Handle(i) }, hg.Close},
+	} {
+		defer k.close()
+		k.handle(0)
+		wantPanic(t, k.name+": second Handle(0)", "already bound", func() { k.handle(0) })
+		wantPanic(t, k.name+": Handle(1)", "reserved for the read-cache combiner", func() { k.handle(1) })
+	}
+}
+
+// wantPanic fails t unless f panics with a message containing want.
+func wantPanic(t *testing.T, name, want string, f func()) {
+	t.Helper()
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+			t.Errorf("%s: panic %q, want one containing %q", name, msg, want)
+		}
+	}()
+	f()
 }

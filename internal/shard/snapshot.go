@@ -84,27 +84,15 @@ func NewSnapshot(n int, cfg Config) (*Snapshot, error) {
 	return &Snapshot{p}, nil
 }
 
-// Handle binds process slot i (0 <= i < n) to the snapshot. The handle
-// owns component i: its updates land in shard i mod S, and its scans
-// merge all shards through slot i of each shard's factory. Like every
-// handle in this repository it must be used by a single goroutine.
+// Handle binds process slot i (0 <= i < n) to the snapshot; a slot
+// binds once (see coreAt), so the handle's elision anchor starts at the
+// component's initial zero. The handle owns component i: its updates
+// land in shard i mod S, and its scans merge all shards through slot i
+// of each shard's factory. Like every handle in this repository it must
+// be used by a single goroutine.
 func (s *Snapshot) Handle(i int) *SnapshotHandle {
 	h := &SnapshotHandle{handleCore: s.newCore(i), slot: i}
 	h.buf.flush = h.home.Update
-	// A fresh handle must not elide relative to a stale zero: a
-	// re-created handle for a slot that has written before would
-	// otherwise treat a downward move as an in-window upward one (or, at
-	// any batch, treat Update(0) as the value-unchanged no-op) and elide
-	// it, leaving scans overstating the component. Recover the
-	// component's currently flushed value from the home shard — one
-	// register read when the backend's handle can read a single
-	// component, a full scan otherwise (once per handle construction;
-	// pooled handles are cached per slot).
-	if cr, ok := h.home.SnapshotHandle.(object.ComponentReader); ok {
-		h.buf.flushed = cr.ReadComponent(i)
-	} else {
-		h.buf.flushed = h.home.Read()[i]
-	}
 	return h
 }
 

@@ -127,16 +127,11 @@ type Window[T Epoch[H, V], H EpochHandle[V], V any] struct {
 }
 
 // NewWindow builds a windowed object: a ring of `epochs` instances of
-// mk, rotated every d/epochs. All epochs are pre-installed, so the very
-// first read folds a full window of empty instances, and the rotator
-// goroutine is running; stop it with Close.
+// mk, rotated every d/epochs, for d > 0 and epochs >= 2 (the spec layer
+// checks both). All epochs are pre-installed, so the very first read
+// folds a full window of empty instances, and the rotator goroutine is
+// running; stop it with Close.
 func NewWindow[T Epoch[H, V], H EpochHandle[V], V any](d time.Duration, epochs int, mk func() (T, error)) (*Window[T, H, V], error) {
-	if d <= 0 {
-		return nil, fmt.Errorf("shard: window duration must be > 0, got %v", d)
-	}
-	if epochs < 2 {
-		return nil, fmt.Errorf("shard: window needs at least 2 epochs (1 would truncate the whole window on every rotation), got %d", epochs)
-	}
 	w := &Window[T, H, V]{dur: d, epochs: epochs, mk: mk, ring: make([]atomic.Pointer[wepoch[T]], epochs)}
 	for j := 0; j < epochs; j++ {
 		obj, err := mk()
@@ -286,8 +281,10 @@ func (w *Window[T, H, V]) BaseObjects() uint64 {
 	return total
 }
 
-// Handle binds process slot i to the window. The kinds' windowed handle
-// types (WCounterHandle, ...) wrap it to add their mutation.
+// Handle binds process slot i to the window. A slot has one window
+// handle: a second would bind the slot again in an epoch the first has
+// bound, which panics (see coreAt). The kinds' windowed handle types
+// (WCounterHandle, ...) wrap it to add their mutation.
 func (w *Window[T, H, V]) Handle(i int) *WindowHandle[T, H, V] {
 	return &WindowHandle[T, H, V]{w: w, slot: i, cores: make([]windowCore[H], w.epochs), lastWrite: -1}
 }

@@ -20,22 +20,6 @@ func windowedCounter(n int, d time.Duration, epochs int, cfg Config) (*Window[*C
 	})
 }
 
-// TestWindowValidation checks the constructor preconditions.
-func TestWindowValidation(t *testing.T) {
-	if _, err := windowedCounter(2, 0, 4, Config{}); err == nil {
-		t.Error("zero duration accepted")
-	}
-	if _, err := windowedCounter(2, -time.Second, 4, Config{}); err == nil {
-		t.Error("negative duration accepted")
-	}
-	if _, err := windowedCounter(2, time.Minute, 1, Config{}); err == nil {
-		t.Error("single-epoch window accepted")
-	}
-	if _, err := windowedCounter(2, time.Minute, 0, Config{}); err == nil {
-		t.Error("zero-epoch window accepted")
-	}
-}
-
 // TestWindowedCounterExpiry drives rotations by hand: writes stay
 // visible for epochs-1 further rotations (the live ring) and expire on
 // the rotation that evicts their epoch.

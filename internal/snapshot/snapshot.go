@@ -64,13 +64,10 @@ func (s *Snapshot) Handle(p *prim.Proc) *Handle {
 }
 
 // SnapshotHandle implements object.Snapshot, so the sharded runtime can
-// build snapshots like any other backend. The returned handle also
-// implements object.ComponentReader (see ReadComponent).
+// build snapshots like any other backend.
 func (s *Snapshot) SnapshotHandle(p *prim.Proc) object.SnapshotHandle {
 	return s.Handle(p)
 }
-
-var _ object.ComponentReader = (*Handle)(nil)
 
 // collectInto reads every component once into out (grown as needed),
 // returning the observed cells (nil entries mean "never written", i.e.
@@ -102,19 +99,6 @@ func valOf(c *cell) uint64 {
 		return 0
 	}
 	return c.val
-}
-
-// ReadComponent returns the current value of component i with one
-// register read (implementing object.ComponentReader). Components are
-// single-writer registers, for which a single read is atomic on its
-// own — callers needing only one component (e.g. a re-created sharded
-// handle recovering its elision anchor) skip the full collect loop of
-// Scan.
-func (h *Handle) ReadComponent(i int) uint64 {
-	if c, ok := h.s.regs[i].Read(h.p).(*cell); ok {
-		return c.val
-	}
-	return 0
 }
 
 // Scan returns an atomic view of all n components: either a "direct" view

@@ -101,28 +101,3 @@ func TestSnapshotN(t *testing.T) {
 		t.Fatalf("N = %d, want 5", s.N())
 	}
 }
-
-// TestReadComponent pins the single-component fast path: it returns the
-// component's current value (0 for never-written components) in exactly
-// one register read.
-func TestReadComponent(t *testing.T) {
-	f := prim.NewFactory(3)
-	s, err := New(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Handle(f.Proc(0)).Update(41)
-	s.Handle(f.Proc(1)).Update(7)
-
-	r := s.Handle(f.Proc(2))
-	before := f.Proc(2).Steps()
-	if got := r.ReadComponent(0); got != 41 {
-		t.Errorf("ReadComponent(0) = %d, want 41", got)
-	}
-	if d := f.Proc(2).Steps() - before; d != 1 {
-		t.Errorf("ReadComponent took %d steps, want exactly 1", d)
-	}
-	if got := r.ReadComponent(2); got != 0 {
-		t.Errorf("ReadComponent(2) = %d for a never-written component, want 0", got)
-	}
-}

@@ -165,9 +165,6 @@ type Sink struct {
 // New returns an enabled, empty sink.
 func New() *Sink { return &Sink{} }
 
-// Enabled reports whether the sink records anything (s != nil).
-func (s *Sink) Enabled() bool { return s != nil }
-
 // SetTrace installs the sampled trace hook: fn fires for roughly 1 in
 // 2^sampleShift trace events (sampleShift 0 fires on every event).
 // Configuration only — call before the sink is shared.
@@ -190,14 +187,6 @@ func (s *Sink) Inc(e Event, hint int) {
 		return
 	}
 	s.stripes[uint(hint)%stripeCount].v[e].Add(1)
-}
-
-// Count counts n occurrences of e (see Inc).
-func (s *Sink) Count(e Event, hint int, n uint64) {
-	if s == nil || n == 0 {
-		return
-	}
-	s.stripes[uint(hint)%stripeCount].v[e].Add(n)
 }
 
 // Total returns the published count of e, folded across stripes. It

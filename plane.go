@@ -117,13 +117,14 @@ func (c *objectCore[H]) refuseReset() error {
 	return fmt.Errorf("approxobj: Reset needs a windowed %s (WithWindow); this one is cumulative", c.spec.kind)
 }
 
-// handle binds process slot i (0 <= i < N) for callers managing slot
+// handle returns process slot i's one handle (0 <= i < N), the same
+// handle every lease of slot i gets, for callers managing slot
 // assignment themselves; an out-of-range slot panics.
 func (c *objectCore[H]) handle(i int) H {
 	if i < 0 || i >= c.spec.procs {
 		panic(fmt.Sprintf("approxobj: %s handle slot out of range", c.spec.kind))
 	}
-	return c.slots.mk(i)
+	return c.slots.handle(i)
 }
 
 // Spec returns the validated spec the object was built from.

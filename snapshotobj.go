@@ -133,11 +133,13 @@ func (s *Snapshot) Snapshot(reset bool) ([]uint64, error) {
 	return out, nil
 }
 
-// Handle binds process slot i (0 <= i < N) to the snapshot, for callers
-// managing slot assignment themselves: the returned handle is the single
-// writer of component i. Each concurrent goroutine must use its own
-// slot; do not mix Handle(i) with Acquire/Do on the same slot range. The
-// returned handle implements BatchedSnapshotHandle.
+// Handle returns the handle of process slot i (0 <= i < N), for callers
+// managing slot assignment themselves: the single writer of component
+// i. Each slot has one handle, built on first use: every Handle(i) call
+// returns it, and so does every lease of slot i, with the same elided
+// update. Each concurrent goroutine must use its own slot; do not mix
+// Handle(i) with Acquire/Do on the same slot range. The returned handle
+// implements BatchedSnapshotHandle.
 func (s *Snapshot) Handle(i int) SnapshotHandle { return s.handle(i) }
 
 // snapshotSlotHandle adapts a runtime snapshot handle to the public
