@@ -311,9 +311,9 @@ func scaledBounds(b Bounds, spec Spec) Bounds {
 // BatchedCounterHandle.
 func (c *Counter) Handle(i int) CounterHandle { return c.handle(i) }
 
-// snapshotRead reads the counter through the registry's snapshot slot;
-// see Registry.Snapshot.
-func (c *Counter) snapshotRead() (uint64, *HistogramDetail) { return c.snap.Read(), nil }
+// snapshot reads the counter through the registry's snapshot slot; see
+// Registry.Snapshot.
+func (c *Counter) snapshot() ObjectSnapshot { return c.snapshotOf(c.snap.Read(), c.Bounds()) }
 
 // maxRegisterDescriptor registers the max-register family in the
 // backend-plane table: reads take the max over shards (no envelope
@@ -429,4 +429,4 @@ func (r *MaxRegister) Snapshot(reset bool) (uint64, error) {
 // slot range. The returned handle implements BatchedMaxRegisterHandle.
 func (r *MaxRegister) Handle(i int) MaxRegisterHandle { return r.handle(i) }
 
-func (r *MaxRegister) snapshotRead() (uint64, *HistogramDetail) { return r.snap.Read(), nil }
+func (r *MaxRegister) snapshot() ObjectSnapshot { return r.snapshotOf(r.snap.Read(), r.Bounds()) }

@@ -293,26 +293,18 @@ func (h *histSlotHandle) CDF(v uint64) float64 { return histogram.CDF(h.bk, h.re
 func (h *histSlotHandle) Steps() uint64        { return h.h.Steps() }
 func (h *histSlotHandle) Flush()               { h.h.Flush() }
 
-// snapshotBounds narrows the envelope to the one that bounds the
-// exported Value: the observation count lives purely in the rank
-// domain, where only the Buffer term applies — the value-domain
-// rounding factor k never skews a count. This keeps the (Value, Bounds)
-// pair in an ObjectSnapshot self-consistent for kind-agnostic telemetry
-// consumers.
-func (h *Histogram) snapshotBounds() Bounds {
-	b := h.Bounds()
-	b.Mult = 1
-	return b
-}
-
-// snapshotRead folds one bucket read into the registry's kind-agnostic
+// snapshot folds one bucket read into the registry's kind-agnostic
 // distribution detail — cumulative counts at the upper boundary of each
 // occupied bucket (the Prometheus bucket shape — see package expose) —
 // and exports its observation count as the value; pair it with Quantile
 // queries through a HistogramObject handle for the distribution itself.
 // Only occupied buckets are emitted, which keeps the detail compact even
-// for exact layouts with one bucket per value.
-func (h *Histogram) snapshotRead() (uint64, *HistogramDetail) {
+// for exact layouts with one bucket per value. Its envelope narrows to
+// the one that bounds the count: a count lives purely in the rank
+// domain, where only the Buffer term applies — the value-domain rounding
+// factor k never skews it. This keeps the (Value, Bounds) pair in an
+// ObjectSnapshot self-consistent for kind-agnostic telemetry consumers.
+func (h *Histogram) snapshot() ObjectSnapshot {
 	counts := h.snap.read()
 	d := &HistogramDetail{
 		Count: histogram.Count(counts),
@@ -330,5 +322,9 @@ func (h *Histogram) snapshotRead() (uint64, *HistogramDetail) {
 			CumulativeCount: cum,
 		})
 	}
-	return d.Count, d
+	b := h.Bounds()
+	b.Mult = 1
+	s := h.snapshotOf(d.Count, b)
+	s.Histogram = d
+	return s
 }

@@ -69,7 +69,7 @@ column is [ceil(v/k), v*k] for the true count v.`,
 				}
 			}
 			x := c.Handle(f.Proc(0)).Read()
-			acc := object.Accuracy{K: sc.k}
+			acc := object.Bounds{Mult: sc.k}
 			within := "ok"
 			if !acc.Contains(truth, x) {
 				within = "VIOLATED"

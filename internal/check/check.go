@@ -1,6 +1,11 @@
 // Package check decides linearizability of recorded histories against the
 // (possibly relaxed) sequential specifications of counters and max
-// registers.
+// registers. The relaxation is an object.Bounds, the envelope every object
+// in this repository reports: a read may return x for a linearization
+// prefix whose true value is v iff b.Contains(v, x). Only the numeric
+// terms (Mult, Add, Buffer) enter; Stale and Window choose which true
+// values a read may be judged against, and Delta how often it may miss,
+// so the checker ignores them.
 //
 // General linearizability checking is NP-complete, but counters and max
 // registers are monotone: the value a read returns is a monotone function
@@ -34,6 +39,7 @@ import (
 
 	"approxobj/internal/history"
 	"approxobj/internal/object"
+	"approxobj/internal/satmath"
 )
 
 // Result reports the verdict and, on failure, the offending read.
@@ -46,62 +52,25 @@ func fail(format string, args ...any) Result {
 	return Result{Reason: fmt.Sprintf(format, args...)}
 }
 
-// Envelope maps a read's response x to the interval of true values it is
-// an admissible answer for.
-type Envelope interface {
-	// Bounds returns the inclusive [lo, hi] range of true values v for
-	// which responding x is allowed.
-	Bounds(x uint64) (lo, hi uint64)
-	// Describe names the envelope in failure messages.
-	Describe() string
-}
-
-// MultEnvelope is the k-multiplicative envelope v/K <= x <= v*K (K = 1 is
-// exact).
-type MultEnvelope struct {
-	K uint64
-}
-
-// Bounds implements Envelope: v in [ceil(x/K), x*K].
-func (e MultEnvelope) Bounds(x uint64) (lo, hi uint64) {
-	return divCeil(x, e.K), mulOrMax(x, e.K)
-}
-
-// Describe implements Envelope.
-func (e MultEnvelope) Describe() string { return fmt.Sprintf("k=%d multiplicative", e.K) }
-
-// AddEnvelope is the k-additive envelope |x - v| <= K.
-type AddEnvelope struct {
-	K uint64
-}
-
-// Bounds implements Envelope: v in [x-K, x+K].
-func (e AddEnvelope) Bounds(x uint64) (lo, hi uint64) {
-	if x > e.K {
-		lo = x - e.K
+// admissible inverts b.Contains for response x: it returns the inclusive
+// range [lo, hi] of true values v with b.Contains(v, x). Both sides of
+// Contains are monotone in v, so the range is exact, and hi saturates at
+// MaxUint64 with the same arithmetic. lo is the least v with v*Mult + Add
+// >= x, written as a quotient plus one so that it cannot wrap near 2^64.
+func admissible(b object.Bounds, x uint64) (lo, hi uint64) {
+	m := max(b.Mult, 1)
+	if x > b.Add {
+		lo = (x-b.Add-1)/m + 1
 	}
-	hi = x + e.K
-	if hi < x { // overflow
-		hi = ^uint64(0)
-	}
-	return lo, hi
+	return lo, satmath.Add(satmath.Mul(satmath.Add(x, b.Add), m), b.Buffer)
 }
-
-// Describe implements Envelope.
-func (e AddEnvelope) Describe() string { return fmt.Sprintf("k=%d additive", e.K) }
 
 // Counter checks a history of KindInc and KindCounterRead operations
-// against the k-multiplicative-accurate counter specification (k = 1 for
-// exact). pendingIncs is the number of increments that were invoked but
-// never returned (crashed): each may count or not.
-func Counter(h []history.Op, acc object.Accuracy, pendingIncs int) Result {
-	return CounterEnvelope(h, MultEnvelope{K: acc.K}, pendingIncs)
-}
-
-// CounterEnvelope checks a counter history against an arbitrary accuracy
-// envelope (multiplicative, additive, or custom).
-func CounterEnvelope(h []history.Op, env Envelope, pendingIncs int) Result {
-	res, _ := counterAssign(h, env, pendingIncs)
+// against the counter specification relaxed by b (object.ExactBounds()
+// for exact counters). pendingIncs is the number of increments that were
+// invoked but never returned (crashed): each may count or not.
+func Counter(h []history.Op, b object.Bounds, pendingIncs int) Result {
+	res, _ := counterAssign(h, b, pendingIncs)
 	return res
 }
 
@@ -147,7 +116,7 @@ func (s incSet) clone() incSet {
 // counterAssign runs the greedy prefix-set assignment. On success it
 // returns the per-read assignments (reads in invocation order) and the
 // Ret-sorted increments via the second return's sets' index space.
-func counterAssign(h []history.Op, env Envelope, pendingIncs int) (Result, []readAssignment) {
+func counterAssign(h []history.Op, b object.Bounds, pendingIncs int) (Result, []readAssignment) {
 	var incs, reads []history.Op
 	for _, op := range h {
 		switch op.Kind {
@@ -206,12 +175,12 @@ func counterAssign(h []history.Op, env Envelope, pendingIncs int) (Result, []rea
 		}
 		mandatory := set.count() + committedVirtual
 
-		envLo, envHi := env.Bounds(r.Resp)
-		lo := maxU(mandatory, envLo)
-		hi := minU(uint64(eligible)+uint64(pendingIncs), envHi)
+		envLo, envHi := admissible(b, r.Resp)
+		lo := max(mandatory, envLo)
+		hi := min(uint64(eligible)+uint64(pendingIncs), envHi)
 		if lo > hi {
-			return fail("read %v needs a prefix of [%d, %d] increments but mandatory prefix/envelope force %d..%d (%s)",
-				r, mandatory, uint64(eligible)+uint64(pendingIncs), lo, hi, env.Describe()), nil
+			return fail("read %v needs a prefix of [%d, %d] increments but mandatory prefix/envelope force %d..%d (%+v)",
+				r, mandatory, uint64(eligible)+uint64(pendingIncs), lo, hi, b), nil
 		}
 		// Fill up to lo with eligible increments, earliest response first
 		// (most likely to become mandatory for later reads), then crashed
@@ -237,15 +206,16 @@ func counterAssign(h []history.Op, env Envelope, pendingIncs int) (Result, []rea
 }
 
 // MaxRegister checks a history of KindWrite and KindMaxRead operations
-// against the k-multiplicative-accurate max-register specification (k = 1
-// for exact). pendingWrites holds the arguments of writes that were invoked
-// but never returned: each may have taken effect or not.
+// against the max-register specification relaxed by b
+// (object.ExactBounds() for exact registers). pendingWrites holds the
+// arguments of writes that were invoked but never returned: each may have
+// taken effect or not.
 //
 // For max registers a value-based floor is sufficient (unlike counters):
 // the prefix state is the maximum written value, and unions of prefixes
 // collapse to the maximum, so tracking the largest committed value is
 // exact.
-func MaxRegister(h []history.Op, acc object.Accuracy, pendingWrites []uint64) Result {
+func MaxRegister(h []history.Op, b object.Bounds, pendingWrites []uint64) Result {
 	var writes, reads []history.Op
 	for _, op := range h {
 		switch op.Kind {
@@ -311,49 +281,16 @@ func MaxRegister(h []history.Op, acc object.Accuracy, pendingWrites []uint64) Re
 			if v < floor {
 				continue
 			}
-			if acc.Contains(v, x) {
+			if b.Contains(v, x) {
 				chosen, ok = v, true
 				break // smallest admissible keeps future reads freest
 			}
 		}
 		if !ok {
-			return fail("read %v: no admissible maximum >= %d within envelope k=%d (candidates %v)",
-				r, floor, acc.K, candidates)
+			return fail("read %v: no admissible maximum >= %d within envelope %+v (candidates %v)",
+				r, floor, b, candidates)
 		}
 		completedReads = append(completedReads, done{ret: r.Ret, need: chosen})
 	}
 	return Result{OK: true}
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minU(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// divCeil returns ceil(x/k) (k >= 1).
-func divCeil(x, k uint64) uint64 {
-	if k <= 1 {
-		return x
-	}
-	return (x + k - 1) / k
-}
-
-// mulOrMax returns x*k, saturating at MaxUint64.
-func mulOrMax(x, k uint64) uint64 {
-	if k <= 1 {
-		return x
-	}
-	if x > ^uint64(0)/k {
-		return ^uint64(0)
-	}
-	return x * k
 }

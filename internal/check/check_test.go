@@ -31,7 +31,7 @@ func TestCounterExactSequentialAccepted(t *testing.T) {
 		{1, history.KindInc, 0, 0, 5, 6},
 		{1, history.KindCounterRead, 0, 2, 7, 8},
 	})
-	if res := Counter(h, object.Exact, 0); !res.OK {
+	if res := Counter(h, object.ExactBounds(), 0); !res.OK {
 		t.Fatalf("sequential exact history rejected: %s", res.Reason)
 	}
 }
@@ -41,14 +41,14 @@ func TestCounterExactWrongValueRejected(t *testing.T) {
 		{0, history.KindInc, 0, 0, 1, 2},
 		{0, history.KindCounterRead, 0, 2, 3, 4}, // only 1 inc happened
 	})
-	if res := Counter(h, object.Exact, 0); res.OK {
+	if res := Counter(h, object.ExactBounds(), 0); res.OK {
 		t.Fatal("over-reporting read accepted")
 	}
 	h2 := build([]opSpec{
 		{0, history.KindInc, 0, 0, 1, 2},
 		{0, history.KindCounterRead, 0, 0, 3, 4}, // must see the inc
 	})
-	if res := Counter(h2, object.Exact, 0); res.OK {
+	if res := Counter(h2, object.ExactBounds(), 0); res.OK {
 		t.Fatal("under-reporting read accepted")
 	}
 }
@@ -60,7 +60,7 @@ func TestCounterOverlappingIncMayCountOrNot(t *testing.T) {
 			{0, history.KindInc, 0, 0, 1, 10},
 			{1, history.KindCounterRead, 0, resp, 2, 9},
 		})
-		if res := Counter(h, object.Exact, 0); !res.OK {
+		if res := Counter(h, object.ExactBounds(), 0); !res.OK {
 			t.Fatalf("overlapping inc, resp=%d rejected: %s", resp, res.Reason)
 		}
 	}
@@ -69,7 +69,7 @@ func TestCounterOverlappingIncMayCountOrNot(t *testing.T) {
 		{0, history.KindInc, 0, 0, 1, 10},
 		{1, history.KindCounterRead, 0, 2, 2, 9},
 	})
-	if res := Counter(h, object.Exact, 0); res.OK {
+	if res := Counter(h, object.ExactBounds(), 0); res.OK {
 		t.Fatal("read of 2 with a single inc accepted")
 	}
 }
@@ -84,7 +84,7 @@ func TestCounterMonotonicityEnforced(t *testing.T) {
 		{2, history.KindCounterRead, 0, 2, 2, 3},
 		{2, history.KindCounterRead, 0, 1, 4, 5}, // regressed
 	})
-	if res := Counter(h, object.Exact, 0); res.OK {
+	if res := Counter(h, object.ExactBounds(), 0); res.OK {
 		t.Fatal("regressing sequential reads accepted")
 	}
 	// Same responses on overlapping reads by different processes are fine
@@ -95,13 +95,13 @@ func TestCounterMonotonicityEnforced(t *testing.T) {
 		{2, history.KindCounterRead, 0, 2, 2, 50},
 		{3, history.KindCounterRead, 0, 1, 3, 49}, // overlaps the other read
 	})
-	if res := Counter(h2, object.Exact, 0); !res.OK {
+	if res := Counter(h2, object.ExactBounds(), 0); !res.OK {
 		t.Fatalf("overlapping reads with different views rejected: %s", res.Reason)
 	}
 }
 
 func TestCounterEnvelope(t *testing.T) {
-	acc := object.Accuracy{K: 3}
+	acc := object.Bounds{Mult: 3}
 	// 9 sequential increments, then a read.
 	var specs []opSpec
 	for i := 0; i < 9; i++ {
@@ -127,34 +127,49 @@ func TestCounterEnvelope(t *testing.T) {
 	}
 }
 
+// TestCounterRejectsWrappedRead pins the checker's envelope near 2^64: a
+// read of MaxUint64 after one increment is what a counter returns when it
+// decrements past zero, and no multiplicative envelope admits it.
+func TestCounterRejectsWrappedRead(t *testing.T) {
+	h := build([]opSpec{
+		{0, history.KindInc, 0, 0, 1, 2},
+		{1, history.KindCounterRead, 0, ^uint64(0), 3, 4},
+	})
+	for _, k := range []uint64{2, 3, 4} {
+		if res := Counter(h, object.Bounds{Mult: k}, 0); res.OK {
+			t.Errorf("k=%d: read of MaxUint64 after one increment accepted", k)
+		}
+	}
+}
+
 func TestCounterPendingIncsLoosenUpperBound(t *testing.T) {
 	// One completed inc, read of 3: impossible...
 	h := build([]opSpec{
 		{0, history.KindInc, 0, 0, 1, 2},
 		{1, history.KindCounterRead, 0, 3, 3, 4},
 	})
-	if res := Counter(h, object.Exact, 0); res.OK {
+	if res := Counter(h, object.ExactBounds(), 0); res.OK {
 		t.Fatal("read of 3 with one inc accepted")
 	}
 	// ...unless two crashed increments may have landed.
-	if res := Counter(h, object.Exact, 2); !res.OK {
+	if res := Counter(h, object.ExactBounds(), 2); !res.OK {
 		t.Fatalf("read of 3 with 1 inc + 2 pending rejected: %s", res.Reason)
 	}
 }
 
 func TestCounterRejectsForeignOps(t *testing.T) {
 	h := build([]opSpec{{0, history.KindWrite, 5, 0, 1, 2}})
-	if res := Counter(h, object.Exact, 0); res.OK {
+	if res := Counter(h, object.ExactBounds(), 0); res.OK {
 		t.Fatal("counter checker accepted a Write op")
 	}
 }
 
 func TestCounterEmptyAndReadless(t *testing.T) {
-	if res := Counter(nil, object.Exact, 0); !res.OK {
+	if res := Counter(nil, object.ExactBounds(), 0); !res.OK {
 		t.Fatal("empty history rejected")
 	}
 	h := build([]opSpec{{0, history.KindInc, 0, 0, 1, 2}})
-	if res := Counter(h, object.Exact, 0); !res.OK {
+	if res := Counter(h, object.ExactBounds(), 0); !res.OK {
 		t.Fatal("read-free history rejected")
 	}
 }
@@ -168,7 +183,7 @@ func TestMaxRegisterExactSequential(t *testing.T) {
 		{0, history.KindWrite, 9, 0, 9, 10},
 		{0, history.KindMaxRead, 0, 9, 11, 12},
 	})
-	if res := MaxRegister(h, object.Exact, nil); !res.OK {
+	if res := MaxRegister(h, object.ExactBounds(), nil); !res.OK {
 		t.Fatalf("sequential max-register history rejected: %s", res.Reason)
 	}
 }
@@ -178,7 +193,7 @@ func TestMaxRegisterMissedWriteRejected(t *testing.T) {
 		{0, history.KindWrite, 5, 0, 1, 2},
 		{1, history.KindMaxRead, 0, 0, 3, 4}, // must see 5
 	})
-	if res := MaxRegister(h, object.Exact, nil); res.OK {
+	if res := MaxRegister(h, object.ExactBounds(), nil); res.OK {
 		t.Fatal("read missing a completed write accepted")
 	}
 }
@@ -188,7 +203,7 @@ func TestMaxRegisterInventedValueRejected(t *testing.T) {
 		{0, history.KindWrite, 5, 0, 1, 2},
 		{1, history.KindMaxRead, 0, 7, 3, 4}, // 7 was never written
 	})
-	if res := MaxRegister(h, object.Exact, nil); res.OK {
+	if res := MaxRegister(h, object.ExactBounds(), nil); res.OK {
 		t.Fatal("read of never-written value accepted")
 	}
 }
@@ -199,7 +214,7 @@ func TestMaxRegisterOverlappingWriteOptional(t *testing.T) {
 			{0, history.KindWrite, 8, 0, 1, 10},
 			{1, history.KindMaxRead, 0, resp, 2, 9},
 		})
-		if res := MaxRegister(h, object.Exact, nil); !res.OK {
+		if res := MaxRegister(h, object.ExactBounds(), nil); !res.OK {
 			t.Fatalf("overlapping write, resp=%d rejected: %s", resp, res.Reason)
 		}
 	}
@@ -213,13 +228,13 @@ func TestMaxRegisterMonotoneReads(t *testing.T) {
 		{1, history.KindMaxRead, 0, 8, 2, 3},
 		{1, history.KindMaxRead, 0, 0, 4, 5},
 	})
-	if res := MaxRegister(h, object.Exact, nil); res.OK {
+	if res := MaxRegister(h, object.ExactBounds(), nil); res.OK {
 		t.Fatal("regressing max-register reads accepted")
 	}
 }
 
 func TestMaxRegisterEnvelope(t *testing.T) {
-	acc := object.Accuracy{K: 2}
+	acc := object.Bounds{Mult: 2}
 	for _, c := range []struct {
 		resp uint64
 		ok   bool
@@ -246,10 +261,10 @@ func TestMaxRegisterPendingWrites(t *testing.T) {
 	h := build([]opSpec{
 		{1, history.KindMaxRead, 0, 9, 3, 4},
 	})
-	if res := MaxRegister(h, object.Exact, nil); res.OK {
+	if res := MaxRegister(h, object.ExactBounds(), nil); res.OK {
 		t.Fatal("read of unobserved value accepted without pending writes")
 	}
-	if res := MaxRegister(h, object.Exact, []uint64{9}); !res.OK {
+	if res := MaxRegister(h, object.ExactBounds(), []uint64{9}); !res.OK {
 		t.Fatalf("read matching crashed write rejected: %s", res.Reason)
 	}
 	// A later read may also legally return 0: the crashed write is
@@ -258,14 +273,14 @@ func TestMaxRegisterPendingWrites(t *testing.T) {
 		{1, history.KindMaxRead, 0, 9, 3, 4},
 		{1, history.KindMaxRead, 0, 0, 5, 6},
 	})
-	if res := MaxRegister(h2, object.Exact, []uint64{9}); res.OK {
+	if res := MaxRegister(h2, object.ExactBounds(), []uint64{9}); res.OK {
 		t.Fatal("regression after crashed-write read accepted")
 	}
 }
 
 func TestMaxRegisterRejectsForeignOps(t *testing.T) {
 	h := build([]opSpec{{0, history.KindInc, 0, 0, 1, 2}})
-	if res := MaxRegister(h, object.Exact, nil); res.OK {
+	if res := MaxRegister(h, object.ExactBounds(), nil); res.OK {
 		t.Fatal("max-register checker accepted an Inc op")
 	}
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -36,7 +37,7 @@ func TestCheckerAcceptsGeneratedSequentialHistories(t *testing.T) {
 	check := func(seed int64, opsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := genCounterHistory(rng, int(opsRaw)%100+5)
-		return Counter(h, object.Exact, 0).OK
+		return Counter(h, object.ExactBounds(), 0).OK
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestCheckerRejectsMutatedResponses(t *testing.T) {
 			h[j].Resp += delta
 		}
 		trials++
-		if !Counter(h, object.Exact, 0).OK {
+		if !Counter(h, object.ExactBounds(), 0).OK {
 			rejected++
 		}
 	}
@@ -85,7 +86,7 @@ func TestCheckerRejectsMutatedResponses(t *testing.T) {
 func TestCheckerEnvelopeSlack(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const k = 3
-	acc := object.Accuracy{K: k}
+	acc := object.Bounds{Mult: k}
 	for i := 0; i < 50; i++ {
 		h := genCounterHistory(rng, 80)
 		scaled := make([]history.Op, len(h))
@@ -115,54 +116,70 @@ func TestCheckerEnvelopeSlack(t *testing.T) {
 	}
 }
 
-func TestMultEnvelopeBoundsQuick(t *testing.T) {
-	check := func(xRaw uint32, kRaw uint8) bool {
-		x := uint64(xRaw)
-		k := uint64(kRaw)%9 + 1
-		lo, hi := MultEnvelope{K: k}.Bounds(x)
-		// lo is the least v with Contains(v, x); hi the greatest (modulo
-		// saturation).
-		acc := object.Accuracy{K: k}
-		if !acc.Contains(lo, x) && !(x == 0 && lo == 0) {
-			return false
+// TestAdmissibleInvertsContains checks that admissible(b, x) is exactly
+// the set of true values b.Contains admits: on random small envelopes by
+// brute force, and on a table of boundary rows, including reads near 2^64
+// where a rounded-up quotient (x-Add+Mult-1)/Mult wraps to 0.
+func TestAdmissibleInvertsContains(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		b := object.Bounds{Mult: uint64(rng.Intn(6)), Add: uint64(rng.Intn(5)), Buffer: uint64(rng.Intn(7))}
+		for x := uint64(0); x < 200; x++ {
+			lo, hi := admissible(b, x)
+			for v := uint64(0); v < 1500; v++ {
+				if in := lo <= v && v <= hi; in != b.Contains(v, x) {
+					t.Fatalf("%+v, x=%d: admissible = [%d, %d], but Contains(%d) = %v", b, x, lo, hi, v, !in)
+				}
+			}
 		}
-		if lo > 0 && acc.Contains(lo-1, x) {
-			return false
-		}
-		if hi < ^uint64(0) && acc.Contains(hi+1, x) {
-			return false
-		}
-		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAddEnvelopeBounds(t *testing.T) {
-	e := AddEnvelope{K: 5}
-	cases := []struct {
+	for _, c := range []struct {
+		b      object.Bounds
 		x      uint64
 		lo, hi uint64
 	}{
-		{0, 0, 5},
-		{3, 0, 8},
-		{5, 0, 10},
-		{6, 1, 11},
-		{100, 95, 105},
-	}
-	for _, c := range cases {
-		lo, hi := e.Bounds(c.x)
-		if lo != c.lo || hi != c.hi {
-			t.Errorf("Bounds(%d) = [%d, %d], want [%d, %d]", c.x, lo, hi, c.lo, c.hi)
+		{object.Bounds{Mult: 1, Add: 5}, 0, 0, 5},
+		{object.Bounds{Mult: 1, Add: 5}, 3, 0, 8},
+		{object.Bounds{Mult: 1, Add: 5}, 5, 0, 10},
+		{object.Bounds{Mult: 1, Add: 5}, 6, 1, 11},
+		{object.Bounds{Mult: 1, Add: 5}, 100, 95, 105},
+		{object.Bounds{Mult: 1, Add: 10}, math.MaxUint64 - 3, math.MaxUint64 - 13, math.MaxUint64},
+		{object.Bounds{Mult: 2}, math.MaxUint64, 1 << 63, math.MaxUint64},
+		{object.Bounds{Mult: 4}, math.MaxUint64 - 1, 1 << 62, math.MaxUint64},
+		{object.Bounds{Mult: 3, Buffer: 7}, 10, 4, 37},
+	} {
+		if lo, hi := admissible(c.b, c.x); lo != c.lo || hi != c.hi {
+			t.Errorf("admissible(%+v, %d) = [%d, %d], want [%d, %d]", c.b, c.x, lo, hi, c.lo, c.hi)
 		}
 	}
-	if lo, hi := (AddEnvelope{K: 10}).Bounds(^uint64(0) - 3); hi != ^uint64(0) || lo != ^uint64(0)-13 {
-		t.Errorf("overflow Bounds = [%d, %d]", lo, hi)
-	}
-	if (AddEnvelope{K: 2}).Describe() == "" || (MultEnvelope{K: 2}).Describe() == "" {
-		t.Error("empty envelope descriptions")
-	}
+}
+
+// FuzzAdmissible searches (Mult, Add, Buffer, x, v) for a disagreement
+// between admissible and b.Contains, and checks that the returned range
+// is tight: lo and hi are admissible, lo-1 and hi+1 are not.
+func FuzzAdmissible(f *testing.F) {
+	const top = uint64(math.MaxUint64)
+	f.Add(uint64(2), uint64(0), uint64(0), top, uint64(1))
+	f.Add(uint64(3), uint64(0), uint64(0), top, uint64(1))
+	f.Add(uint64(4), uint64(0), uint64(0), top-1, uint64(1<<62))
+	f.Add(uint64(1), uint64(10), uint64(0), top-3, top)
+	f.Add(uint64(0), uint64(4), uint64(6), uint64(199), uint64(1021))
+	f.Fuzz(func(t *testing.T, mult, add, buffer, x, v uint64) {
+		b := object.Bounds{Mult: mult, Add: add, Buffer: buffer}
+		lo, hi := admissible(b, x)
+		if in := lo <= v && v <= hi; in != b.Contains(v, x) {
+			t.Fatalf("%+v, x=%d: admissible = [%d, %d], but Contains(%d) = %v", b, x, lo, hi, v, !in)
+		}
+		if !b.Contains(lo, x) || !b.Contains(hi, x) {
+			t.Fatalf("%+v, x=%d: an end of [%d, %d] is not admissible", b, x, lo, hi)
+		}
+		if lo > 0 && b.Contains(lo-1, x) {
+			t.Fatalf("%+v, x=%d: lo-1 = %d is admissible", b, x, lo-1)
+		}
+		if hi < math.MaxUint64 && b.Contains(hi+1, x) {
+			t.Fatalf("%+v, x=%d: hi+1 = %d is admissible", b, x, hi+1)
+		}
+	})
 }
 
 func TestCounterAdditiveEnvelope(t *testing.T) {
@@ -183,7 +200,7 @@ func TestCounterAdditiveEnvelope(t *testing.T) {
 	}{
 		{10, true}, {7, true}, {13, true}, {6, false}, {14, false},
 	} {
-		res := CounterEnvelope(read(c.resp), AddEnvelope{K: 3}, 0)
+		res := Counter(read(c.resp), object.Bounds{Mult: 1, Add: 3}, 0)
 		if res.OK != c.ok {
 			t.Errorf("additive k=3, v=10, resp=%d: OK=%v want %v (%s)", c.resp, res.OK, c.ok, res.Reason)
 		}

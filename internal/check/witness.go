@@ -5,17 +5,18 @@ import (
 	"sort"
 
 	"approxobj/internal/history"
+	"approxobj/internal/object"
 )
 
-// CounterWitness goes beyond the boolean verdict of CounterEnvelope: when
-// the history is accepted (and has no crashed increments), it constructs
-// an explicit witness linearization — a total order of the completed
+// CounterWitness goes beyond the boolean verdict of Counter: when the
+// history is accepted (and has no crashed increments), it constructs an
+// explicit witness linearization — a total order of the completed
 // operations — and verifies it end to end:
 //
 //  1. the order respects real-time precedence (op1.Ret < op2.Inv implies
 //     op1 is not ordered after op2), and
-//  2. every read's response is within the envelope of the number of
-//     increments preceding it in the order.
+//  2. every read's response is within b of the number of increments
+//     preceding it in the order.
 //
 // The construction emits reads by ascending prefix size (ties by
 // invocation) and, before each read, every increment of its assigned
@@ -28,10 +29,10 @@ import (
 // overlapping reads) emission can order a read after an increment that
 // follows it in real time. Such a construction failure is reported in the
 // Result but is inconclusive — callers wanting a plain verdict should use
-// CounterEnvelope. The witness tests in this package pin down workload
-// families where construction always succeeds.
-func CounterWitness(h []history.Op, env Envelope, pendingIncs int) (Result, []history.Op) {
-	res, assignments := counterAssign(h, env, pendingIncs)
+// Counter. The witness tests in this package pin down workload families
+// where construction always succeeds.
+func CounterWitness(h []history.Op, b object.Bounds, pendingIncs int) (Result, []history.Op) {
+	res, assignments := counterAssign(h, b, pendingIncs)
 	if !res.OK || pendingIncs > 0 {
 		return res, nil
 	}
@@ -77,7 +78,7 @@ func CounterWitness(h []history.Op, env Envelope, pendingIncs int) (Result, []hi
 		}
 	}
 
-	if err := verifyCounterWitness(witness, env); err != nil {
+	if err := verifyCounterWitness(witness, b); err != nil {
 		return fail("witness verification failed: %v (checker bug?)", err), nil
 	}
 	return res, witness
@@ -85,7 +86,7 @@ func CounterWitness(h []history.Op, env Envelope, pendingIncs int) (Result, []hi
 
 // verifyCounterWitness checks precedence-respect and the sequential
 // (relaxed) counter specification of a linearization order.
-func verifyCounterWitness(l []history.Op, env Envelope) error {
+func verifyCounterWitness(l []history.Op, b object.Bounds) error {
 	for i := 0; i < len(l); i++ {
 		for j := i + 1; j < len(l); j++ {
 			if l[j].Ret < l[i].Inv {
@@ -99,9 +100,8 @@ func verifyCounterWitness(l []history.Op, env Envelope) error {
 		case history.KindInc:
 			count++
 		case history.KindCounterRead:
-			lo, hi := env.Bounds(op.Resp)
-			if count < lo || count > hi {
-				return fmt.Errorf("%v: prefix count %d outside envelope [%d, %d]", op, count, lo, hi)
+			if !b.Contains(count, op.Resp) {
+				return fmt.Errorf("%v: prefix count %d outside envelope %+v", op, count, b)
 			}
 		}
 	}

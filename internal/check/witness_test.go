@@ -21,16 +21,16 @@ func TestCounterPrefixSetsNotJustCounts(t *testing.T) {
 		{Proc: 2, Kind: history.KindInc, Inv: 25, Ret: 30},                  // f: after r1, before r2
 		{Proc: 1, Kind: history.KindCounterRead, Resp: 1, Inv: 40, Ret: 50}, // r2: needs {e, f} => 2
 	}
-	if res := Counter(h, object.Exact, 0); res.OK {
+	if res := Counter(h, object.ExactBounds(), 0); res.OK {
 		t.Fatal("accepted a history whose second read must contain two increments but returned 1")
 	}
 	// The same shape with r2 = 2 is linearizable.
 	h[3].Resp = 2
-	if res := Counter(h, object.Exact, 0); !res.OK {
+	if res := Counter(h, object.ExactBounds(), 0); !res.OK {
 		t.Fatalf("rejected the corrected history: %s", res.Reason)
 	}
 	// And a witness must exist and verify for it.
-	res, w := CounterWitness(h, MultEnvelope{K: 1}, 0)
+	res, w := CounterWitness(h, object.ExactBounds(), 0)
 	if !res.OK || w == nil {
 		t.Fatalf("no witness for corrected history: %s", res.Reason)
 	}
@@ -40,7 +40,7 @@ func TestWitnessSequentialHistories(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 100; trial++ {
 		h := genCounterHistory(rng, 80)
-		res, w := CounterWitness(h, MultEnvelope{K: 1}, 0)
+		res, w := CounterWitness(h, object.ExactBounds(), 0)
 		if !res.OK {
 			t.Fatalf("sequential history rejected: %s", res.Reason)
 		}
@@ -90,7 +90,7 @@ func TestWitnessConcurrentEnvelope(t *testing.T) {
 			clock++
 			h[j].Ret = clock
 		}
-		res, w := CounterWitness(h, MultEnvelope{K: k}, 0)
+		res, w := CounterWitness(h, object.Bounds{Mult: k}, 0)
 		if !res.OK {
 			t.Fatalf("trial %d rejected: %s", trial, res.Reason)
 		}
@@ -105,7 +105,7 @@ func TestWitnessRejectsBadHistory(t *testing.T) {
 		{Kind: history.KindInc, Inv: 1, Ret: 2},
 		{Kind: history.KindCounterRead, Resp: 5, Inv: 3, Ret: 4},
 	}
-	res, w := CounterWitness(h, MultEnvelope{K: 1}, 0)
+	res, w := CounterWitness(h, object.ExactBounds(), 0)
 	if res.OK || w != nil {
 		t.Fatal("witness produced for a non-linearizable history")
 	}
@@ -116,7 +116,7 @@ func TestWitnessSkippedWithPending(t *testing.T) {
 		{Kind: history.KindInc, Inv: 1, Ret: 2},
 		{Kind: history.KindCounterRead, Resp: 2, Inv: 3, Ret: 4},
 	}
-	res, w := CounterWitness(h, MultEnvelope{K: 1}, 1)
+	res, w := CounterWitness(h, object.ExactBounds(), 1)
 	if !res.OK {
 		t.Fatalf("pending-inc history rejected: %s", res.Reason)
 	}
@@ -131,7 +131,7 @@ func TestVerifyCounterWitnessCatchesViolations(t *testing.T) {
 		{Kind: history.KindCounterRead, Resp: 0, Inv: 10, Ret: 11},
 		{Kind: history.KindInc, Inv: 1, Ret: 2}, // precedes the read but ordered after
 	}
-	if err := verifyCounterWitness(bad, MultEnvelope{K: 1}); err == nil {
+	if err := verifyCounterWitness(bad, object.ExactBounds()); err == nil {
 		t.Fatal("verifier missed a precedence violation")
 	}
 	// Spec violation.
@@ -139,7 +139,7 @@ func TestVerifyCounterWitnessCatchesViolations(t *testing.T) {
 		{Kind: history.KindInc, Inv: 1, Ret: 2},
 		{Kind: history.KindCounterRead, Resp: 0, Inv: 3, Ret: 4},
 	}
-	if err := verifyCounterWitness(bad2, MultEnvelope{K: 1}); err == nil {
+	if err := verifyCounterWitness(bad2, object.ExactBounds()); err == nil {
 		t.Fatal("verifier missed a spec violation")
 	}
 }

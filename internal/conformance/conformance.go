@@ -1,18 +1,20 @@
 // Package conformance drives counter and max-register implementations
 // through concurrent workloads and checks the resulting histories for
-// linearizability within their accuracy envelopes.
+// linearizability within their object.Bounds envelopes.
 //
-// Two drivers are provided:
+// A System pairs an object under test with the checker of its histories;
+// Counter and MaxRegister build one for either kind. Two drivers run a
+// System:
 //
-//   - Sim*: step-granular adversarial interleavings on the deterministic
+//   - Sim: step-granular adversarial interleavings on the deterministic
 //     machine of internal/sim. The driver stamps an operation's invocation
 //     right before its first step and its response right after its last, so
 //     recorded precedence is exactly the model's. Supports crash injection.
-//   - HW*: real goroutines over sync/atomic primitives with logical-clock
+//   - HW: real goroutines over sync/atomic primitives with logical-clock
 //     history recording (the production path).
 //
-// Both feed internal/check. They are used by the test suites of every
-// object in this repository and by the failure-injection tests.
+// Both feed internal/check. This package's own tests run them against the
+// paper's algorithms and the exact and additive baselines.
 package conformance
 
 import (
@@ -74,19 +76,105 @@ func (w Workload) script(counter bool) [][]opKind {
 	return scripts
 }
 
-// simHistory runs the scripted workload on a fresh machine, returning the
-// completed-operation history plus the updates that crashed mid-flight.
-func simHistory(
-	newSystem func(f *prim.Factory) ([]func(op opKind) uint64, error),
-	w Workload,
-	counter bool,
-) ([]history.Op, []history.Op, error) {
-	m := sim.NewMachine(w.Procs)
-	apply, err := newSystem(m.Factory())
-	if err != nil {
-		return nil, nil, err
+// System is an object under test paired with the checker of its
+// histories. Counter and MaxRegister build one.
+type System struct {
+	counter bool // scripts counter operations, else max-register ones
+	// bind builds the object on f and returns, per process, how that
+	// process applies a scripted operation (its response, 0 for updates).
+	bind func(f *prim.Factory, procs int) ([]func(opKind) uint64, error)
+	// check judges the completed operations, given the updates that
+	// crashed mid-flight.
+	check func(completed, pending []history.Op) check.Result
+}
+
+// Counter is the System of the counter built by mk, checked within b.
+func Counter(mk func(f *prim.Factory) (object.Counter, error), b object.Bounds) System {
+	return System{
+		counter: true,
+		bind: func(f *prim.Factory, procs int) ([]func(opKind) uint64, error) {
+			c, err := mk(f)
+			if err != nil {
+				return nil, err
+			}
+			apply := make([]func(opKind) uint64, procs)
+			for i := range apply {
+				h := c.CounterHandle(f.Proc(i))
+				apply[i] = func(op opKind) uint64 {
+					if op.kind == history.KindInc {
+						h.Inc()
+						return 0
+					}
+					return h.Read()
+				}
+			}
+			return apply, nil
+		},
+		check: func(completed, pending []history.Op) check.Result {
+			incs := 0
+			for _, op := range pending {
+				if op.Kind == history.KindInc {
+					incs++
+				}
+			}
+			return check.Counter(completed, b, incs)
+		},
 	}
-	scripts := w.script(counter)
+}
+
+// MaxRegister is the System of the max register built by mk, checked
+// within b.
+func MaxRegister(mk func(f *prim.Factory) (object.MaxReg, error), b object.Bounds) System {
+	return System{
+		bind: func(f *prim.Factory, procs int) ([]func(opKind) uint64, error) {
+			r, err := mk(f)
+			if err != nil {
+				return nil, err
+			}
+			apply := make([]func(opKind) uint64, procs)
+			for i := range apply {
+				h := r.MaxRegHandle(f.Proc(i))
+				apply[i] = func(op opKind) uint64 {
+					if op.kind == history.KindWrite {
+						h.Write(op.arg)
+						return 0
+					}
+					return h.Read()
+				}
+			}
+			return apply, nil
+		},
+		check: func(completed, pending []history.Op) check.Result {
+			var writes []uint64
+			for _, op := range pending {
+				if op.Kind == history.KindWrite {
+					writes = append(writes, op.Arg)
+				}
+			}
+			return check.MaxRegister(completed, b, writes)
+		},
+	}
+}
+
+// verdict checks a recorded history of the workload against sys.
+func (sys System) verdict(w Workload, completed, pending []history.Op) error {
+	if res := sys.check(completed, pending); !res.OK {
+		return fmt.Errorf("seed %d: %s", w.Seed, res.Reason)
+	}
+	return nil
+}
+
+// Sim runs the workload against sys on a fresh simulated machine, under a
+// schedule drawn from the seed, and checks the history: the completed
+// operations plus the updates that crashed mid-flight. It returns an
+// error describing the violation, if any.
+func Sim(sys System, w Workload) error {
+	m := sim.NewMachine(w.Procs)
+	apply, err := sys.bind(m.Factory(), w.Procs)
+	if err != nil {
+		return err
+	}
+	scripts := w.script(sys.counter)
 
 	rng := rand.New(rand.NewSource(w.Seed + 1))
 	// Pre-pick crash points: (process, remaining steps before crash).
@@ -140,10 +228,8 @@ func simHistory(
 			nextOp[i]++
 			clock++
 			current[i] = &history.Op{Proc: i, Kind: op.kind, Arg: op.arg, Inv: clock}
-			proc := i
-			opCopy := op
 			m.Spawn(i, func(*prim.Proc) {
-				results[proc] = apply[proc](opCopy)
+				results[i] = apply[i](op)
 			})
 		}
 		took := m.Step(i)
@@ -159,145 +245,27 @@ func simHistory(
 			current[i] = nil
 		}
 	}
-	return completed, pending, nil
+	return sys.verdict(w, completed, pending)
 }
 
-// SimCounter runs the workload against the counter built by mk on the
-// simulated machine and checks linearizability within acc. It returns an
-// error describing the violation, if any.
-func SimCounter(mk func(f *prim.Factory) (object.Counter, error), w Workload, acc object.Accuracy) error {
-	return SimCounterEnvelope(mk, w, check.MultEnvelope{K: acc.K})
-}
-
-// SimCounterEnvelope is SimCounter for an arbitrary accuracy envelope
-// (e.g. check.AddEnvelope for k-additive counters).
-func SimCounterEnvelope(mk func(f *prim.Factory) (object.Counter, error), w Workload, env check.Envelope) error {
-	newSystem := func(f *prim.Factory) ([]func(opKind) uint64, error) {
-		c, err := mk(f)
-		if err != nil {
-			return nil, err
-		}
-		apply := make([]func(opKind) uint64, w.Procs)
-		for i := 0; i < w.Procs; i++ {
-			h := c.CounterHandle(f.Proc(i))
-			apply[i] = func(op opKind) uint64 {
-				if op.kind == history.KindInc {
-					h.Inc()
-					return 0
-				}
-				return h.Read()
-			}
-		}
-		return apply, nil
-	}
-	completed, pendingOps, err := simHistory(newSystem, w, true)
-	if err != nil {
-		return err
-	}
-	pendingIncs := 0
-	for _, op := range pendingOps {
-		if op.Kind == history.KindInc {
-			pendingIncs++
-		}
-	}
-	if res := check.CounterEnvelope(completed, env, pendingIncs); !res.OK {
-		return fmt.Errorf("seed %d: %s", w.Seed, res.Reason)
-	}
-	return nil
-}
-
-// SimMaxRegister is SimCounter for max registers.
-func SimMaxRegister(mk func(f *prim.Factory) (object.MaxReg, error), w Workload, acc object.Accuracy) error {
-	newSystem := func(f *prim.Factory) ([]func(opKind) uint64, error) {
-		r, err := mk(f)
-		if err != nil {
-			return nil, err
-		}
-		apply := make([]func(opKind) uint64, w.Procs)
-		for i := 0; i < w.Procs; i++ {
-			h := r.MaxRegHandle(f.Proc(i))
-			apply[i] = func(op opKind) uint64 {
-				if op.kind == history.KindWrite {
-					h.Write(op.arg)
-					return 0
-				}
-				return h.Read()
-			}
-		}
-		return apply, nil
-	}
-	completed, pendingOps, err := simHistory(newSystem, w, false)
-	if err != nil {
-		return err
-	}
-	var pendingWrites []uint64
-	for _, op := range pendingOps {
-		if op.Kind == history.KindWrite {
-			pendingWrites = append(pendingWrites, op.Arg)
-		}
-	}
-	if res := check.MaxRegister(completed, acc, pendingWrites); !res.OK {
-		return fmt.Errorf("seed %d: %s", w.Seed, res.Reason)
-	}
-	return nil
-}
-
-// HWCounter runs the workload with real goroutines (one per process) and
-// checks the recorded history.
-func HWCounter(mk func(f *prim.Factory) (object.Counter, error), w Workload, acc object.Accuracy) error {
+// HW runs the workload against sys with real goroutines, one per
+// process, and checks the recorded history.
+func HW(sys System, w Workload) error {
 	f := prim.NewFactory(w.Procs)
-	c, err := mk(f)
+	apply, err := sys.bind(f, w.Procs)
 	if err != nil {
 		return err
 	}
 	rec := history.NewRecorder(w.Procs)
-	scripts := w.script(true)
-	errs := runProcs(w.Procs, func(i int) {
-		h := c.CounterHandle(f.Proc(i))
+	scripts := w.script(sys.counter)
+	if err := runProcs(w.Procs, func(i int) {
 		for _, op := range scripts[i] {
-			if op.kind == history.KindInc {
-				rec.Record(i, history.KindInc, 0, func() uint64 { h.Inc(); return 0 })
-			} else {
-				rec.Record(i, history.KindCounterRead, 0, h.Read)
-			}
+			rec.Record(i, op.kind, op.arg, func() uint64 { return apply[i](op) })
 		}
-	})
-	if errs != nil {
-		return errs
-	}
-	if res := check.Counter(rec.History(), acc, 0); !res.OK {
-		return fmt.Errorf("seed %d: %s", w.Seed, res.Reason)
-	}
-	return nil
-}
-
-// HWMaxRegister is HWCounter for max registers.
-func HWMaxRegister(mk func(f *prim.Factory) (object.MaxReg, error), w Workload, acc object.Accuracy) error {
-	f := prim.NewFactory(w.Procs)
-	r, err := mk(f)
-	if err != nil {
+	}); err != nil {
 		return err
 	}
-	rec := history.NewRecorder(w.Procs)
-	scripts := w.script(false)
-	errs := runProcs(w.Procs, func(i int) {
-		h := r.MaxRegHandle(f.Proc(i))
-		for _, op := range scripts[i] {
-			if op.kind == history.KindWrite {
-				arg := op.arg
-				rec.Record(i, history.KindWrite, arg, func() uint64 { h.Write(arg); return 0 })
-			} else {
-				rec.Record(i, history.KindMaxRead, 0, h.Read)
-			}
-		}
-	})
-	if errs != nil {
-		return errs
-	}
-	if res := check.MaxRegister(rec.History(), acc, nil); !res.OK {
-		return fmt.Errorf("seed %d: %s", w.Seed, res.Reason)
-	}
-	return nil
+	return sys.verdict(w, rec.History(), nil)
 }
 
 // runProcs runs body(i) on n goroutines and waits for them.

@@ -3,8 +3,6 @@ package conformance
 import (
 	"testing"
 
-	"approxobj/internal/check"
-
 	"approxobj/internal/core"
 	"approxobj/internal/counter"
 	"approxobj/internal/maxreg"
@@ -32,7 +30,7 @@ func TestSimExactCountersLinearizable(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 12; seed++ {
 				w := Workload{Procs: 3, OpsPer: 25, ReadFrac: 0.4, Seed: seed}
-				if err := SimCounter(mk, w, object.Exact); err != nil {
+				if err := Sim(Counter(mk, object.ExactBounds()), w); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 			}
@@ -44,7 +42,7 @@ func TestSimMultCounterWithinEnvelope(t *testing.T) {
 	for _, k := range []uint64{2, 3, 5} {
 		for seed := int64(0); seed < 12; seed++ {
 			w := Workload{Procs: 4, OpsPer: 30, ReadFrac: 0.35, Seed: seed}
-			if err := SimCounter(multCounter(k), w, object.Accuracy{K: k}); err != nil {
+			if err := Sim(Counter(multCounter(k), object.Bounds{Mult: k}), w); err != nil {
 				t.Fatalf("k=%d: %v", k, err)
 			}
 		}
@@ -60,7 +58,7 @@ func TestSimVerbatimMultCounterViolates(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 300 && !found; seed++ {
 		w := Workload{Procs: 4, OpsPer: 30, ReadFrac: 0.35, Seed: seed}
-		if err := SimCounter(multCounter(2, core.Verbatim()), w, object.Accuracy{K: 2}); err != nil {
+		if err := Sim(Counter(multCounter(2, core.Verbatim()), object.Bounds{Mult: 2}), w); err != nil {
 			found = true
 			t.Logf("violation reproduced: %v", err)
 		}
@@ -75,13 +73,13 @@ func TestSimCountersWithCrashes(t *testing.T) {
 	mks["mult-k3"] = multCounter(3)
 	for name, mk := range mks {
 		t.Run(name, func(t *testing.T) {
-			acc := object.Exact
+			acc := object.ExactBounds()
 			if name == "mult-k3" {
-				acc = object.Accuracy{K: 3}
+				acc = object.Bounds{Mult: 3}
 			}
 			for seed := int64(0); seed < 10; seed++ {
 				w := Workload{Procs: 4, OpsPer: 25, ReadFrac: 0.4, Seed: seed, CrashProcs: 2}
-				if err := SimCounter(mk, w, acc); err != nil {
+				if err := Sim(Counter(mk, acc), w); err != nil {
 					t.Fatalf("%s with crashes: %v", name, err)
 				}
 			}
@@ -95,7 +93,7 @@ func TestHWCountersLinearizable(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 4; seed++ {
 				w := Workload{Procs: 8, OpsPer: 150, ReadFrac: 0.3, Seed: seed}
-				if err := HWCounter(mk, w, object.Exact); err != nil {
+				if err := HW(Counter(mk, object.ExactBounds()), w); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 			}
@@ -107,7 +105,7 @@ func TestHWMultCounterWithinEnvelope(t *testing.T) {
 	for _, k := range []uint64{3, 4} {
 		for seed := int64(0); seed < 4; seed++ {
 			w := Workload{Procs: 8, OpsPer: 300, ReadFrac: 0.3, Seed: seed}
-			if err := HWCounter(multCounter(k), w, object.Accuracy{K: k}); err != nil {
+			if err := HW(Counter(multCounter(k), object.Bounds{Mult: k}), w); err != nil {
 				t.Fatalf("k=%d: %v", k, err)
 			}
 		}
@@ -116,39 +114,25 @@ func TestHWMultCounterWithinEnvelope(t *testing.T) {
 
 // Max registers.
 
-func maxRegs(m uint64, k uint64) map[string]struct {
-	mk  func(f *prim.Factory) (object.MaxReg, error)
-	acc object.Accuracy
-} {
-	return map[string]struct {
-		mk  func(f *prim.Factory) (object.MaxReg, error)
-		acc object.Accuracy
-	}{
-		"bounded-exact": {
-			mk:  func(f *prim.Factory) (object.MaxReg, error) { return maxreg.NewBounded(f, m) },
-			acc: object.Exact,
-		},
-		"kmult-bounded": {
-			mk:  func(f *prim.Factory) (object.MaxReg, error) { return core.NewKMultMaxReg(f, m, k) },
-			acc: object.Accuracy{K: k},
-		},
-		"unbounded-exact": {
-			mk:  func(f *prim.Factory) (object.MaxReg, error) { return maxreg.NewUnbounded(f, maxreg.ExactFactory) },
-			acc: object.Exact,
-		},
-		"kmult-unbounded": {
-			mk:  func(f *prim.Factory) (object.MaxReg, error) { return core.NewKMultUnboundedMaxReg(f, k) },
-			acc: object.Accuracy{K: k},
-		},
+func maxRegs(m uint64, k uint64) map[string]System {
+	return map[string]System{
+		"bounded-exact": MaxRegister(func(f *prim.Factory) (object.MaxReg, error) { return maxreg.NewBounded(f, m) },
+			object.ExactBounds()),
+		"kmult-bounded": MaxRegister(func(f *prim.Factory) (object.MaxReg, error) { return core.NewKMultMaxReg(f, m, k) },
+			object.Bounds{Mult: k}),
+		"unbounded-exact": MaxRegister(func(f *prim.Factory) (object.MaxReg, error) { return maxreg.NewUnbounded(f, maxreg.ExactFactory) },
+			object.ExactBounds()),
+		"kmult-unbounded": MaxRegister(func(f *prim.Factory) (object.MaxReg, error) { return core.NewKMultUnboundedMaxReg(f, k) },
+			object.Bounds{Mult: k}),
 	}
 }
 
 func TestSimMaxRegistersLinearizable(t *testing.T) {
-	for name, c := range maxRegs(1024, 2) {
+	for name, sys := range maxRegs(1024, 2) {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 12; seed++ {
 				w := Workload{Procs: 3, OpsPer: 25, ReadFrac: 0.5, Seed: seed, MaxArg: 1024}
-				if err := SimMaxRegister(c.mk, w, c.acc); err != nil {
+				if err := Sim(sys, w); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 			}
@@ -157,11 +141,11 @@ func TestSimMaxRegistersLinearizable(t *testing.T) {
 }
 
 func TestSimMaxRegistersWithCrashes(t *testing.T) {
-	for name, c := range maxRegs(512, 4) {
+	for name, sys := range maxRegs(512, 4) {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 10; seed++ {
 				w := Workload{Procs: 4, OpsPer: 20, ReadFrac: 0.5, Seed: seed, MaxArg: 512, CrashProcs: 2}
-				if err := SimMaxRegister(c.mk, w, c.acc); err != nil {
+				if err := Sim(sys, w); err != nil {
 					t.Fatalf("%s with crashes: %v", name, err)
 				}
 			}
@@ -170,11 +154,11 @@ func TestSimMaxRegistersWithCrashes(t *testing.T) {
 }
 
 func TestHWMaxRegistersLinearizable(t *testing.T) {
-	for name, c := range maxRegs(1<<20, 3) {
+	for name, sys := range maxRegs(1<<20, 3) {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 4; seed++ {
 				w := Workload{Procs: 8, OpsPer: 150, ReadFrac: 0.4, Seed: seed, MaxArg: 1 << 20}
-				if err := HWMaxRegister(c.mk, w, c.acc); err != nil {
+				if err := HW(sys, w); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 			}
@@ -198,7 +182,7 @@ func TestSimCASCounterLinearizable(t *testing.T) {
 	mk := func(f *prim.Factory) (object.Counter, error) { return counter.NewCASCounter(f) }
 	for seed := int64(0); seed < 12; seed++ {
 		w := Workload{Procs: 3, OpsPer: 25, ReadFrac: 0.4, Seed: seed}
-		if err := SimCounter(mk, w, object.Exact); err != nil {
+		if err := Sim(Counter(mk, object.ExactBounds()), w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,7 +193,7 @@ func TestSimAdditiveCounterWithinEnvelope(t *testing.T) {
 		mk := func(f *prim.Factory) (object.Counter, error) { return counter.NewAdditive(f, k) }
 		for seed := int64(0); seed < 8; seed++ {
 			w := Workload{Procs: 4, OpsPer: 30, ReadFrac: 0.35, Seed: seed}
-			if err := SimCounterEnvelope(mk, w, check.AddEnvelope{K: k}); err != nil {
+			if err := Sim(Counter(mk, object.Bounds{Mult: 1, Add: k}), w); err != nil {
 				t.Fatalf("k=%d: %v", k, err)
 			}
 		}
@@ -224,7 +208,7 @@ func TestSimAdditiveTooTightEnvelopeRejected(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 40 && !found; seed++ {
 		w := Workload{Procs: 4, OpsPer: 40, ReadFrac: 0.3, Seed: seed}
-		if err := SimCounterEnvelope(mk, w, check.AddEnvelope{K: 0}); err != nil {
+		if err := Sim(Counter(mk, object.Bounds{Mult: 1, Add: 0}), w); err != nil {
 			found = true
 		}
 	}
@@ -237,7 +221,7 @@ func TestHWCASCounterLinearizable(t *testing.T) {
 	mk := func(f *prim.Factory) (object.Counter, error) { return counter.NewCASCounter(f) }
 	for seed := int64(0); seed < 3; seed++ {
 		w := Workload{Procs: 8, OpsPer: 150, ReadFrac: 0.3, Seed: seed}
-		if err := HWCounter(mk, w, object.Exact); err != nil {
+		if err := HW(Counter(mk, object.ExactBounds()), w); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,7 +30,7 @@ func TestDeepConformance(t *testing.T) {
 				if k*k < 5 {
 					w.Procs = 4 // keep k >= sqrt(n)
 				}
-				if err := SimCounter(mk, w, object.Accuracy{K: k}); err != nil {
+				if err := Sim(Counter(mk, object.Bounds{Mult: k}), w); err != nil {
 					t.Fatalf("k=%d: %v", k, err)
 				}
 			}
@@ -48,7 +48,7 @@ func TestDeepConformance(t *testing.T) {
 					crash = 2
 				}
 				w := Workload{Procs: 5, OpsPer: 50, ReadFrac: 0.5, Seed: seed, MaxArg: m, CrashProcs: crash}
-				if err := SimMaxRegister(mk, w, object.Accuracy{K: k}); err != nil {
+				if err := Sim(MaxRegister(mk, object.Bounds{Mult: k}), w); err != nil {
 					t.Fatalf("k=%d: %v", k, err)
 				}
 			}
@@ -67,7 +67,7 @@ func TestDeepConformance(t *testing.T) {
 				crash = 2
 			}
 			w := Workload{Procs: 4, OpsPer: 50, ReadFrac: 0.5, Seed: seed, MaxArg: 1 << 40, CrashProcs: crash}
-			if err := SimMaxRegister(mk, w, object.Accuracy{K: 3}); err != nil {
+			if err := Sim(MaxRegister(mk, object.Bounds{Mult: 3}), w); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -204,7 +204,7 @@ func TestKMultMaxRegAccuracyInterface(t *testing.T) {
 	rd := r.MaxRegHandle(f.Proc(1))
 	w.Write(300)
 	x := rd.Read()
-	acc := object.Accuracy{K: 4}
+	acc := object.Bounds{Mult: 4}
 	if !acc.Contains(300, x) {
 		t.Fatalf("cross-handle Read = %d outside envelope of 300", x)
 	}

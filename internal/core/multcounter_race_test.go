@@ -48,7 +48,7 @@ func TestMultCounterConcurrentSoak(t *testing.T) {
 		wg.Wait()
 
 		total := uint64(tc.n * tc.perG)
-		acc := object.Accuracy{K: tc.k}
+		acc := object.Bounds{Mult: tc.k}
 		for i := 0; i < tc.n; i++ {
 			got := c.Handle(f.Proc(i)).Read()
 			if !acc.Contains(total, got) {

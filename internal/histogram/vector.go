@@ -11,8 +11,8 @@ import (
 // Vector is the exact shared bucket-count vector one histogram shard is
 // made of: an n-process grid of single-writer registers, one row per
 // process and one column per bucket. Process p's additions accumulate in
-// row p (so AddN is one register write once the row value is known), and
-// a read sums each column over all rows — the classic collect, regular
+// row p (so AddN is one register write: p's one handle caches the row),
+// and a read sums each column over all rows — the classic collect, regular
 // like every combined read in this repository. All counts saturate at
 // MaxUint64. A row is built by its process's first addition; a process
 // that never adds (a slot homed on another shard, a reader-only slot)
@@ -42,19 +42,17 @@ func (v *Vector) HistHandle(p *prim.Proc) object.HistHandle {
 }
 
 // VectorHandle is one process's view of the vector. It caches its own
-// row's values (the row is single-writer, so the cache cannot go stale):
-// the first addition to a bucket reads the register once — which also
-// lets a re-created handle for a slot that has written before continue
-// from the row's current counts — and every later addition is a single
-// register write. The handle's first AddN builds its row and allocates
-// the cache: a handle that only reads (every handle of a shard but its
-// home slot's) never carries either.
+// row's values (the row is single-writer, so the cache cannot go stale),
+// so every addition is a single register write. The handle's first AddN
+// builds its row and allocates the cache: a handle that only reads (every
+// handle of a shard but its home slot's) never carries either. Each
+// process has one handle: a second handle for p starts its cache at zero
+// and would overwrite the counts p's row already holds.
 type VectorHandle struct {
-	v     *Vector
-	p     *prim.Proc
-	row   []prim.Reg // the process's own row; nil until the first AddN
-	own   []uint64
-	known []bool
+	v   *Vector
+	p   *prim.Proc
+	row []prim.Reg // the process's own row; nil until the first AddN
+	own []uint64
 }
 
 var _ object.HistHandle = (*VectorHandle)(nil)
@@ -68,15 +66,9 @@ func (h *VectorHandle) AddN(b int, d uint64) {
 	if h.row == nil {
 		h.row = h.v.rows[h.p.ID()].Build()
 		h.own = make([]uint64, h.v.buckets)
-		h.known = make([]bool, h.v.buckets)
-	}
-	r := &h.row[b]
-	if !h.known[b] {
-		h.own[b] = r.Read(h.p)
-		h.known[b] = true
 	}
 	h.own[b] = satmath.Add(h.own[b], d)
-	r.Write(h.p, h.own[b])
+	h.row[b].Write(h.p, h.own[b])
 }
 
 // Read returns the per-bucket totals, summing each column over all

@@ -1,5 +1,7 @@
-// Package object defines the shared-object interfaces implemented by every
-// counter and max-register in this repository.
+// Package object defines the base-object interfaces of this repository —
+// counters, max registers, bucket-count vectors and single-writer
+// snapshots — and Bounds, the one accuracy envelope every object reports
+// and every checker judges reads against.
 //
 // Objects are accessed through per-process handles: Handle(p) binds a
 // process to the object and carries the persistent local variables the
@@ -103,38 +105,4 @@ type SnapshotHandle interface {
 	// per scan. It returns the filled slice; a nil dst behaves like
 	// Scan.
 	ScanInto(dst []uint64) []uint64
-}
-
-// Accuracy describes the multiplicative accuracy guarantee of an object: a
-// read may return x for a true value v whenever v/K <= x <= v*K. Exact
-// objects have K == 1.
-type Accuracy struct {
-	K uint64
-}
-
-// Exact is the accuracy of precise objects.
-var Exact = Accuracy{K: 1}
-
-// Contains reports whether response x is allowed for true value v, i.e.
-// v/K <= x <= v*K over the reals. The bounds are checked as x*K >= v and
-// x <= v*K so integer division cannot skew them; overflowing products are
-// treated as +infinity.
-func (a Accuracy) Contains(v, x uint64) bool {
-	if a.K <= 1 {
-		return x == v
-	}
-	if mulFits(x, a.K) && x*a.K < v {
-		return false // x < v/K
-	}
-	if mulFits(v, a.K) && x > v*a.K {
-		return false // x > v*K
-	}
-	return true
-}
-
-func mulFits(a, b uint64) bool {
-	if a == 0 || b == 0 {
-		return true
-	}
-	return a <= ^uint64(0)/b
 }

@@ -6,16 +6,16 @@ import (
 )
 
 func TestExactAccuracy(t *testing.T) {
-	if !Exact.Contains(5, 5) {
+	if !ExactBounds().Contains(5, 5) {
 		t.Fatal("exact accuracy rejects equal values")
 	}
-	if Exact.Contains(5, 6) || Exact.Contains(5, 4) {
+	if ExactBounds().Contains(5, 6) || ExactBounds().Contains(5, 4) {
 		t.Fatal("exact accuracy admits unequal values")
 	}
 }
 
 func TestAccuracyContainsTable(t *testing.T) {
-	acc := Accuracy{K: 3}
+	acc := Bounds{Mult: 3}
 	cases := []struct {
 		v, x uint64
 		want bool
@@ -44,7 +44,7 @@ func TestAccuracyContainsQuick(t *testing.T) {
 	check := func(vRaw, xRaw uint32, kRaw uint8) bool {
 		v, x := uint64(vRaw), uint64(xRaw)
 		k := uint64(kRaw)%7 + 2
-		acc := Accuracy{K: k}
+		acc := Bounds{Mult: k}
 		want := x*k >= v && x <= v*k
 		return acc.Contains(v, x) == want
 	}
@@ -59,7 +59,7 @@ func TestAccuracyVExactInside(t *testing.T) {
 	check := func(vRaw uint32, kRaw uint8) bool {
 		v := uint64(vRaw)
 		k := uint64(kRaw)%9 + 1
-		acc := Accuracy{K: k}
+		acc := Bounds{Mult: k}
 		if !acc.Contains(v, v) {
 			return false
 		}
@@ -78,7 +78,7 @@ func TestAccuracyVExactInside(t *testing.T) {
 
 func TestAccuracyOverflowSaturation(t *testing.T) {
 	max := ^uint64(0)
-	acc := Accuracy{K: 1000}
+	acc := Bounds{Mult: 1000}
 	// x*K overflows: lower bound check must treat it as +inf, not reject.
 	if !acc.Contains(max, max/2) {
 		t.Fatal("huge x rejected despite x*k overflowing past v")

@@ -45,7 +45,10 @@ func (s *Snapshot) N() int { return s.n }
 // Handle binds process p to the snapshot. The handle caches the process's
 // own sequence number (single-writer state, kept locally so Update needs no
 // extra read step) and the collect scratch of ScanInto, so steady-state
-// scans through one handle allocate nothing.
+// scans through one handle allocate nothing. Each process has one handle:
+// a second handle for p restarts the sequence at 1, where it could collide
+// with a cell p already wrote and hide that component's movement from a
+// concurrent Scan.
 type Handle struct {
 	s   *Snapshot
 	p   *prim.Proc
@@ -158,15 +161,6 @@ func (h *Handle) ScanInto(dst []uint64) []uint64 {
 // scan in the published cell so concurrent scanners can borrow it.
 func (h *Handle) Update(v uint64) {
 	view := h.Scan()
-	if h.seq == 0 {
-		// A fresh handle for a slot that has written before (e.g. a
-		// re-created manual handle) must continue the slot's sequence:
-		// restarting at 1 could collide with a historic cell and make a
-		// concurrent Scan miss the movement. One extra read, once.
-		if c, ok := h.s.regs[h.p.ID()].Read(h.p).(*cell); ok {
-			h.seq = c.seq
-		}
-	}
 	h.seq++
 	h.s.regs[h.p.ID()].Write(h.p, &cell{val: v, seq: h.seq, view: view})
 }

@@ -19,30 +19,16 @@ import (
 // kind's handle types. Every public object family (*Counter,
 // *MaxRegister, *Snapshot, *Histogram) implements it.
 type instance interface {
-	// Spec returns the validated spec the object was built from.
-	Spec() Spec
-	// Bounds returns the object's accuracy envelope.
-	Bounds() Bounds
-	// StepsRetired returns the steps credited by released pooled handles.
-	StepsRetired() uint64
 	// Close stops the object's background resources — the read cache's
 	// combiner goroutine, when WithReadCache is set. Idempotent; a no-op
 	// for objects without any.
 	Close()
-	// snapshotRead reads the object's current value through the
-	// registry's reserved snapshot slot (only registry-owned objects
-	// have one), with the distribution detail of histogram objects (for
-	// exposition formats — see package expose) folded from the same
-	// single read; the detail is nil for every scalar kind.
-	snapshotRead() (uint64, *HistogramDetail)
-	// snapshotBounds returns the envelope that bounds snapshotRead's
-	// value — Bounds itself for kinds whose exported value is a single
-	// read, but widened for kinds whose exported value aggregates (a
-	// snapshot's component sum can trail by Buffer per written
-	// component).
-	snapshotBounds() Bounds
-	// snapshotSteps returns the steps the snapshot slot has taken.
-	snapshotSteps() uint64
+	// snapshot reads the object's current value through the registry's
+	// reserved snapshot slot (only registry-owned objects have one) and
+	// returns it with the envelope that bounds it, the object's steps and
+	// the distribution detail of histogram objects (nil for every scalar
+	// kind). Registry.Snapshot fills in Name and Kind.
+	snapshot() ObjectSnapshot
 }
 
 // objectCore is the state and accessor block every object family
@@ -183,11 +169,12 @@ func (c *objectCore[H]) Reset() error { return c.reset() }
 // holding goroutine and cannot be read safely mid-flight).
 func (c *objectCore[H]) StepsRetired() uint64 { return c.slots.retired.Load() }
 
-// snapshotBounds and snapshotSteps are the kind-agnostic parts of the
-// registry's instance view (see Registry.Snapshot); kinds whose exported
-// value needs a different envelope override snapshotBounds.
-func (c *objectCore[H]) snapshotBounds() Bounds { return c.Bounds() }
-func (c *objectCore[H]) snapshotSteps() uint64  { return c.snap.Steps() }
+// snapshotOf is the registry's view of v, a value read through the
+// snapshot slot under envelope b: Steps adds the snapshot slot's steps,
+// the read's included, to those of released pooled handles.
+func (c *objectCore[H]) snapshotOf(v uint64, b Bounds) ObjectSnapshot {
+	return ObjectSnapshot{Value: v, Bounds: b, Steps: c.StepsRetired() + c.snap.Steps()}
+}
 
 // kindDescriptor is one registration in the backend-plane table:
 // everything the spec and registry layers need to know about an object

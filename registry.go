@@ -212,16 +212,9 @@ func (r *Registry) Snapshot() []ObjectSnapshot {
 	out := make([]ObjectSnapshot, 0, len(entries))
 	for _, e := range entries {
 		e.snapMu.Lock()
-		v, detail := e.obj.snapshotRead()
-		snap := ObjectSnapshot{
-			Name:      e.name,
-			Kind:      e.spec.kind,
-			Value:     v,
-			Bounds:    e.obj.snapshotBounds(),
-			Steps:     e.obj.StepsRetired() + e.obj.snapshotSteps(),
-			Histogram: detail,
-		}
+		snap := e.obj.snapshot()
 		e.snapMu.Unlock()
+		snap.Name, snap.Kind = e.name, e.spec.kind
 		out = append(out, snap)
 	}
 	return out

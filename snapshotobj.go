@@ -166,24 +166,19 @@ func (h *snapshotSlotHandle) ScanInto(dst []uint64) []uint64 {
 	return h.h.ScanInto(dst)[:h.n]
 }
 
-// snapshotRead sums the caller-visible components (saturating), the
-// scalar the registry exports for this kind; see Registry.Snapshot.
-func (s *Snapshot) snapshotRead() (uint64, *HistogramDetail) {
+// snapshot sums the caller-visible components (saturating), the scalar
+// the registry exports for this kind; see Registry.Snapshot. Its envelope
+// widens the per-component one to bound the SUM: every written component
+// can trail by up to Buffer, so the sum can trail by Buffer per caller
+// slot. This keeps the (Value, Bounds) pair in an ObjectSnapshot
+// self-consistent for kind-agnostic telemetry consumers.
+func (s *Snapshot) snapshot() ObjectSnapshot {
 	s.snapBuf = s.snap.ScanInto(s.snapBuf)
 	var sum uint64
 	for _, v := range s.snapBuf {
 		sum = satmath.Add(sum, v)
 	}
-	return sum, nil
-}
-
-// snapshotBounds widens the per-component envelope to one that bounds
-// the exported component SUM: every written component can trail by up to
-// Buffer, so the sum can trail by Buffer per caller slot. This keeps the
-// (Value, Bounds) pair in an ObjectSnapshot self-consistent for
-// kind-agnostic telemetry consumers.
-func (s *Snapshot) snapshotBounds() Bounds {
 	b := s.Bounds()
 	b.Buffer = satmath.Mul(b.Buffer, uint64(s.spec.procs))
-	return b
+	return s.snapshotOf(sum, b)
 }

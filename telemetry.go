@@ -164,13 +164,10 @@ type selfMeter struct {
 
 var _ instance = (*selfMeter)(nil)
 
-func (m *selfMeter) Spec() Spec                               { return m.spec }
-func (m *selfMeter) Bounds() Bounds                           { return m.bounds() }
-func (m *selfMeter) StepsRetired() uint64                     { return 0 }
-func (m *selfMeter) Close()                                   {}
-func (m *selfMeter) snapshotRead() (uint64, *HistogramDetail) { return m.read(), nil }
-func (m *selfMeter) snapshotBounds() Bounds                   { return m.bounds() }
-func (m *selfMeter) snapshotSteps() uint64                    { return 0 }
+func (m *selfMeter) Close() {}
+func (m *selfMeter) snapshot() ObjectSnapshot {
+	return ObjectSnapshot{Value: m.read(), Bounds: m.bounds()}
+}
 
 // exactMeterBounds is the envelope of the exactly-counted meters.
 func exactMeterBounds() Bounds { return Bounds{Mult: 1} }
