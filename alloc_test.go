@@ -256,17 +256,108 @@ func TestPooledAcquireAllocations(t *testing.T) {
 	}
 }
 
+// TestReadsBuildNothing checks that reads hold no storage: in the
+// paper's model a never-written register reads its initial value in one
+// step, so storage is owed only to what a write has touched. Every kind
+// and accuracy row, cumulative and windowed, is built in a Registry (so
+// the snapshot slot exists) and read through every slot and
+// Registry.Snapshot; its BaseObjects must not move.
+func TestReadsBuildNothing(t *testing.T) {
+	type built struct {
+		obj  interface{ BaseObjects() uint64 }
+		n    int
+		read func(i int)
+	}
+	counter := func(reg *approxobj.Registry, name string, opts []approxobj.Option) (built, error) {
+		c, err := reg.Counter(name, opts...)
+		if err != nil {
+			return built{}, err
+		}
+		return built{c, c.N(), func(i int) { c.Handle(i).Read() }}, nil
+	}
+	maxRegister := func(reg *approxobj.Registry, name string, opts []approxobj.Option) (built, error) {
+		m, err := reg.MaxRegister(name, opts...)
+		if err != nil {
+			return built{}, err
+		}
+		return built{m, m.N(), func(i int) { m.Handle(i).Read() }}, nil
+	}
+	snapshot := func(reg *approxobj.Registry, name string, opts []approxobj.Option) (built, error) {
+		s, err := reg.SnapshotObject(name, opts...)
+		if err != nil {
+			return built{}, err
+		}
+		return built{s, s.N(), func(i int) { s.Handle(i).Scan() }}, nil
+	}
+	histogram := func(reg *approxobj.Registry, name string, opts []approxobj.Option) (built, error) {
+		h, err := reg.HistogramObject(name, opts...)
+		if err != nil {
+			return built{}, err
+		}
+		return built{h, h.N(), func(i int) {
+			s := h.Handle(i)
+			s.Count()
+			s.Quantile(0.5)
+		}}, nil
+	}
+	for _, row := range []struct {
+		name  string
+		build func(*approxobj.Registry, string, []approxobj.Option) (built, error)
+		opts  []approxobj.Option
+	}{
+		{"counter Exact", counter, []approxobj.Option{approxobj.WithAccuracy(approxobj.Exact())}},
+		{"counter Additive(4)", counter, []approxobj.Option{approxobj.WithAccuracy(approxobj.Additive(4))}},
+		{"counter Multiplicative(2)", counter, []approxobj.Option{approxobj.WithAccuracy(approxobj.Multiplicative(2))}},
+		{"counter Randomized(2, 0.01)", counter, []approxobj.Option{approxobj.WithAccuracy(approxobj.Randomized(2, 0.01))}},
+		{"max register Exact", maxRegister, []approxobj.Option{approxobj.WithAccuracy(approxobj.Exact())}},
+		{"max register Exact, bounded", maxRegister, []approxobj.Option{approxobj.WithAccuracy(approxobj.Exact()), approxobj.WithBound(1 << 20)}},
+		{"max register Multiplicative(2)", maxRegister, []approxobj.Option{approxobj.WithAccuracy(approxobj.Multiplicative(2))}},
+		{"max register Multiplicative(2), bounded", maxRegister, []approxobj.Option{approxobj.WithAccuracy(approxobj.Multiplicative(2)), approxobj.WithBound(1 << 20)}},
+		{"snapshot", snapshot, nil},
+		{"histogram Multiplicative(2)", histogram, []approxobj.Option{approxobj.WithAccuracy(approxobj.Multiplicative(2))}},
+		{"histogram Exact, bounded", histogram, []approxobj.Option{approxobj.WithAccuracy(approxobj.Exact()), approxobj.WithBound(64)}},
+	} {
+		for _, windowed := range []bool{false, true} {
+			name := row.name
+			opts := append([]approxobj.Option{approxobj.WithProcs(2), approxobj.WithShards(4)}, row.opts...)
+			if windowed {
+				name += ", windowed"
+				opts = append(opts, approxobj.WithWindow(time.Hour, 4))
+			}
+			reg := approxobj.NewRegistry()
+			b, err := row.build(reg, "obj", opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			before := b.obj.BaseObjects()
+			for i := 0; i < b.n; i++ {
+				b.read(i)
+			}
+			reg.Snapshot()
+			if got := b.obj.BaseObjects(); got != before {
+				t.Errorf("%s: reads through every slot and Registry.Snapshot took BaseObjects from %d to %d", name, before, got)
+			}
+			reg.Close()
+		}
+	}
+}
+
 // TestConstructionFootprint pins what building an object costs before
-// its first operation. Base objects materialize on first touch: the
+// its first operation. Base objects materialize on first write: the
 // unbounded max register's epoch registers (one per value epoch
-// [2^e, 2^(e+1)), 63 of them per shard) are built by the first write
-// into their epoch, so construction allocates per shard, not per epoch,
-// and the exact counter's tree — an unbounded max register per node —
-// inherits the same footprint. The budgets leave a little headroom over
-// the measured 49, 45 and 149 allocations (building every epoch up
-// front costs 1,053, 801 and 2,417). A histogram's bucket rows are built
-// by their slot's first write: the 2-slot, 4-shard histogram measures
-// 45 allocations (53 when every shard allocated a row per slot).
+// [2^e, 2^(e+1)), 63 of them per shard) and its epoch table are built by
+// the first write into an epoch, so construction allocates per shard,
+// not per epoch, and the exact counter's tree — an unbounded max
+// register per node — inherits the same footprint. The budgets leave a
+// little headroom over the measured 46, 42 and 146 allocations
+// (building every epoch up front costs 1,053, 801 and 2,417). A
+// histogram's bucket rows and its handles' bucket buffers are built by
+// their slot's first write: the 2-slot, 4-shard histogram measures 41
+// allocations (53 when every shard allocated a row per slot).
+// Algorithm 1's switch table and helping row are built by the first
+// announcement: the 2-slot, 4-shard Multiplicative(4) counter measures
+// 46 allocations (51 with a helping cell array and pointer slice per
+// shard).
 func TestConstructionFootprint(t *testing.T) {
 	budget := func(name string, limit float64, build func() (interface{ Close() }, error)) {
 		t.Helper()
@@ -281,21 +372,40 @@ func TestConstructionFootprint(t *testing.T) {
 			t.Errorf("%s: %.0f allocs to build, want <= %.0f", name, avg, limit)
 		}
 	}
-	budget("Multiplicative(2) max register, 4 shards", 56, func() (interface{ Close() }, error) {
+	budget("Multiplicative(2) max register, 4 shards", 53, func() (interface{ Close() }, error) {
 		return approxobj.NewMaxRegister(approxobj.WithShards(4), approxobj.WithAccuracy(approxobj.Multiplicative(2)))
 	})
-	budget("exact max register, 4 shards", 52, func() (interface{ Close() }, error) {
+	budget("exact max register, 4 shards", 49, func() (interface{ Close() }, error) {
 		return approxobj.NewMaxRegister(approxobj.WithShards(4))
 	})
-	budget("exact counter, 4 procs, 4 shards", 168, func() (interface{ Close() }, error) {
+	budget("exact counter, 4 procs, 4 shards", 165, func() (interface{ Close() }, error) {
 		return approxobj.NewCounter(approxobj.WithProcs(4), approxobj.WithShards(4))
 	})
 	newHistogram := func() (*approxobj.Histogram, error) {
 		return approxobj.NewHistogram(approxobj.WithProcs(2), approxobj.WithShards(4), approxobj.WithAccuracy(approxobj.Multiplicative(2)))
 	}
-	budget("Multiplicative(2) histogram, 2 procs, 4 shards", 48, func() (interface{ Close() }, error) {
+	budget("Multiplicative(2) histogram, 2 procs, 4 shards", 44, func() (interface{ Close() }, error) {
 		return newHistogram()
 	})
+	newMultCounter := func() (*approxobj.Counter, error) {
+		return approxobj.NewCounter(approxobj.WithProcs(2), approxobj.WithShards(4), approxobj.WithAccuracy(approxobj.Multiplicative(4)))
+	}
+	budget("Multiplicative(4) counter, 2 procs, 4 shards", 49, func() (interface{ Close() }, error) {
+		return newMultCounter()
+	})
+
+	// Algorithm 1 holds no base object until a write: its switches and
+	// helping registers are built by test&sets and announcements.
+	mc, err := newMultCounter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	mc.Handle(0).Read()
+	mc.Handle(1).Read()
+	if got := mc.BaseObjects(); got != 0 {
+		t.Errorf("Multiplicative(4) counter after reads through every slot: %d base objects, want 0", got)
+	}
 
 	// A histogram shard holds one bucket row per process slot, and slot i
 	// writes only its home shard i mod S, so a row exists only once its

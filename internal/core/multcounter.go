@@ -27,7 +27,10 @@ import (
 // (Theorem III.9).
 //
 // Shared state is an unbounded sequence of test&set switches and a helping
-// array H of (switch index, sequence number) pairs. Increments are counted
+// array H of (switch index, sequence number) pairs. Both are built by
+// their first write (prim.TASSeq, prim.LazyPairRow): a counter that
+// is only read holds no switch or helping register, and reads of either
+// still take one step each. Increments are counted
 // locally and announced by setting switches: switch_0 stands for one
 // increment, and each switch of interval j >= 1 (indexes (j-1)k+1 .. jk)
 // stands for t_j = t1 * k^(j-1) increments. Readers scan the first and last
@@ -59,7 +62,7 @@ type MultCounter struct {
 	k        uint64
 	t1       uint64
 	switches *prim.TASSeq
-	h        []*prim.PairReg
+	h        *prim.LazyPairRow
 }
 
 var _ object.Counter = (*MultCounter)(nil)
@@ -117,7 +120,7 @@ func NewMultCounter(f *prim.Factory, k uint64, opts ...Option) (*MultCounter, er
 		k:        k,
 		t1:       t1,
 		switches: f.TASSeq(),
-		h:        f.PairRegRow(n),
+		h:        f.LazyPairRow(n),
 	}, nil
 }
 
@@ -202,7 +205,7 @@ func (h *MultHandle) Inc() {
 			for l := (j-1)*c.k + h.l0; l <= j*c.k; l++ { // line 15
 				if c.switches.TestAndSet(h.p, l) { // line 16
 					h.sn++                                    // line 17
-					c.h[h.p.ID()].Write(h.p, uint32(l), h.sn) // line 18
+					c.h.Write(h.p, h.p.ID(), uint32(l), h.sn) // line 18
 					h.lcounter = 0                            // line 19
 					if l == j*c.k {                           // line 20
 						h.advance() // line 21
@@ -251,12 +254,12 @@ func (h *MultHandle) Read() uint64 {
 		if scans%c.n == 0 { // line 45
 			if scans == c.n { // line 46: first pass records baselines
 				for j := 0; j < c.n; j++ { // lines 47-48
-					_, sn := c.h[j].Read(h.p)
+					_, sn := c.h.Read(h.p, j)
 					h.help[j] = sn
 				}
 			} else { // later passes look for a helper that advanced twice
 				for j := 0; j < c.n; j++ { // lines 50-54
-					val, sn := c.h[j].Read(h.p)
+					val, sn := c.h.Read(h.p, j)
 					if sn >= h.help[j]+2 { // line 52
 						// The switch val was set within our execution
 						// interval (Lemma III.3): safe to return.

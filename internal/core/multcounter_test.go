@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -451,5 +452,108 @@ func TestMultCounterHandleSteps(t *testing.T) {
 	h.Inc() // winning TAS on switch_0 only (the j=0 branch skips H)
 	if got := h.Steps(); got != 1 {
 		t.Fatalf("Steps after first announcing Inc = %d, want 1", got)
+	}
+}
+
+// residentSwitches is what Resident should count for c's switches: the
+// size of every TASSeq level holding a set switch (a test&set builds
+// its level and sets its bit; nothing else builds one), scanning the
+// first 2^16 switches.
+func residentSwitches(c *MultCounter) uint64 {
+	var n uint64
+	for l := uint64(0); l < 16; l++ {
+		for i := uint64(1)<<l - 1; i < uint64(1)<<(l+1)-1; i++ {
+			if c.SwitchState(i) == 1 {
+				n += 1 << l
+				break
+			}
+		}
+	}
+	return n
+}
+
+// TestMultCounterLazyState checks that Algorithm 1's shared state is
+// built by writes: reads of a fresh counter build no switch level and
+// no helping register, and the helping row (n registers) is built by
+// the first announcement that writes it.
+func TestMultCounterLazyState(t *testing.T) {
+	const n, k = 4, 2
+	f := prim.NewFactory(n)
+	c, err := NewMultCounter(f, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := make([]*MultHandle, n)
+	for i := range hs {
+		hs[i] = c.Handle(f.Proc(i))
+		if v := hs[i].Read(); v != 0 {
+			t.Fatalf("fresh read %d, want 0", v)
+		}
+	}
+	if got := f.Resident(); got != 0 {
+		t.Fatalf("reads of a fresh counter: Resident %d, want 0", got)
+	}
+	hs[0].Inc() // wins switch_0: no helping write
+	if got, want := f.Resident(), residentSwitches(c); got != want || want != 1 {
+		t.Fatalf("after switch_0: Resident %d, want %d (switch level 0 only)", got, want)
+	}
+	for hs[0].sn == 0 {
+		hs[0].Inc()
+	}
+	hs[1].Read()
+	if got, want := f.Resident(), residentSwitches(c)+n; got != want {
+		t.Fatalf("after the first announcement: Resident %d, want %d (switch levels and the helping row)", got, want)
+	}
+}
+
+// TestMultCounterFirstWritesRace has every process make its first
+// announcements on one fresh counter at once, racing to build the switch
+// table, its levels and the helping row. Every announcement must land:
+// each process's helping register holds its last sequence number, and
+// Resident counts the helping row once and each built switch level
+// once. Run with -race, it also checks the publishing CASes against
+// concurrent loads.
+func TestMultCounterFirstWritesRace(t *testing.T) {
+	const n, k, incs, trials = 8, 3, 40, 25
+	for trial := 0; trial < trials; trial++ {
+		f := prim.NewFactory(n)
+		c, err := NewMultCounter(f, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := make([]*MultHandle, n)
+		for i := range hs {
+			hs[i] = c.Handle(f.Proc(i))
+		}
+		var ready, done sync.WaitGroup
+		start := make(chan struct{})
+		ready.Add(n)
+		done.Add(n)
+		for i := 0; i < n; i++ {
+			go func() {
+				defer done.Done()
+				ready.Done()
+				<-start
+				for j := 0; j < incs; j++ {
+					hs[i].Inc()
+				}
+			}()
+		}
+		ready.Wait()
+		close(start)
+		done.Wait()
+		announced := false
+		for i, h := range hs {
+			if _, sn := c.h.Read(f.Proc(0), i); sn != h.sn {
+				t.Fatalf("trial %d: H[%d] holds sequence number %d, want %d (an announcement went to a losing row)", trial, i, sn, h.sn)
+			}
+			announced = announced || h.sn > 0
+		}
+		if !announced {
+			t.Fatalf("trial %d: no process announced on a switch of interval 1 or later", trial)
+		}
+		if got, want := f.Resident(), residentSwitches(c)+n; got != want {
+			t.Fatalf("trial %d: Resident %d, want %d (a losing level or row was counted)", trial, got, want)
+		}
 	}
 }

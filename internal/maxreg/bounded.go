@@ -28,11 +28,16 @@ import (
 // exponentially better than the Omega(n) bound for unbounded exact max
 // registers when m is small. It is linearizable and wait-free.
 //
-// Tree nodes are materialized lazily on first descent (reads materialize
-// too, so every operation pays exactly one step per level, as in the
-// model, where all registers exist up front). Materialization is published
-// with a CAS so concurrent first descents agree on one node, and a node's
-// register counts in Resident only once its CAS wins.
+// Tree nodes are materialized lazily by the first write that descends
+// into them, published with a CAS so concurrent first descents agree on
+// one node; a node's register counts in Resident only once its CAS wins.
+// Reads build nothing but still pay exactly one step per level, as in
+// the model, where all registers exist up front: a read that reaches an
+// unbuilt left subtree of size s takes the ceil(log2 s) reads of its
+// never-written switches at once (prim.Proc.ReadUnbuilt), since a write
+// builds a node before it writes below it. A gated (simulated) process
+// takes each of those reads as its own step and builds the nodes it
+// reads, so simulated executions keep their object IDs and traces.
 type Bounded struct {
 	m       uint64
 	factory *prim.Factory
@@ -132,7 +137,10 @@ func (b *Bounded) writeTree(p *prim.Proc, n *node, v uint64) {
 	}
 }
 
-// Read returns the maximum value written so far (exactly).
+// Read returns the maximum value written so far (exactly). A set switch
+// has a built right child (its writer built it first); an unbuilt left
+// child of size s is ceil(log2 s) switches no write has reached, all 0,
+// so a production read charges their steps and stops there.
 func (b *Bounded) Read(p *prim.Proc) uint64 {
 	v := uint64(0)
 	n := b.root
@@ -140,6 +148,8 @@ func (b *Bounded) Read(p *prim.Proc) uint64 {
 		if n.sw.Read(p) == 1 {
 			v += n.half
 			n = b.child(n, true)
+		} else if n.left.Load() == nil && p.ReadUnbuilt(bits.Len64(n.half-1)) {
+			return v
 		} else {
 			n = b.child(n, false)
 		}

@@ -19,10 +19,17 @@ func Top(u *Unbounded) *Bounded { return u.top }
 // Installed returns u's installed epoch registers by epoch.
 func Installed(u *Unbounded) map[int]BoundedMaxReg {
 	eps := make(map[int]BoundedMaxReg)
-	for e := range u.epochs {
-		if r := u.epochs[e].Load(); r != nil {
+	t := u.epochs.Load()
+	if t == nil {
+		return eps
+	}
+	for e := range t {
+		if r := t[e].Load(); r != nil {
 			eps[e] = *r
 		}
 	}
 	return eps
 }
+
+// EpochTableBuilt reports whether u's epoch table has been built.
+func EpochTableBuilt(u *Unbounded) bool { return u.epochs.Load() != nil }

@@ -2,6 +2,7 @@ package maxreg_test
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"approxobj/internal/core"
 	"approxobj/internal/maxreg"
 	"approxobj/internal/prim"
+	"approxobj/internal/sim"
 )
 
 // registers counts the base objects reachable from an installed max
@@ -77,9 +79,13 @@ func TestUnboundedLazyEpochs(t *testing.T) {
 			t.Fatalf("%s: fresh register holds %d base objects, want 1 (the top root)", pl.name, got)
 		}
 		u.Read(p)
+		if got := f.Resident(); got != 1 {
+			t.Fatalf("%s: a read of a fresh register built %d base objects", pl.name, got-1)
+		}
 		u.Write(p, 1) // epoch 0 holds only the value 1: no register
-		if eps := maxreg.Installed(u); len(eps) != 0 {
-			t.Fatalf("%s: reads and Write(1) installed epochs %v", pl.name, eps)
+		u.Read(p)
+		if eps := maxreg.Installed(u); len(eps) != 0 || maxreg.EpochTableBuilt(u) {
+			t.Fatalf("%s: reads and Write(1) installed epochs %v or built the epoch table", pl.name, eps)
 		}
 		for _, step := range []struct {
 			v      uint64
@@ -100,11 +106,13 @@ func TestUnboundedLazyEpochs(t *testing.T) {
 }
 
 // TestUnboundedFirstWritesRace has n goroutines make the first writes
-// into one fresh epoch at once. Exactly one epoch register must win the
-// install, only its registers may count in Resident, and every later
-// read must lie within the envelope of the maximum written. Run with
-// -race, it also exercises the publishing CAS against the loads of
-// concurrent operations.
+// of a fresh register at once, half into epoch e and half into e+1, so
+// they race to build the epoch table and to install both epochs. One
+// table and exactly one register per epoch must win, only their
+// registers may count in Resident, and every later read must lie within
+// the envelope of the maximum written. Run with -race, it also
+// exercises the publishing CASes against the loads of concurrent
+// operations.
 func TestUnboundedFirstWritesRace(t *testing.T) {
 	const n, trials = 8, 50
 	const e = 20
@@ -115,11 +123,12 @@ func TestUnboundedFirstWritesRace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			val := func(i int) uint64 { return 1<<e + uint64(i*997+trial) }
+			val := func(i int) uint64 { return 1<<(e+i%2) + uint64(i*997+trial) }
 			race(n, func(i int) { u.Write(f.Proc(i), val(i)) })
 			eps := maxreg.Installed(u)
-			if _, ok := eps[e]; !ok || len(eps) != 1 {
-				t.Fatalf("%s trial %d: installed epochs %v, want only %d", pl.name, trial, eps, e)
+			_, lo := eps[e]
+			if _, hi := eps[e+1]; !lo || !hi || len(eps) != 2 {
+				t.Fatalf("%s trial %d: installed epochs %v, want only %d and %d", pl.name, trial, eps, e, e+1)
 			}
 			if got, want := f.Resident(), registers(t, u); got != want {
 				t.Fatalf("%s trial %d: Resident %d, reachable %d (a losing epoch was counted)", pl.name, trial, got, want)
@@ -156,6 +165,68 @@ func TestBoundedResidentRace(t *testing.T) {
 		})
 		if got, want := f.Resident(), maxreg.TreeRegisters(b); got != want {
 			t.Fatalf("trial %d: Resident %d, reachable %d (a losing node was counted)", trial, got, want)
+		}
+	}
+}
+
+// TestBoundedUnbuiltReadsMatchSimulation is the differential check of
+// the unbuilt-read rule. For every bound m in 1..300 and a random prefix
+// of writes, each read on a production register (which charges an
+// unbuilt left subtree's steps without building it) must return the
+// same value and take the same steps as the same read by a gated
+// process on sim.Machine (which reads switch by switch and builds the
+// nodes it reads), and must build nothing.
+func TestBoundedUnbuiltReadsMatchSimulation(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	type op struct{ val, steps uint64 }
+	for m := uint64(1); m <= 300; m++ {
+		writes := make([]uint64, rng.Intn(6))
+		for i := range writes {
+			writes[i] = uint64(rng.Int63n(int64(m)))
+		}
+		// run applies write i before read i+1, recording every
+		// operation's result and steps, and the registers the reads
+		// built in all.
+		run := func(b *maxreg.Bounded, p *prim.Proc, f *prim.Factory) (ops []op, built uint64) {
+			for i := 0; i <= len(writes); i++ {
+				if i > 0 {
+					before := p.Steps()
+					b.Write(p, writes[i-1])
+					ops = append(ops, op{writes[i-1], p.Steps() - before})
+				}
+				before, res := p.Steps(), f.Resident()
+				v := b.Read(p)
+				ops = append(ops, op{v, p.Steps() - before})
+				built += f.Resident() - res
+			}
+			return ops, built
+		}
+		f := prim.NewFactory(1)
+		prod, err := maxreg.NewBounded(f, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, built := run(prod, f.Proc(0), f)
+		if built != 0 {
+			t.Fatalf("m=%d, writes %v: production reads built %d registers", m, writes, built)
+		}
+
+		mach := sim.NewMachine(1)
+		gated, err := maxreg.NewBounded(mach.Factory(), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []op
+		mach.Spawn(0, func(p *prim.Proc) { want, _ = run(gated, p, mach.Factory()) })
+		mach.RunSolo(0, 1<<16)
+		if len(got) != len(want) {
+			t.Fatalf("m=%d, writes %v: %d production operations, %d simulated", m, writes, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("m=%d, writes %v: operation %d returned %d in %d steps, simulated %d in %d steps",
+					m, writes, i, got[i].val, got[i].steps, want[i].val, want[i].steps)
+			}
 		}
 	}
 }

@@ -52,23 +52,29 @@ const maxEpochs = 64
 // Epoch registers are built lazily: the first operation that reaches
 // epoch e builds R_e on a Stage view of the factory and publishes it with
 // a CAS, as TASSeq publishes its levels, and only the winner's registers
-// count in Resident. A fresh register therefore holds only T's root, and
-// a workload pays for the epochs its values fall in. Building is local
-// memory management, not a step of the model (the model's registers all
-// exist up front), so every operation's step count is what it would be
-// with all 63 epochs built at construction. Only a write installs in
-// practice: a reader that sees T = e+1 finds R_e already published by the
-// write of e+1, which installed it before its first step. Simulated
-// executions run one process's code at a time, so lazily built epochs
-// take the same object IDs on every replay of a schedule.
+// count in Resident. The epoch table (64 epoch pointers) is itself built
+// by the first install and published with one CAS, so a fresh register
+// holds only T's root and no table, and a workload pays for the epochs
+// its values fall in. Building is local memory management, not a step of
+// the model (the model's registers all exist up front), so every
+// operation's step count is what it would be with all 63 epochs built at
+// construction. Only a write installs: a reader that sees T = e+1 finds
+// R_e already published by the write of e+1, which installed it before
+// its first step, and a reader that sees T = 0 or 1 reaches no epoch.
+// Simulated executions run one process's code at a time, so lazily built
+// epochs take the same object IDs on every replay of a schedule.
 type Unbounded struct {
 	top     *Bounded // exact, domain {0..maxEpochs}: 0 = never written
 	factory *prim.Factory
 	mk      BoundedFactory
-	// epochs[e] is R_e once installed, nil before. Epoch 0 holds only the
-	// value 1 (offset 0) and never gets a register.
-	epochs [maxEpochs]atomic.Pointer[BoundedMaxReg]
+	// epochs is the epoch table once the first epoch is installed, nil
+	// before.
+	epochs atomic.Pointer[epochTable]
 }
+
+// epochTable holds R_e at index e once installed, nil before. Epoch 0
+// holds only the value 1 (offset 0) and never gets a register.
+type epochTable [maxEpochs]atomic.Pointer[BoundedMaxReg]
 
 var _ object.MaxReg = (*Unbounded)(nil)
 
@@ -87,10 +93,18 @@ func NewUnbounded(f *prim.Factory, mk BoundedFactory) (*Unbounded, error) {
 	return &Unbounded{top: top, factory: f, mk: mk}, nil
 }
 
-// epoch returns R_e (e >= 1), installing it if no operation has reached
-// epoch e yet.
+// epoch returns R_e (e >= 1), installing it (and the epoch table) if no
+// operation has reached epoch e yet.
 func (u *Unbounded) epoch(e int) BoundedMaxReg {
-	if r := u.epochs[e].Load(); r != nil {
+	t := u.epochs.Load()
+	if t == nil {
+		if fresh := new(epochTable); u.epochs.CompareAndSwap(nil, fresh) {
+			t = fresh
+		} else {
+			t = u.epochs.Load()
+		}
+	}
+	if r := t[e].Load(); r != nil {
 		return *r
 	}
 	st := u.factory.Stage()
@@ -98,11 +112,11 @@ func (u *Unbounded) epoch(e int) BoundedMaxReg {
 	if err != nil {
 		panic(fmt.Sprintf("maxreg: building epoch %d: %v", e, err))
 	}
-	if u.epochs[e].CompareAndSwap(nil, &r) {
+	if t[e].CompareAndSwap(nil, &r) {
 		u.factory.Materialized(st.Resident())
 		return r
 	}
-	return *u.epochs[e].Load()
+	return *t[e].Load()
 }
 
 // epochOf returns the epoch of value v >= 1: floor(log2 v).

@@ -11,14 +11,16 @@ import (
 // carve a known-shape row of base objects out of ONE backing allocation
 // instead of one heap object per register. Two layouts:
 //
-//   - Padded rows (RegRow, CASRegRow, RefRegRow, PairRegRow):
+//   - Padded rows (RegRow, CASRegRow, RefRegRow, LazyPairRow):
 //     each element is padded to falseSharingStride bytes, so every
 //     element owns its cache line(s) outright. This is the layout for
 //     rows indexed by writer slot — counter collect/additive rows,
 //     snapshot component registers, Morris exponent registers,
 //     Algorithm 1's helping array — where adjacent elements belong to
 //     DIFFERENT single writers and individually-allocated 16-byte
-//     registers false-share lines across writers.
+//     registers false-share lines across writers. The helping array is
+//     built by its first write (LazyPairRow): a counter no process has
+//     announced on never holds one.
 //
 //   - Dense rows (LazyRegRow): elements are packed at their natural
 //     size with guard padding only at the row's ends, so the row is
@@ -40,8 +42,9 @@ import (
 // ID assignment and Resident() accounting are element-wise through
 // allocID, identical to the one-object-per-allocation constructors, so
 // replay determinism (internal/sim) and the paper's space measure see
-// no difference between f.Regs(m) and f.RegRow(m). A dense row reserves
-// its IDs when it is created and counts in Resident() once it is built.
+// no difference between f.Regs(m) and f.RegRow(m). A lazy row
+// (LazyRegRow, LazyPairRow) reserves its IDs when it is created and
+// counts in Resident() once it is built.
 
 // falseSharingStride is the padded-row element stride: two 64-byte
 // cache lines (see the file comment for why not one).
@@ -60,11 +63,6 @@ type paddedCASReg struct {
 type paddedRefReg struct {
 	r RefReg
 	_ [falseSharingStride - unsafe.Sizeof(RefReg{})]byte
-}
-
-type paddedPairReg struct {
-	r PairReg
-	_ [falseSharingStride - unsafe.Sizeof(PairReg{})]byte
 }
 
 // RegRow creates m fresh registers carved out of one padded arena: the
@@ -120,17 +118,87 @@ func (f *Factory) RefRegRow(m int) []*RefReg {
 	return rs
 }
 
-// PairRegRow creates m fresh pair registers in one padded arena (see
-// RegRow).
-func (f *Factory) PairRegRow(m int) []*PairReg {
-	f.tel.Inc(telemetry.EvArenaRow, 0)
-	cells := make([]paddedPairReg, m)
-	ps := make([]*PairReg, m)
-	for i := range cells {
-		cells[i].r.reg.id = f.allocID()
-		ps[i] = &cells[i].r
+// LazyPairRow is a padded row of m pair registers, all initially
+// (0, 0), whose storage is built by its first write: Algorithm 1's
+// helping array H[i] = (val, sn), where register i has one writer,
+// process i. A pair is packed into one uint64 register (PackPair), so
+// one step reads or writes both components, as the paper's pseudocode
+// assumes. The row's IDs are reserved when it is created, so every
+// register keeps the ID an eagerly built row would give it; building
+// is local memory management, not a step, and the row's m registers
+// count in Resident once its publishing CAS wins. A built row has
+// RegRow's padded layout, one falseSharingStride per register, since
+// adjacent registers belong to different writers.
+//
+// Reading a register of an unbuilt row returns (0, 0) and counts one
+// step. The row is resolved inside the step, as in LazyRegRow.Read.
+type LazyPairRow struct {
+	base  ObjID
+	m     int
+	f     *Factory                  // the root factory: Resident and telemetry
+	cells atomic.Pointer[paddedReg] // register 0 of the built row; nil until built
+}
+
+// LazyPairRow creates a row of m pair registers (see LazyPairRow),
+// reserving their m IDs in order; it holds no storage until its first
+// write.
+func (f *Factory) LazyPairRow(m int) *LazyPairRow {
+	return &LazyPairRow{base: f.allocBlock(uint64(m)), m: m, f: f.origin()}
+}
+
+// build returns the row's cells, building the row if no writer has yet:
+// it is allocated in the padded layout and published with a CAS, and
+// only the winning copy counts in Resident (and as an arena row in
+// telemetry), so racing writers all write the same registers.
+func (r *LazyPairRow) build() []paddedReg {
+	if c := r.cells.Load(); c != nil {
+		return unsafe.Slice(c, r.m)
 	}
-	return ps
+	cells := make([]paddedReg, r.m)
+	for i := range cells {
+		cells[i].r.id = r.base + ObjID(i)
+	}
+	if r.cells.CompareAndSwap(nil, &cells[0]) {
+		r.f.resident.Add(uint64(r.m))
+		r.f.tel.Inc(telemetry.EvArenaRow, 0)
+		return cells
+	}
+	return unsafe.Slice(r.cells.Load(), r.m)
+}
+
+// Write atomically writes the pair (val, sn) to register i, building
+// the row first if it is not built.
+func (r *LazyPairRow) Write(p *Proc, i int, val, sn uint32) {
+	r.build()[i].r.Write(p, PackPair(val, sn))
+}
+
+// Read atomically reads the pair in register i. The row is resolved
+// inside the step's enter/exit window: a gated process may park at the
+// gate while the row is built and written, and must observe that
+// write. A register of an unbuilt row reads (0, 0).
+func (r *LazyPairRow) Read(p *Proc, i int) (val, sn uint32) {
+	if uint(i) >= uint(r.m) {
+		panic("prim: LazyPairRow index out of range")
+	}
+	p.enter()
+	var v uint64
+	if c := r.cells.Load(); c != nil {
+		v = unsafe.Slice(c, r.m)[i].r.v.Load()
+	}
+	p.exit(OpRead, r.base+ObjID(i), v)
+	return UnpackPair(v)
+}
+
+// ID returns the base-object identifier of register i.
+func (r *LazyPairRow) ID(i int) ObjID { return r.base + ObjID(i) }
+
+// PackPair packs (val, sn) into the uint64 wire format of a LazyPairRow
+// register.
+func PackPair(val, sn uint32) uint64 { return uint64(val)<<32 | uint64(sn) }
+
+// UnpackPair is the inverse of PackPair.
+func UnpackPair(x uint64) (val, sn uint32) {
+	return uint32(x >> 32), uint32(x)
 }
 
 // regGuard is the number of dense-row guard elements covering one
@@ -152,7 +220,7 @@ const regGuard = (falseSharingStride + int(unsafe.Sizeof(Reg{})) - 1) / int(unsa
 // rows are never written. Guard cells hold no IDs and are not resident.
 //
 // Reading an unbuilt row follows the TASSeq.Read rule: every register
-// reads 0 and still counts one step.
+// reads 0 and still counts one step (see ReadUnbuilt).
 type LazyRegRow struct {
 	base  ObjID
 	m     int
@@ -225,19 +293,12 @@ func (r *LazyRegRow) Read(p *Proc, i int) uint64 {
 }
 
 // ReadUnbuilt applies p's reads of all m registers of a row that Row
-// found unbuilt, at once where that is exact. In production mode every
-// register held 0 at that load (a row is built before its first write),
-// so the m reads cost m steps and no further loads, and ReadUnbuilt
-// reports true. A gated process must take each read as its own step
-// through Read, since the row may be built and written while it waits
-// at a gate: for it ReadUnbuilt takes no step and reports false.
-func (r *LazyRegRow) ReadUnbuilt(p *Proc) bool {
-	if p.gate != nil {
-		return false
-	}
-	p.steps += uint64(r.m)
-	return true
-}
+// found unbuilt, by Proc.ReadUnbuilt's rule: in production mode they
+// cost m steps and no loads, and ReadUnbuilt reports true; a gated
+// process takes no step here and must read register by register through
+// Read, since the row may be built and written while it waits at a
+// gate.
+func (r *LazyRegRow) ReadUnbuilt(p *Proc) bool { return p.ReadUnbuilt(r.m) }
 
 // ID returns the base-object identifier of register i.
 func (r *LazyRegRow) ID(i int) ObjID { return r.base + ObjID(i) }

@@ -32,11 +32,11 @@ func TestPaddedRowStride(t *testing.T) {
 			t.Fatalf("RefRegRow stride: got %d bytes, want %d", d, falseSharingStride)
 		}
 	}
-	pairs := f.PairRegRow(4)
+	pairs := f.LazyPairRow(4).build()
 	for i := 1; i < len(pairs); i++ {
-		d := uintptr(unsafe.Pointer(pairs[i])) - uintptr(unsafe.Pointer(pairs[i-1]))
+		d := uintptr(unsafe.Pointer(&pairs[i].r)) - uintptr(unsafe.Pointer(&pairs[i-1].r))
 		if d != falseSharingStride {
-			t.Fatalf("PairRegRow stride: got %d bytes, want %d", d, falseSharingStride)
+			t.Fatalf("LazyPairRow stride: got %d bytes, want %d", d, falseSharingStride)
 		}
 	}
 }
@@ -229,6 +229,124 @@ func TestLazyRowGatedReads(t *testing.T) {
 	close(pg.release)
 	if v := <-got; v != 7 {
 		t.Fatalf("reader parked while the row was built and written read %d, want 7", v)
+	}
+}
+
+// TestLazyPairRowIDsAndResident checks the helping row's lazy contract:
+// its IDs are the ones an eager padded row created in the same order
+// gets, reserved at creation; reads of an unbuilt row return (0, 0),
+// count one step each and build nothing; and the first write builds the
+// row and counts its m registers in Resident once.
+func TestLazyPairRowIDsAndResident(t *testing.T) {
+	const m = 5
+	eager, lazy := NewFactory(1), NewFactory(1)
+	eager.Reg() // the row starts after an existing object
+	lazy.Reg()
+	want := eager.RegRow(m)
+	objects, resident := lazy.Objects(), lazy.Resident()
+	r := lazy.LazyPairRow(m)
+	if got := lazy.Objects() - objects; got != m {
+		t.Fatalf("creating a row of %d advanced Objects by %d, want %d", m, got, m)
+	}
+	p := lazy.Proc(0)
+	for i := 0; i < m; i++ {
+		if got := r.ID(i); got != want[i].ID() {
+			t.Fatalf("register %d: ID %d, want the eager row's %d", i, got, want[i].ID())
+		}
+		if val, sn := r.Read(p, i); val != 0 || sn != 0 {
+			t.Fatalf("register %d of an unbuilt row read (%d, %d), want (0, 0)", i, val, sn)
+		}
+	}
+	if r.cells.Load() != nil || lazy.Resident() != resident || p.Steps() != m {
+		t.Fatalf("reads of an unbuilt row: built %v, Resident +%d, %d steps; want unbuilt, +0, %d",
+			r.cells.Load() != nil, lazy.Resident()-resident, p.Steps(), m)
+	}
+
+	r.Write(p, 3, 123, 456)
+	if got := lazy.Resident() - resident; got != m {
+		t.Fatalf("first write: Resident grew by %d, want %d", got, m)
+	}
+	r.Write(p, 1, 7, 8)
+	if got := lazy.Resident() - resident; got != m || lazy.Objects()-objects != m {
+		t.Fatalf("second write: Resident +%d, Objects +%d; want %d and %d (the row is built once, IDs reserved once)",
+			got, lazy.Objects()-objects, m, m)
+	}
+	for i, cells := 0, r.build(); i < m; i++ {
+		if got := cells[i].r.ID(); got != want[i].ID() {
+			t.Fatalf("built register %d: ID %d, want %d", i, got, want[i].ID())
+		}
+	}
+	if val, sn := r.Read(p, 3); val != 123 || sn != 456 {
+		t.Fatalf("register 3 reads (%d, %d), want (123, 456)", val, sn)
+	}
+}
+
+// TestLazyPairRowBuildRace has every process make its first write to its
+// own register of one fresh helping row at once. Exactly one copy of the
+// row may be published: every write must land in it, its registers must
+// keep their reserved IDs, and Resident must count it once. Run with
+// -race, it also checks the publishing CAS against concurrent loads.
+func TestLazyPairRowBuildRace(t *testing.T) {
+	const n, trials = 8, 200
+	for trial := 0; trial < trials; trial++ {
+		f := NewFactory(n)
+		r := f.LazyPairRow(n)
+		var ready, done sync.WaitGroup
+		start := make(chan struct{})
+		ready.Add(n)
+		done.Add(n)
+		for i := 0; i < n; i++ {
+			go func() {
+				defer done.Done()
+				ready.Done()
+				<-start
+				r.Write(f.Proc(i), i, uint32(i+1), uint32(trial))
+			}()
+		}
+		ready.Wait()
+		close(start)
+		done.Wait()
+		if res := f.Resident(); res != n {
+			t.Fatalf("trial %d: Resident %d, want %d (a losing copy was counted)", trial, res, n)
+		}
+		for i, cells := 0, r.build(); i < n; i++ {
+			if got := cells[i].r.ID(); got != ObjID(i) {
+				t.Fatalf("trial %d: register %d has ID %d, want %d", trial, i, got, i)
+			}
+			if val, sn := r.Read(f.Proc(0), i); val != uint32(i+1) || sn != uint32(trial) {
+				t.Fatalf("trial %d: register %d reads (%d, %d), want (%d, %d) (a write went to a losing copy)",
+					trial, i, val, sn, i+1, trial)
+			}
+		}
+	}
+}
+
+// TestLazyPairRowGatedReads checks the model view of an unbuilt helping
+// row: a gated read is one OpRead step of the register's reserved ID
+// observing 0, and a reader parked at its gate while the row is built
+// and written observes the write — the row is resolved inside the step.
+func TestLazyPairRowGatedReads(t *testing.T) {
+	g := &recordGate{}
+	f := NewGatedFactory(1, g)
+	r := f.LazyPairRow(3)
+	r.Read(f.Proc(0), 2)
+	if want := (Event{Proc: 0, Op: OpRead, Obj: r.ID(2)}); len(g.evs) != 1 || g.evs[0] != want {
+		t.Fatalf("gated read of an unbuilt row emitted %+v, want [%+v]", g.evs, want)
+	}
+
+	pg := &parkGate{parked: make(chan struct{}), release: make(chan struct{})}
+	pf := NewGatedFactory(2, pg)
+	pr := pf.LazyPairRow(2)
+	got := make(chan [2]uint32)
+	go func() {
+		val, sn := pr.Read(pf.Proc(0), 1)
+		got <- [2]uint32{val, sn}
+	}()
+	<-pg.parked // the reader is inside its step, the row still unbuilt
+	pr.Write(pf.Proc(1), 1, 7, 3)
+	close(pg.release)
+	if v := <-got; v != [2]uint32{7, 3} {
+		t.Fatalf("reader parked while the row was built and written read %v, want [7 3]", v)
 	}
 }
 

@@ -112,6 +112,24 @@ func (p *Proc) exit(op Op, obj ObjID, val uint64) {
 	}
 }
 
+// ReadUnbuilt applies p's reads of m registers whose storage is not
+// built, at once where that is exact: the rule every lazily built
+// structure (LazyRegRow, maxreg's tree nodes) reads by. A structure is
+// built before its first write, so in production mode every one of the
+// m registers held its initial value 0 when the caller found them
+// unbuilt; the reads cost m steps and no loads, and ReadUnbuilt reports
+// true. A gated process must take each read as its own step, since the
+// structure may be built and written while it waits at a gate: for it
+// ReadUnbuilt takes no step and reports false, and the caller reads (or
+// builds) the registers one step at a time.
+func (p *Proc) ReadUnbuilt(m int) bool {
+	if p.gate != nil {
+		return false
+	}
+	p.steps += uint64(m)
+	return true
+}
+
 // exitGated is the simulation-mode tail of exit, kept out of line so the
 // production path (nil gate: one increment, one predictable-not-taken
 // branch) stays within the inlining budget of every primitive — the
@@ -231,16 +249,17 @@ func (t *TAS) ID() ObjID { return t.id }
 // Factory creates base objects with deterministic identifiers: IDs follow
 // creation order, so a system rebuilt by the same code gets the same IDs —
 // internal/sim relies on this for replay. Lazily-materialized structures
-// (tree nodes, switch levels, max-register epochs, dense rows) may also
-// allocate during execution; allocation is atomic, so production-mode races are
+// (tree nodes, switch tables and levels, max-register epoch tables and
+// epochs, dense and helping rows) are built during execution, by a write
+// in production mode; allocation is atomic, so production-mode races are
 // safe, and simulated executions stay deterministic because the machine
 // runs one process's code at a time.
 type Factory struct {
 	next atomic.Uint64
 	// resident counts base objects with materialized storage: every
 	// eagerly allocated object (Reg, TAS, CASReg, ...) at creation, plus
-	// lazily built ones (TASSeq levels, tree nodes, epochs, dense rows)
-	// once their publishing CAS wins. Unlike next it excludes reserved-but-untouched
+	// lazily built ones (TASSeq levels, tree nodes, epochs, dense and
+	// helping rows) once their publishing CAS wins. Unlike next it excludes reserved-but-untouched
 	// ID blocks and the objects of a structure that lost its publishing
 	// race, so it is the space measure of the paper's model: how many
 	// base objects the execution actually holds.
@@ -343,9 +362,10 @@ func (f *Factory) Objects() uint64 { return f.origin().next.Load() }
 // Resident returns the number of base objects with materialized storage —
 // the execution's space cost in the paper's model. It grows as lazily
 // built structures (TASSeq levels, tree nodes, max-register epochs,
-// dense rows) materialize, so unbounded constructions report what they
-// hold, not what they reserve. On a Stage view it counts the objects
-// the view created, which the caller hands to Materialized.
+// dense and helping rows) materialize, so unbounded constructions and
+// never-written rows report what they hold, not what they reserve. On a
+// Stage view it counts the objects the view created, which the caller
+// hands to Materialized.
 func (f *Factory) Resident() uint64 { return f.resident.Load() }
 
 // Reg creates a fresh read/write register initialized to zero.

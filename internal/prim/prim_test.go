@@ -122,6 +122,97 @@ func TestTASSeqIndependentBits(t *testing.T) {
 	}
 }
 
+// TestTASSeqLazyTable checks that a switch sequence holds storage only
+// once test&set reaches it: reads of a fresh sequence (including a
+// gated one) take their steps and build neither the level table nor a
+// level, and the first test&set builds the table and exactly the level
+// of its switch.
+func TestTASSeqLazyTable(t *testing.T) {
+	for _, f := range []*Factory{NewFactory(1), NewGatedFactory(1, &recordGate{})} {
+		p := f.Proc(0)
+		s := f.TASSeq()
+		for _, i := range []uint64{0, 5, 1 << 20} {
+			if s.Read(p, i) != 0 || s.Peek(i) != 0 {
+				t.Fatalf("fresh switch %d is set", i)
+			}
+		}
+		if s.levels.Load() != nil || f.Resident() != 0 || p.Steps() != 3 {
+			t.Fatalf("reads of a fresh sequence: table built %v, Resident %d, %d steps; want unbuilt, 0, 3",
+				s.levels.Load() != nil, f.Resident(), p.Steps())
+		}
+		if !s.TestAndSet(p, 5) { // level 2: switches 3..6
+			t.Fatal("first test&set of switch 5 lost")
+		}
+		tab := s.levels.Load()
+		if tab == nil || f.Resident() != 4 {
+			t.Fatalf("after the first test&set: table built %v, Resident %d; want built, 4", tab != nil, f.Resident())
+		}
+		for l := range tab {
+			if (tab[l].Load() != nil) != (l == 2) {
+				t.Fatalf("level %d built %v after one test&set of switch 5", l, tab[l].Load() != nil)
+			}
+		}
+		if s.Read(p, 5) != 1 || s.Read(p, 4) != 0 {
+			t.Fatal("a read through the built table missed the set switch or saw an unset one")
+		}
+	}
+}
+
+// TestTASSeqFirstWritesRace has goroutines make the first test&sets of
+// one fresh sequence at once, racing to build its level table and
+// levels. One table may be published: every switch has exactly one
+// winner, and Resident counts each built level once. Run with -race, it
+// also checks the publishing CASes against concurrent loads.
+func TestTASSeqFirstWritesRace(t *testing.T) {
+	const procs, span, trials = 8, 40, 100
+	for trial := 0; trial < trials; trial++ {
+		f := NewFactory(procs)
+		s := f.TASSeq()
+		wins := make([][]uint64, procs)
+		var ready, done sync.WaitGroup
+		start := make(chan struct{})
+		ready.Add(procs)
+		done.Add(procs)
+		for i := 0; i < procs; i++ {
+			go func() {
+				defer done.Done()
+				p := f.Proc(i)
+				ready.Done()
+				<-start
+				for idx := uint64(0); idx < span; idx++ {
+					if s.TestAndSet(p, (idx+uint64(i))%span) {
+						wins[i] = append(wins[i], (idx+uint64(i))%span)
+					}
+				}
+			}()
+		}
+		ready.Wait()
+		close(start)
+		done.Wait()
+		won := make(map[uint64]bool)
+		for _, list := range wins {
+			for _, idx := range list {
+				if won[idx] {
+					t.Fatalf("trial %d: switch %d won twice (a test&set went to a losing table)", trial, idx)
+				}
+				won[idx] = true
+			}
+		}
+		if len(won) != span {
+			t.Fatalf("trial %d: %d switches won, want %d", trial, len(won), span)
+		}
+		var built uint64
+		for l, tab := 0, s.levels.Load(); l < tasSeqLevels; l++ {
+			if lp := tab[l].Load(); lp != nil {
+				built += uint64(len(*lp))
+			}
+		}
+		if got := f.Resident(); got != built {
+			t.Fatalf("trial %d: Resident %d, built switches %d (a losing level was counted)", trial, got, built)
+		}
+	}
+}
+
 func TestTASSeqSlotMapping(t *testing.T) {
 	// Levels are contiguous and non-overlapping: index i maps to level
 	// len(i+1)-1 with offsets 0..2^level-1 in order.
@@ -139,16 +230,19 @@ func TestTASSeqSlotMapping(t *testing.T) {
 }
 
 func TestPairRegRoundTrip(t *testing.T) {
-	f := NewFactory(1)
+	f := NewFactory(2)
 	p := f.Proc(0)
-	r := f.PairReg()
+	r := f.LazyPairRow(2)
 
-	if v, sn := r.Read(p); v != 0 || sn != 0 {
+	if v, sn := r.Read(p, 0); v != 0 || sn != 0 {
 		t.Fatalf("initial pair = (%d, %d), want (0, 0)", v, sn)
 	}
-	r.Write(p, 123, 456)
-	if v, sn := r.Read(p); v != 123 || sn != 456 {
+	r.Write(p, 0, 123, 456)
+	if v, sn := r.Read(p, 0); v != 123 || sn != 456 {
 		t.Fatalf("pair = (%d, %d), want (123, 456)", v, sn)
+	}
+	if v, sn := r.Read(p, 1); v != 0 || sn != 0 {
+		t.Fatalf("neighbouring pair = (%d, %d), want (0, 0)", v, sn)
 	}
 }
 
@@ -170,7 +264,7 @@ func TestFactoryIDsDeterministic(t *testing.T) {
 		ids = append(ids, f.TAS().ID())
 		s := f.TASSeq()
 		ids = append(ids, s.objID(0), s.objID(17))
-		ids = append(ids, f.PairReg().ID())
+		ids = append(ids, f.LazyPairRow(2).ID(1))
 		return ids
 	}
 	a, b := build(), build()

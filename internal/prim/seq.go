@@ -16,16 +16,25 @@ const tasSeqLevels = 64
 // local memory management, not a step of the model, so the step complexity
 // of TestAndSet and Read is exactly one primitive application.
 //
+// The level table itself (64 level pointers) is built by the first
+// test&set and published with one CAS, like the levels: a sequence that
+// is only ever read holds neither. Each test&set pays one nil check for
+// it.
+//
 // Each bit behaves exactly like a TAS base object: test&set sets it to 1 and
 // returns the previous value; read returns the current value. Reading an
-// index whose level has not been allocated returns 0 (the initial value)
-// while still counting one step, as the model demands.
+// index whose level (or the whole table) has not been allocated returns 0
+// (the initial value) while still counting one step, as the model demands.
 type TASSeq struct {
 	base   ObjID
 	gate   Gate
 	res    *atomic.Uint64 // the root factory's resident-object counter
-	levels [tasSeqLevels]atomic.Pointer[[]atomic.Uint32]
+	levels atomic.Pointer[tasSeqTable]
 }
+
+// tasSeqTable holds a TASSeq's level pointers: level ℓ once allocated,
+// nil before.
+type tasSeqTable [tasSeqLevels]atomic.Pointer[[]atomic.Uint32]
 
 // TASSeq creates a fresh unbounded switch sequence. It reserves a contiguous
 // block of 2^32 object IDs so every switch has a stable identifier across
@@ -45,17 +54,26 @@ func tasSeqSlot(i uint64) (level int, off uint64) {
 	return level, off
 }
 
-// slot returns the atomic cell for bit i, allocating its level if needed.
+// slot returns the atomic cell for bit i, allocating the level table and
+// the bit's level if needed.
 func (s *TASSeq) slot(i uint64) *atomic.Uint32 {
+	t := s.levels.Load()
+	if t == nil {
+		if fresh := new(tasSeqTable); s.levels.CompareAndSwap(nil, fresh) {
+			t = fresh
+		} else {
+			t = s.levels.Load()
+		}
+	}
 	level, off := tasSeqSlot(i)
-	lp := s.levels[level].Load()
+	lp := t[level].Load()
 	if lp == nil {
 		fresh := make([]atomic.Uint32, uint64(1)<<uint(level))
-		if s.levels[level].CompareAndSwap(nil, &fresh) {
+		if t[level].CompareAndSwap(nil, &fresh) {
 			lp = &fresh
 			s.res.Add(uint64(1) << uint(level))
 		} else {
-			lp = s.levels[level].Load()
+			lp = t[level].Load()
 		}
 	}
 	return &(*lp)[off]
@@ -63,8 +81,12 @@ func (s *TASSeq) slot(i uint64) *atomic.Uint32 {
 
 // peek returns the cell for bit i if its level is allocated, else nil.
 func (s *TASSeq) peek(i uint64) *atomic.Uint32 {
+	t := s.levels.Load()
+	if t == nil {
+		return nil
+	}
 	level, off := tasSeqSlot(i)
-	lp := s.levels[level].Load()
+	lp := t[level].Load()
 	if lp == nil {
 		return nil
 	}
@@ -109,37 +131,3 @@ func (s *TASSeq) Peek(i uint64) uint64 {
 	}
 	return 0
 }
-
-// PairReg is a register holding a pair of 32-bit values that is read and
-// written atomically, used for Algorithm 1's helping array H[i] = (val, sn).
-// The pair is packed into a single uint64 base object so one step reads or
-// writes both components, as the paper's pseudocode assumes.
-type PairReg struct {
-	reg Reg
-}
-
-// PairReg creates a fresh pair register initialized to (0, 0).
-func (f *Factory) PairReg() *PairReg {
-	return &PairReg{reg: Reg{id: f.allocID()}}
-}
-
-// PackPair packs (val, sn) into the uint64 wire format of a PairReg.
-func PackPair(val, sn uint32) uint64 { return uint64(val)<<32 | uint64(sn) }
-
-// UnpackPair is the inverse of PackPair.
-func UnpackPair(x uint64) (val, sn uint32) {
-	return uint32(x >> 32), uint32(x)
-}
-
-// Read atomically reads the pair.
-func (r *PairReg) Read(p *Proc) (val, sn uint32) {
-	return UnpackPair(r.reg.Read(p))
-}
-
-// Write atomically writes the pair.
-func (r *PairReg) Write(p *Proc, val, sn uint32) {
-	r.reg.Write(p, PackPair(val, sn))
-}
-
-// ID returns the base-object identifier.
-func (r *PairReg) ID() ObjID { return r.reg.id }

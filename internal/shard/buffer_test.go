@@ -232,3 +232,31 @@ func TestBufferBucketBatching(t *testing.T) {
 		})
 	}
 }
+
+// TestHistHandleLazyBuffer checks that a histogram handle's observation
+// buffer is allocated by its first AddN: a handle that only reads and
+// flushes holds none, and the first addition allocates it at the
+// bucket count.
+func TestHistHandleLazyBuffer(t *testing.T) {
+	const buckets = 8
+	hg, err := NewHistogram(2, 2, buckets, Config{Shards: 2, Batch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hg.Close()
+	h := hg.Handle(0)
+	h.Buckets()
+	h.Flush()
+	if h.bb.vec != nil || h.bb.touched != nil {
+		t.Fatalf("a handle that only read and flushed holds a buffer: vec %d, touched %d", len(h.bb.vec), cap(h.bb.touched))
+	}
+	h.AddN(3, 2)
+	if len(h.bb.vec) != buckets || cap(h.bb.touched) != buckets || h.buf.Pending() != 2 {
+		t.Fatalf("after the first AddN: vec %d, touched cap %d, pending %d; want %d, %d, 2",
+			len(h.bb.vec), cap(h.bb.touched), h.buf.Pending(), buckets, buckets)
+	}
+	h.Flush()
+	if got := h.Buckets()[3]; got != 2 {
+		t.Fatalf("bucket 3 reads %d after the flush, want 2", got)
+	}
+}

@@ -84,13 +84,11 @@ func (hg *Histogram) Buckets() int { return hg.buckets }
 // Handle binds process slot i (0 <= i < n) to the histogram; a slot
 // binds once (see coreAt). The handle adds to shard i mod S and reads
 // all shards through slot i of each shard's factory. Like every handle
-// in this repository it must be used by a single goroutine.
+// in this repository it must be used by a single goroutine. Its
+// observation buffer is allocated by its first AddN, so a slot that
+// only reads never holds one.
 func (hg *Histogram) Handle(i int) *HistHandle {
-	h := &HistHandle{handleCore: hg.newCore(i)}
-	h.bb = bucketBuf{
-		vec:     make([]uint64, hg.buckets),
-		touched: make([]int, 0, hg.buckets),
-	}
+	h := &HistHandle{handleCore: hg.newCore(i), buckets: hg.buckets}
 	h.buf.bb = &h.bb
 	h.buf.flushBucket = h.home.AddN
 	return h
@@ -99,10 +97,12 @@ func (hg *Histogram) Handle(i int) *HistHandle {
 // HistHandle is one process's view of the sharded histogram: bucket
 // additions (AddN) against its home shard, merged bucket reads
 // (Buckets) over all shards, and Flush for draining the observation
-// buffer before quiescent reads. It holds its slot's observation buffer.
+// buffer before quiescent reads. It holds its slot's observation buffer
+// once its first AddN has allocated it.
 type HistHandle struct {
 	handleCore[object.HistHandle, []uint64]
-	bb bucketBuf
+	bb      bucketBuf
+	buckets int
 }
 
 // Add adds one observation to bucket b.
@@ -111,7 +111,13 @@ func (h *HistHandle) Add(b int) { h.AddN(b, 1) }
 // AddN adds d observations to bucket b. With Config.Batch B > 1 the
 // additions are buffered locally and flushed — every pending bucket at
 // once — when B observations are pending.
-func (h *HistHandle) AddN(b int, d uint64) { h.buf.addBucket(b, d) }
+func (h *HistHandle) AddN(b int, d uint64) {
+	if h.bb.vec == nil {
+		h.bb.vec = make([]uint64, h.buckets)
+		h.bb.touched = make([]int, 0, h.buckets)
+	}
+	h.buf.addBucket(b, d)
+}
 
 // Buckets returns the merged per-bucket counts: one read of every
 // shard, summed per bucket. Each bucket's combined count is inside the

@@ -74,7 +74,8 @@ const (
 // (pending holds their total) and the indices with a nonzero pending
 // count, so a flush visits only touched buckets — an unbuffered B = 1
 // handle flushes in O(1), not O(buckets). It lives in its slot's one
-// HistHandle (see Histogram.Handle).
+// HistHandle, whose first AddN allocates vec and touched (both nil
+// until then, with nothing pending; see Histogram.Handle).
 type bucketBuf struct {
 	pending uint64
 	vec     []uint64
@@ -527,10 +528,11 @@ func (p *plane[O, H, V]) Bounds() Bounds {
 // BaseObjects returns the number of resident base objects (registers,
 // TAS cells) across all shards — the plane's space cost in the paper's
 // model, where space is counted in base objects. Lazily allocated
-// structures (the unbounded switch sequences of Algorithm 1, the tree
-// nodes and epoch registers of the max registers, the histograms'
-// per-slot bucket rows) count what has materialized, not what they
-// reserve, so the number grows with the execution. Windowed objects sum
+// structures (the unbounded switch sequences and helping rows of
+// Algorithm 1, the tree nodes and epoch registers of the max registers,
+// the histograms' per-slot bucket rows) count what writes have
+// materialized, not what they reserve, so the number grows with the
+// execution and reads never move it. Windowed objects sum
 // it over their epoch ring; the frontier bench (E19) uses it to compare
 // deterministic and randomized state at equal target error.
 func (p *plane[O, H, V]) BaseObjects() uint64 {

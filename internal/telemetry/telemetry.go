@@ -132,8 +132,9 @@ type TraceFunc func(ev TraceEvent, slot int, value uint64)
 // The nil *Sink is the disabled sink: every method is a no-op (a
 // single nil check), so call sites need no configuration branches.
 // A non-nil Sink is safe for concurrent use by any number of
-// goroutines; SetTrace and RegisterResident are configuration and must
-// happen before the sink is shared.
+// goroutines; SetTrace is configuration and must happen before the sink
+// is shared. RegisterResident may be called at any time (every
+// instrumented build calls it on a live sink), under mu.
 type Sink struct {
 	stripes [stripeCount]stripe
 
@@ -159,7 +160,7 @@ type Sink struct {
 	traceState atomic.Uint64
 
 	mu       sync.Mutex
-	resident []func() uint64
+	resident []func() (uint64, bool)
 }
 
 // New returns an enabled, empty sink.
@@ -274,8 +275,10 @@ func (s *Sink) LagBound() uint64 {
 }
 
 // RegisterResident adds a pull gauge contributing to ResidentBytes
-// (one per instrumented object, reporting its base-object bytes).
-func (s *Sink) RegisterResident(fn func() uint64) {
+// (one per instrumented object, reporting its base-object bytes). The
+// gauge reports ok = false once its object is gone; it should hold the
+// object weakly, so that the sink does not keep it alive.
+func (s *Sink) RegisterResident(fn func() (bytes uint64, ok bool)) {
 	if s == nil || fn == nil {
 		return
 	}
@@ -284,7 +287,8 @@ func (s *Sink) RegisterResident(fn func() uint64) {
 	s.mu.Unlock()
 }
 
-// ResidentBytes sums the registered residency gauges.
+// ResidentBytes sums the registered residency gauges, dropping every
+// gauge whose object is gone.
 func (s *Sink) ResidentBytes() uint64 {
 	if s == nil {
 		return 0
@@ -292,10 +296,27 @@ func (s *Sink) ResidentBytes() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var t uint64
+	live := s.resident[:0]
 	for _, fn := range s.resident {
-		t += fn()
+		if b, ok := fn(); ok {
+			t += b
+			live = append(live, fn)
+		}
 	}
+	clear(s.resident[len(live):])
+	s.resident = live
 	return t
+}
+
+// Gauges returns the number of residency gauges registered and not yet
+// dropped by ResidentBytes.
+func (s *Sink) Gauges() int {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.resident)
 }
 
 // Trace offers a trace event to the sampled hook. With no hook

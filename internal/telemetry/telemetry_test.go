@@ -19,11 +19,11 @@ func TestNilSinkIsInert(t *testing.T) {
 	s.FlushLocal(EvCacheRead, 2, &local)
 	s.ObserveRefresh(time.Second)
 	s.AddLagUnits(4)
-	s.RegisterResident(func() uint64 { return 1 })
+	s.RegisterResident(func() (uint64, bool) { return 1, true })
 	s.SetTrace(func(TraceEvent, int, uint64) { t.Error("nil sink fired trace") }, 0)
 	s.Trace(TraceFlush, 0, 1)
 	if s.Total(EvFlush) != 0 || s.LagBound() != 0 ||
-		s.RefreshHighWaterNs() != 0 || s.ResidentBytes() != 0 {
+		s.RefreshHighWaterNs() != 0 || s.ResidentBytes() != 0 || s.Gauges() != 0 {
 		t.Error("nil sink reported nonzero state")
 	}
 }
@@ -97,11 +97,17 @@ func TestObserveRefreshIsMax(t *testing.T) {
 
 func TestResidentBytesSumsGauges(t *testing.T) {
 	s := New()
-	s.RegisterResident(func() uint64 { return 100 })
-	s.RegisterResident(func() uint64 { return 28 })
+	live := true
+	s.RegisterResident(func() (uint64, bool) { return 100, true })
+	s.RegisterResident(func() (uint64, bool) { return 28, live })
+	s.RegisterResident(func() (uint64, bool) { return 5, true })
 	s.RegisterResident(nil) // ignored
-	if got := s.ResidentBytes(); got != 128 {
-		t.Errorf("ResidentBytes = %d, want 128", got)
+	if got, n := s.ResidentBytes(), s.Gauges(); got != 133 || n != 3 {
+		t.Errorf("ResidentBytes = %d over %d gauges, want 133 over 3", got, n)
+	}
+	live = false // the 28-byte gauge's object is gone
+	if got, n := s.ResidentBytes(), s.Gauges(); got != 105 || n != 2 {
+		t.Errorf("after one object went: ResidentBytes = %d over %d gauges, want 105 over 2", got, n)
 	}
 }
 

@@ -81,7 +81,7 @@ func initObject[H pooledHandle, T shard.Epoch[E, V], E shard.EpochHandle[V], V a
 	}
 	c.spec = spec
 	c.slots.init(spec.procs, bind)
-	c.slots.tel = instrumentObject(spec, c.BaseObjects)
+	c.slots.tel = instrumentObject(spec, c)
 	if spec.snapshotSlot {
 		c.snap = bind(spec.procs)
 	}
@@ -139,13 +139,15 @@ func (c *objectCore[H]) Bounds() Bounds { return scaledBounds(c.rt.Bounds(), c.s
 // BaseObjects returns the number of base objects (registers, TAS
 // instances) the object has materialized across its shards — and, for
 // windowed objects, its live epoch ring: its space cost in the paper's
-// model. Lazily built structures count once an operation first touches
-// them, so a fresh unbounded max register reports only its top
-// registers, one per shard, and grows by an epoch register when a write
-// first reaches that epoch; a fresh histogram reports 0, and grows by
-// one bucket row (Buckets registers) when a slot first writes its home
-// shard. The frontier bench (E19) reports it to
-// compare deterministic and randomized state at equal target error.
+// model. Lazily built structures count once a write first touches them,
+// and reads build nothing, so a fresh unbounded max register reports
+// only its top registers, one per shard, and grows by an epoch register
+// when a write first reaches that epoch; a fresh histogram reports 0,
+// and grows by one bucket row (Buckets registers) when a slot first
+// writes its home shard; a fresh Multiplicative counter reports 0, and
+// grows by its switches and one helping register per slot as
+// increments announce on a shard. The frontier bench (E19) reports it
+// to compare deterministic and randomized state at equal target error.
 func (c *objectCore[H]) BaseObjects() uint64 { return c.rt.BaseObjects() }
 
 // Close stops the object's background goroutines — the read cache's

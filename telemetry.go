@@ -2,6 +2,7 @@ package approxobj
 
 import (
 	"fmt"
+	"weak"
 
 	"approxobj/internal/telemetry"
 )
@@ -126,14 +127,17 @@ func publicTraceEvent(ev telemetry.TraceEvent) TraceEvent {
 func WithTelemetry(t *Telemetry) Option { return func(s *Spec) { s.tel = t } }
 
 // instrumentObject wires the construction-time telemetry of one built
-// object — its contribution to the resident-bytes gauge and its slots'
-// share of the lag accounting behind the batched meters' Buffer
+// object c — its contribution to the resident-bytes gauge and its
+// slots' share of the lag accounting behind the batched meters' Buffer
 // envelope — and returns the sink its slot pool reports lease events
-// to (nil when the object is uninstrumented). baseObjects is the
-// object's BaseObjects method (called per scrape — resident bytes is a
-// pull gauge, so windowed objects report their live ring, not a stale
-// construction-time figure).
-func instrumentObject(spec Spec, baseObjects func() uint64) *telemetry.Sink {
+// to (nil when the object is uninstrumented). The gauge calls c's
+// BaseObjects per scrape (resident bytes is a pull gauge, so windowed
+// objects report their live ring, not a stale construction-time
+// figure) through a weak pointer: the domain does not keep c alive, and
+// the sink drops the gauge once c is collected. The lag units stay:
+// a dropped handle may take up to CounterBatch-1 unpublished events
+// per meter with it, which the Buffer envelope must keep covering.
+func instrumentObject[H pooledHandle](spec Spec, c *objectCore[H]) *telemetry.Sink {
 	if spec.tel == nil {
 		return nil
 	}
@@ -145,7 +149,14 @@ func instrumentObject(spec Spec, baseObjects func() uint64) *telemetry.Sink {
 	// word plus a value word, so 16 bytes each is the documented
 	// estimate (padding and arena guards are deliberately excluded —
 	// the meter tracks model cost, not allocator overhead).
-	sink.RegisterResident(func() uint64 { return 16 * baseObjects() })
+	obj := weak.Make(c)
+	sink.RegisterResident(func() (uint64, bool) {
+		o := obj.Value()
+		if o == nil {
+			return 0, false
+		}
+		return 16 * o.BaseObjects(), true
+	})
 	return sink
 }
 
