@@ -343,21 +343,22 @@ func TestReadsBuildNothing(t *testing.T) {
 }
 
 // TestConstructionFootprint pins what building an object costs before
-// its first operation. Base objects materialize on first write: the
-// unbounded max register's epoch registers (one per value epoch
-// [2^e, 2^(e+1)), 63 of them per shard) and its epoch table are built by
-// the first write into an epoch, so construction allocates per shard,
-// not per epoch, and the exact counter's tree — an unbounded max
-// register per node — inherits the same footprint. The budgets leave a
-// little headroom over the measured 46, 42 and 146 allocations
-// (building every epoch up front costs 1,053, 801 and 2,417). A
-// histogram's bucket rows and its handles' bucket buffers are built by
-// their slot's first write: the 2-slot, 4-shard histogram measures 41
-// allocations (53 when every shard allocated a row per slot).
-// Algorithm 1's switch table and helping row are built by the first
-// announcement: the 2-slot, 4-shard Multiplicative(4) counter measures
-// 46 allocations (51 with a helping cell array and pointer slice per
-// shard).
+// its first operation. All shards of a plane share one prim.Factory, so
+// construction allocates one factory and one proc per slot, not one per
+// shard. Base objects materialize on first write: the unbounded max
+// register's epoch registers (one per value epoch [2^e, 2^(e+1)), 63 of
+// them per shard) and its epoch table are built by the first write into
+// an epoch, so construction allocates per shard, not per epoch, and the
+// exact counter's tree — an unbounded max register per node — inherits
+// the same footprint. The budgets leave a little headroom over the
+// measured 36, 32 and 127 allocations. A histogram's bucket rows and its
+// handles' bucket buffers are built by their slot's first write: the
+// 2-slot, 4-shard histogram measures 28 allocations. Algorithm 1's
+// switch table and helping row are built by the first announcement: the
+// 2-slot, 4-shard Multiplicative(4) counter measures 33 allocations.
+// With WithReadCache its 16-shard twin measures 126 (201 with a factory
+// per shard), and its 4-shard twin windowed over 4 epochs 132 (264 with
+// a factory per shard and a read cache per epoch).
 func TestConstructionFootprint(t *testing.T) {
 	budget := func(name string, limit float64, build func() (interface{ Close() }, error)) {
 		t.Helper()
@@ -372,26 +373,34 @@ func TestConstructionFootprint(t *testing.T) {
 			t.Errorf("%s: %.0f allocs to build, want <= %.0f", name, avg, limit)
 		}
 	}
-	budget("Multiplicative(2) max register, 4 shards", 53, func() (interface{ Close() }, error) {
+	budget("Multiplicative(2) max register, 4 shards", 43, func() (interface{ Close() }, error) {
 		return approxobj.NewMaxRegister(approxobj.WithShards(4), approxobj.WithAccuracy(approxobj.Multiplicative(2)))
 	})
-	budget("exact max register, 4 shards", 49, func() (interface{ Close() }, error) {
+	budget("exact max register, 4 shards", 39, func() (interface{ Close() }, error) {
 		return approxobj.NewMaxRegister(approxobj.WithShards(4))
 	})
-	budget("exact counter, 4 procs, 4 shards", 165, func() (interface{ Close() }, error) {
+	budget("exact counter, 4 procs, 4 shards", 146, func() (interface{ Close() }, error) {
 		return approxobj.NewCounter(approxobj.WithProcs(4), approxobj.WithShards(4))
 	})
 	newHistogram := func() (*approxobj.Histogram, error) {
 		return approxobj.NewHistogram(approxobj.WithProcs(2), approxobj.WithShards(4), approxobj.WithAccuracy(approxobj.Multiplicative(2)))
 	}
-	budget("Multiplicative(2) histogram, 2 procs, 4 shards", 44, func() (interface{ Close() }, error) {
+	budget("Multiplicative(2) histogram, 2 procs, 4 shards", 31, func() (interface{ Close() }, error) {
 		return newHistogram()
 	})
 	newMultCounter := func() (*approxobj.Counter, error) {
 		return approxobj.NewCounter(approxobj.WithProcs(2), approxobj.WithShards(4), approxobj.WithAccuracy(approxobj.Multiplicative(4)))
 	}
-	budget("Multiplicative(4) counter, 2 procs, 4 shards", 49, func() (interface{ Close() }, error) {
+	budget("Multiplicative(4) counter, 2 procs, 4 shards", 36, func() (interface{ Close() }, error) {
 		return newMultCounter()
+	})
+	budget("cached Multiplicative(4) counter, 2 procs, 16 shards", 133, func() (interface{ Close() }, error) {
+		return approxobj.NewCounter(approxobj.WithProcs(2), approxobj.WithShards(16), approxobj.WithAccuracy(approxobj.Multiplicative(4)),
+			approxobj.WithReadCache(time.Millisecond))
+	})
+	budget("cached Multiplicative(4) counter, 2 procs, 4 shards, 4 epochs", 139, func() (interface{ Close() }, error) {
+		return approxobj.NewCounter(approxobj.WithProcs(2), approxobj.WithShards(4), approxobj.WithAccuracy(approxobj.Multiplicative(4)),
+			approxobj.WithReadCache(time.Millisecond), approxobj.WithWindow(2*time.Second, 4))
 	})
 
 	// Algorithm 1 holds no base object until a write: its switches and

@@ -258,15 +258,34 @@ func newCounter(spec Spec) (*Counter, error) {
 	c := &Counter{}
 	err := initObject(&c.objectCore, spec,
 		func() (*shard.Counter, error) { return shard.New(spec.totalProcs(), k, be, shardConfig(spec)) },
-		func(h *shard.Handle) BatchedCounterHandle { return h },
-		func(h *shard.WindowHandle[*shard.Counter, *shard.Handle, uint64]) BatchedCounterHandle {
-			return shard.WCounterHandle{WindowHandle: h}
+		func(h *shard.Handle, read func(uint64) uint64) BatchedCounterHandle { return counterSlot(h, read) },
+		func(h *shard.WindowHandle[*shard.Counter, *shard.Handle, uint64], read func(uint64) uint64) BatchedCounterHandle {
+			return counterSlot(shard.WCounterHandle{WindowHandle: h}, read)
 		})
 	if err != nil {
 		return nil, err
 	}
 	return c, nil
 }
+
+// counterSlot adapts a counter slot's runtime handle h to the pooled
+// handle: h itself when the counter is uncached, else h with its Read
+// served by read, the slot's read through the read cache.
+func counterSlot(h BatchedCounterHandle, read func(uint64) uint64) BatchedCounterHandle {
+	if read == nil {
+		return h
+	}
+	return &cachedCounterHandle{h, read}
+}
+
+// cachedCounterHandle is a cached counter's slot handle: Inc, Flush and
+// Steps go to the runtime handle, Read to the read cache.
+type cachedCounterHandle struct {
+	BatchedCounterHandle
+	read func(uint64) uint64
+}
+
+func (h *cachedCounterHandle) Read() uint64 { return h.read(0) }
 
 // K returns the accuracy parameter (1 for exact counters).
 func (c *Counter) K() uint64 { return c.spec.acc.K() }
@@ -286,19 +305,22 @@ func (c *Counter) Snapshot(reset bool) (uint64, error) {
 	return v, nil
 }
 
-// scaledBounds adjusts a runtime envelope for the registry's snapshot
-// slot on kinds whose Buffer term scales with the slot count: the shard
-// runtime sizes Buffer over every allocated slot, but the snapshot slot
-// only ever reads — it can never hold buffered mutations, so the
-// documented (B-1)*n over caller slots holds (the same per-handle
-// headroom times slot count that plane.Bounds composes, just over the
-// caller-visible slots). Every kind's Bounds routes through it (a no-op
-// when the kind's Buffer term is per-handle), so a future kind
-// registered with BufferScalesWithProcs gets the correction for free.
+// scaledBounds completes a runtime envelope with what only the object
+// knows. Stale is the read cache's staleness window (0 when uncached).
+// On kinds whose Buffer term scales with the slot count, the shard
+// runtime sizes Buffer over every allocated slot, but the registry's
+// snapshot slot and the read cache's combiner slot only ever read —
+// they can never hold buffered mutations — so the documented (B-1)*n
+// holds over the caller slots (the same per-handle headroom times slot
+// count that the plane composes, just over the caller-visible slots).
+// Every kind's Bounds routes through it (the Buffer correction is a
+// no-op when the kind's Buffer term is per-handle), so a future kind
+// registered with BufferScalesWithProcs gets it for free.
 func scaledBounds(b Bounds, spec Spec) Bounds {
-	if spec.snapshotSlot && descriptorOf(spec.kind).policy.BufferScalesWithProcs {
+	if descriptorOf(spec.kind).policy.BufferScalesWithProcs {
 		b.Buffer = satmath.Mul(uint64(spec.batch-1), uint64(spec.procs))
 	}
+	b.Stale = spec.readStale
 	return b
 }
 
@@ -392,15 +414,36 @@ func newMaxRegister(spec Spec) (*MaxRegister, error) {
 	r := &MaxRegister{}
 	err := initObject(&r.objectCore, spec,
 		func() (*shard.MaxReg, error) { return shard.NewMaxReg(spec.totalProcs(), k, be, shardConfig(spec)) },
-		func(h *shard.MaxRegHandle) BatchedMaxRegisterHandle { return h },
-		func(h *shard.WindowHandle[*shard.MaxReg, *shard.MaxRegHandle, uint64]) BatchedMaxRegisterHandle {
-			return shard.WMaxRegHandle{WindowHandle: h}
+		func(h *shard.MaxRegHandle, read func(uint64) uint64) BatchedMaxRegisterHandle {
+			return maxRegSlot(h, read)
+		},
+		func(h *shard.WindowHandle[*shard.MaxReg, *shard.MaxRegHandle, uint64], read func(uint64) uint64) BatchedMaxRegisterHandle {
+			return maxRegSlot(shard.WMaxRegHandle{WindowHandle: h}, read)
 		})
 	if err != nil {
 		return nil, err
 	}
 	return r, nil
 }
+
+// maxRegSlot adapts a max-register slot's runtime handle h to the
+// pooled handle: h itself when the register is uncached, else h with
+// its Read served by read, the slot's read through the read cache.
+func maxRegSlot(h BatchedMaxRegisterHandle, read func(uint64) uint64) BatchedMaxRegisterHandle {
+	if read == nil {
+		return h
+	}
+	return &cachedMaxRegHandle{h, read}
+}
+
+// cachedMaxRegHandle is a cached max register's slot handle: Write,
+// Flush and Steps go to the runtime handle, Read to the read cache.
+type cachedMaxRegHandle struct {
+	BatchedMaxRegisterHandle
+	read func(uint64) uint64
+}
+
+func (h *cachedMaxRegHandle) Read() uint64 { return h.read(0) }
 
 // K returns the accuracy parameter (1 for exact registers).
 func (r *MaxRegister) K() uint64 { return r.spec.acc.K() }

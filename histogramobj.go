@@ -177,9 +177,11 @@ func newHistogram(spec Spec) (*Histogram, error) {
 		func() (*shard.Histogram, error) {
 			return shard.NewHistogram(spec.totalProcs(), spec.acc.K(), bk.N(), shardConfig(spec))
 		},
-		func(rt *shard.HistHandle) *histSlotHandle { return &histSlotHandle{h: rt, bk: bk} },
-		func(rt *shard.WindowHandle[*shard.Histogram, *shard.HistHandle, []uint64]) *histSlotHandle {
-			return &histSlotHandle{h: shard.WHistHandle{WindowHandle: rt}, bk: bk}
+		func(rt *shard.HistHandle, read func([]uint64) []uint64) *histSlotHandle {
+			return newHistSlot(rt, bk, read)
+		},
+		func(rt *shard.WindowHandle[*shard.Histogram, *shard.HistHandle, []uint64], read func([]uint64) []uint64) *histSlotHandle {
+			return newHistSlot(shard.WHistHandle{WindowHandle: rt}, bk, read)
 		})
 	if err != nil {
 		return nil, err
@@ -265,6 +267,24 @@ type histSlotHandle struct {
 }
 
 var _ BatchedHistogramHandle = (*histSlotHandle)(nil)
+
+// newHistSlot adapts runtime handle h; read is the slot's read through
+// the read cache, nil when the histogram is uncached.
+func newHistSlot(h histRT, bk histogram.Buckets, read func([]uint64) []uint64) *histSlotHandle {
+	if read != nil {
+		h = &cachedHistRT{h, read}
+	}
+	return &histSlotHandle{h: h, bk: bk}
+}
+
+// cachedHistRT is a cached histogram's runtime surface: AddN, Steps and
+// Flush go to the runtime handle, ReadInto to the read cache.
+type cachedHistRT struct {
+	histRT
+	read func([]uint64) []uint64
+}
+
+func (h *cachedHistRT) ReadInto(dst []uint64) []uint64 { return h.read(dst) }
 
 // read folds one merged bucket read into the handle's scratch buffer.
 // Each query reads once, so its answer is consistent within itself;

@@ -243,7 +243,6 @@ func TestHistHandleLazyBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hg.Close()
 	h := hg.Handle(0)
 	h.Buckets()
 	h.Flush()

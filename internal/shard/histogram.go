@@ -33,7 +33,6 @@ var histogramPolicy = &policy[[]uint64]{
 	combine:               sumBuckets,
 	buffer:                bucketBatching,
 	bufferScalesWithProcs: true,
-	newCache:              newVecReadCache,
 }
 
 // sumBuckets merges two per-shard bucket reads element-wise
@@ -63,9 +62,9 @@ type Histogram struct {
 
 // NewHistogram creates a sharded histogram over `buckets` buckets for n
 // process slots with value-rounding factor k (declared, not applied —
-// the caller's bucket layout already rounds), configured by cfg. Each
-// shard is built over its own n-slot prim.Factory, so any handle can
-// read every shard. Config.Batch is the per-handle observation buffer
+// the caller's bucket layout already rounds), configured by cfg. All
+// shards are built over one n-slot prim.Factory, so slot i is one
+// process on every shard. Config.Batch is the per-handle observation buffer
 // B: a handle accumulates per-bucket counts locally and flushes them all
 // once B observations are pending.
 func NewHistogram(n int, k uint64, buckets int, cfg Config) (*Histogram, error) {
@@ -83,12 +82,11 @@ func (hg *Histogram) Buckets() int { return hg.buckets }
 
 // Handle binds process slot i (0 <= i < n) to the histogram; a slot
 // binds once (see coreAt). The handle adds to shard i mod S and reads
-// all shards through slot i of each shard's factory. Like every handle
-// in this repository it must be used by a single goroutine. Its
-// observation buffer is allocated by its first AddN, so a slot that
-// only reads never holds one.
+// all shards as process i. Like every handle in this repository it must
+// be used by a single goroutine. Its observation buffer is allocated by
+// its first AddN, so a slot that only reads never holds one.
 func (hg *Histogram) Handle(i int) *HistHandle {
-	h := &HistHandle{handleCore: hg.newCore(i), buckets: hg.buckets}
+	h := &HistHandle{handleCore: hg.coreAt(i), buckets: hg.buckets}
 	h.buf.bb = &h.bb
 	h.buf.flushBucket = h.home.AddN
 	return h

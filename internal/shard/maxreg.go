@@ -69,10 +69,9 @@ func MultBoundedMaxBackend(m uint64) MaxRegBackend {
 // global max), and handles elide writes (the B-1 staleness lives in the
 // ONE handle holding the maximum, so it does not scale with n).
 var maxRegPolicy = &policy[uint64]{
-	name:     "max",
-	combine:  maxOf,
-	buffer:   writeElision,
-	newCache: newScalarReadCache,
+	name:    "max",
+	combine: maxOf,
+	buffer:  writeElision,
 }
 
 // maxOf is the max register's combine.
@@ -96,8 +95,8 @@ type MaxReg struct {
 
 // NewMaxReg creates a sharded max register for n process slots with
 // accuracy parameter k (ignored by exact backends) over backend be,
-// configured by cfg. Each shard is built over its own n-slot
-// prim.Factory, so any handle can read every shard. Config.Batch is the
+// configured by cfg. All shards are built over one n-slot prim.Factory,
+// so slot i is one process on every shard. Config.Batch is the
 // write-elision window B: a handle remembers the last value it flushed
 // to its home shard and elides — skips entirely, touching no shared
 // memory — any write within B-1 of it (writes at or below the flushed
@@ -115,10 +114,10 @@ func NewMaxReg(n int, k uint64, be MaxRegBackend, cfg Config) (*MaxReg, error) {
 
 // Handle binds process slot i (0 <= i < n) to the register; a slot
 // binds once (see coreAt). The handle writes to shard i mod S and reads
-// all shards through slot i of each shard's factory. Like every handle
-// in this repository it must be used by a single goroutine.
+// all shards as process i. Like every handle in this repository it must
+// be used by a single goroutine.
 func (m *MaxReg) Handle(i int) *MaxRegHandle {
-	h := &MaxRegHandle{handleCore: m.newCore(i), bound: m.be.bound}
+	h := &MaxRegHandle{handleCore: m.coreAt(i), bound: m.be.bound}
 	h.buf.flush = h.home.Write
 	return h
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"time"
 
 	"approxobj/internal/prim"
 	"approxobj/internal/satmath"
@@ -121,9 +120,21 @@ func (b *buffer) noteFlush(v uint64) {
 		return
 	}
 	b.tel.Inc(telemetry.EvFlush, b.slot)
+	b.drainLocals()
+	b.tel.Trace(telemetry.TraceFlush, b.slot, v)
+}
+
+// drainLocals publishes the residues of the batched locals. Flush calls
+// it even when nothing is pending: a subsumed write, or a component's
+// return to its flushed value, counts an elided write and leaves
+// nothing to flush, and a window handle drops an epoch's handle (and its
+// locals) once it re-homes, so an undrained residue would be lost.
+func (b *buffer) drainLocals() {
+	if b.tel == nil {
+		return
+	}
 	b.tel.FlushLocal(telemetry.EvBufferHit, b.slot, &b.localHits)
 	b.tel.FlushLocal(telemetry.EvElidedWrite, b.slot, &b.localElided)
-	b.tel.Trace(telemetry.TraceFlush, b.slot, v)
 }
 
 // add routes one mutation (an increment count or a value) through the
@@ -232,26 +243,25 @@ func (b *buffer) flushBuckets() {
 	b.noteFlush(d)
 }
 
-// Flush publishes the buffered state to the home shard; it is a no-op
-// when nothing is buffered.
+// Flush publishes the buffered state to the home shard (nothing when the
+// buffer is empty) and the batched telemetry locals to the sink.
 func (b *buffer) Flush() {
 	switch b.policy {
 	case countBatching:
-		if b.pending == 0 {
-			return
+		if b.pending != 0 {
+			d := b.pending
+			b.pending = 0
+			b.flush(d)
+			b.noteFlush(d)
 		}
-		d := b.pending
-		b.pending = 0
-		b.flush(d)
-		b.noteFlush(d)
 	case bucketBatching:
 		b.flushBuckets()
 	default:
-		if !b.dirty {
-			return
+		if b.dirty {
+			b.writeThrough(b.pending)
 		}
-		b.writeThrough(b.pending)
 	}
+	b.drainLocals()
 }
 
 // Pending returns the buffered state (diagnostic): the buffered
@@ -327,9 +337,9 @@ func (b bufferPolicy) String() string {
 }
 
 // Config configures a sharded object of any kind. The zero Config is
-// one unbuffered shard with the read cache and telemetry off; the
-// public spec layer is the single validation point, so Config is plain
-// data and every kind reads the same four fields.
+// one unbuffered shard with telemetry off; the public spec layer is
+// the single validation point, so Config is plain data and every kind
+// reads the same three fields.
 type Config struct {
 	// Shards is the shard count S (0 means 1). Mutations spread across
 	// shards by handle affinity; reads cost one underlying read per
@@ -342,17 +352,10 @@ type Config struct {
 	// snapshots (readers trail by at most B-1), whole observations for
 	// histograms. Bounds reports the headroom as the Buffer term.
 	Batch int
-	// ReadStale enables the read-combiner tier (0 means off): reads serve
-	// a pre-combined value at most ReadStale old, independent of S, at
-	// the cost of the Stale term in Bounds. The object's LAST slot is
-	// then reserved for the background combiner goroutine (so n must be
-	// >= 2); stop it with Close.
-	ReadStale time.Duration
 	// Tel attaches an internal telemetry sink to the runtime paths
-	// (flushes, buffer hits, read-cache traffic, combiner ticks, arena
-	// rows, and for windowed objects rotations and re-homes). Nil
-	// disables instrumentation: the hot paths see a single never-taken
-	// branch.
+	// (flushes, buffer hits, elided writes, arena rows, and for windowed
+	// objects rotations and re-homes). Nil disables instrumentation: the
+	// hot paths see a single never-taken branch.
 	Tel *telemetry.Sink
 }
 
@@ -394,9 +397,9 @@ func HistogramPolicyRow() PolicyRow { return histogramPolicy.row() }
 
 // policy is one kind's row of the plane: how reads fold the per-shard
 // (and, in a window, per-epoch) values, how the per-shard envelope
-// composes under that fold, which buffering discipline its handles use,
-// and the read-cache shape of its value. The spec layer's backend table
-// derives its rows from these via PolicyRow.
+// composes under that fold, and which buffering discipline its handles
+// use. The spec layer's backend table derives its rows from these via
+// PolicyRow.
 type policy[V any] struct {
 	name    string     // policy-table name: "sum", "max", "per-component"
 	combine Combine[V] // the fold itself, over shards and over epochs
@@ -411,18 +414,18 @@ type policy[V any] struct {
 	// the elision policies, where the staleness lives in one handle per
 	// result component).
 	bufferScalesWithProcs bool
-	// newCache builds the read-combiner tier for the value's shape
-	// (newScalarReadCache or newVecReadCache).
-	newCache func(d time.Duration) readCache[V]
 }
 
 // plane is the generic sharded object: S shards of O combined on read by
 // the kind's Combine, with handle-local buffering per the kind's policy.
-// Kind-specific object types embed it — inheriting N, Close, Bounds,
-// and BaseObjects — and add nothing but their Handle and its mutation
-// method.
+// All S shards are built over one n-slot prim.Factory, so process slot i
+// is one prim.Proc on every shard, as in the paper's model, where each
+// process applies its primitives to any base object. Kind-specific
+// object types embed it — inheriting N, Bounds, and BaseObjects — and
+// add nothing but their Handle and its mutation method.
 type plane[O any, H Reader[V], V any] struct {
-	rt       *runtime[O]
+	f        *prim.Factory
+	shards   []O
 	k        uint64
 	batch    uint64
 	be       backend[O]
@@ -435,60 +438,40 @@ type plane[O any, H Reader[V], V any] struct {
 	readInto func(h H, dst V) V
 	// bound marks the slots that have their handle (see coreAt).
 	bound []bool
-	// cache is the read-combiner tier (see readcache.go), nil when the
-	// plane serves every read as a full combine. When non-nil, the last
-	// process slot is reserved for the background combiner goroutine.
-	cache readCache[V]
 	// tel is the telemetry sink the plane's moving parts report into
 	// (nil when uninstrumented).
 	tel *telemetry.Sink
 }
 
-// newPlane builds S shards of n slots each from a configuration the
-// spec layer has validated. cfg.ReadStale > 0 enables the read-combiner
-// tier with that staleness window, built by the policy's newCache; the
-// LAST of the n slots (n >= 2) is then reserved for the background
-// combiner goroutine and must not be handed out. readInto is the
-// per-shard read into a reused buffer, nil for scalar kinds.
+// newPlane builds S shards over one n-slot factory from a configuration
+// the spec layer has validated. cfg.Tel (nil when uninstrumented) is
+// attached to the factory before any shard is built, so
+// construction-time arena rows are counted. readInto is the per-shard
+// read into a reused buffer, nil for scalar kinds.
 func newPlane[O any, H Reader[V], V any](
 	n int, k uint64, cfg Config, be backend[O], pol *policy[V],
 	handleOf func(o O, p *prim.Proc) H, readInto func(h H, dst V) V,
 ) (*plane[O, H, V], error) {
-	rt, err := newRuntime(be.name, n, orOne(cfg.Shards), cfg.Tel, func(f *prim.Factory) (O, error) {
-		return be.make(f, k)
-	})
-	if err != nil {
-		return nil, err
+	f := prim.NewFactory(n)
+	f.Instrument(cfg.Tel)
+	shards := make([]O, orOne(cfg.Shards))
+	for s := range shards {
+		o, err := be.make(f, k)
+		if err != nil {
+			return nil, fmt.Errorf("shard: building shard %d/%d (%s): %w", s, len(shards), be.name, err)
+		}
+		shards[s] = o
 	}
-	p := &plane[O, H, V]{
-		rt: rt, k: k, batch: uint64(orOne(cfg.Batch)), be: be, pol: pol,
+	return &plane[O, H, V]{
+		f: f, shards: shards, k: k, batch: uint64(orOne(cfg.Batch)), be: be, pol: pol,
 		handleOf: handleOf, readInto: readInto,
 		bound: make([]bool, n),
 		tel:   cfg.Tel,
-	}
-	if cfg.ReadStale > 0 {
-		p.cache = pol.newCache(cfg.ReadStale)
-		p.cache.instrument(cfg.Tel)
-		// The combiner owns the reserved last slot outright: handles for
-		// it are refused (newCore), so its per-shard readers and its
-		// core's scratch buffers race with nothing.
-		core := p.coreAt(n - 1)
-		go p.cache.run(core.combinedInto)
-	}
-	return p, nil
-}
-
-// Close stops the plane's background combiner goroutine, if any, and
-// waits for it to exit. Idempotent; reads stay valid afterwards (cached
-// reads fall back to inline refreshes).
-func (p *plane[O, H, V]) Close() {
-	if p.cache != nil {
-		p.cache.close()
-	}
+	}, nil
 }
 
 // N returns the number of process slots.
-func (p *plane[O, H, V]) N() int { return p.rt.n }
+func (p *plane[O, H, V]) N() int { return p.f.N() }
 
 // kindPolicy and sink hand the window tier the kind's policy row and
 // the telemetry sink (see Epoch).
@@ -498,10 +481,7 @@ func (p *plane[O, H, V]) sink() *telemetry.Sink  { return p.tel }
 // Bounds composes the combined read envelope from the backend's
 // per-shard envelope and the kind's policy row: Add widens by S iff the
 // combine sums shards, and the B-1 buffering headroom multiplies by the
-// number of mutating slots iff every handle's buffer can be stale at
-// once (the reserved combiner slot never mutates, so it is excluded).
-// With the read-combiner tier on, Stale carries the staleness window as
-// a further, time-domain widening of the regularity window. For a
+// slot count iff every handle's buffer can be stale at once. For a
 // randomized backend the per-shard failure probabilities compose by
 // union bound: a combined read is in range whenever every one of the S
 // shard reads is, so Delta = min(1, S * delta_shard). The package
@@ -509,18 +489,14 @@ func (p *plane[O, H, V]) sink() *telemetry.Sink  { return p.tel }
 func (p *plane[O, H, V]) Bounds() Bounds {
 	b := Bounds{Mult: p.be.multOf(p.k), Add: p.be.addOf(p.k)}
 	if p.pol.addScalesWithShards {
-		b.Add = satmath.Mul(uint64(len(p.rt.shards)), b.Add)
+		b.Add = satmath.Mul(uint64(len(p.shards)), b.Add)
 	}
-	head := p.batch - 1
+	b.Buffer = p.batch - 1
 	if p.pol.bufferScalesWithProcs {
-		head = satmath.Mul(head, uint64(p.writers()))
-	}
-	b.Buffer = head
-	if p.cache != nil {
-		b.Stale = p.cache.staleness()
+		b.Buffer = satmath.Mul(b.Buffer, uint64(p.N()))
 	}
 	if p.be.delta > 0 {
-		b.Delta = min(1, float64(len(p.rt.shards))*p.be.delta)
+		b.Delta = min(1, float64(len(p.shards))*p.be.delta)
 	}
 	return b
 }
@@ -535,39 +511,13 @@ func (p *plane[O, H, V]) Bounds() Bounds {
 // execution and reads never move it. Windowed objects sum
 // it over their epoch ring; the frontier bench (E19) uses it to compare
 // deterministic and randomized state at equal target error.
-func (p *plane[O, H, V]) BaseObjects() uint64 {
-	var total uint64
-	for _, f := range p.rt.facts {
-		total += f.Resident()
-	}
-	return total
-}
-
-// writers is the number of slots that can hold buffered mutations: all
-// of them, minus the reserved combiner slot when the read cache is on.
-func (p *plane[O, H, V]) writers() int {
-	if p.cache != nil {
-		return p.rt.n - 1
-	}
-	return p.rt.n
-}
-
-// newCore binds process slot i to every shard and returns the shared
-// handle core. With the read cache on, the last slot belongs to the
-// background combiner and is refused here (slot handles are strictly
-// single-goroutine; handing it out would race with the combiner).
-func (p *plane[O, H, V]) newCore(i int) handleCore[H, V] {
-	if p.cache != nil && i == p.rt.n-1 {
-		panic(fmt.Sprintf("shard: slot %d is reserved for the read-cache combiner", i))
-	}
-	return p.coreAt(i)
-}
+func (p *plane[O, H, V]) BaseObjects() uint64 { return p.f.Resident() }
 
 // coreAt binds process slot i to every shard and returns the shared
-// handle core: per-shard readers, the home shard's handle, the combine
-// loop, the policy's buffer (whose flush function the kind-specific
-// handle wires to its home-shard mutation), and the plane's read cache.
-// A slot binds once. Its per-shard handles hold the paper's
+// handle core: per-shard readers through the slot's one proc, the home
+// shard's handle, the combine loop, and the policy's buffer (whose
+// flush function the kind-specific handle wires to its home-shard
+// mutation). A slot binds once. Its per-shard handles hold the paper's
 // per-process local state (a sequence number, a counter's own leaf, an
 // elision anchor), which a second set would restart from zero, so a
 // second binding of one slot panics: callers keep the slot's one
@@ -578,85 +528,53 @@ func (p *plane[O, H, V]) coreAt(i int) handleCore[H, V] {
 		panic(fmt.Sprintf("shard: slot %d is already bound; a slot has one handle", i))
 	}
 	p.bound[i] = true
-	procs := p.rt.slotProcs(i)
-	readers := make([]H, len(procs))
-	for s, o := range p.rt.shards {
-		readers[s] = p.handleOf(o, procs[s])
+	proc := p.f.Proc(i)
+	readers := make([]H, len(p.shards))
+	for s, o := range p.shards {
+		readers[s] = p.handleOf(o, proc)
 	}
 	return handleCore[H, V]{
 		readers:  readers,
-		home:     readers[p.rt.home(i)],
-		procs:    procs,
+		home:     readers[i%len(p.shards)],
+		proc:     proc,
 		combine:  p.pol.combine,
 		readInto: p.readInto,
 		buf:      buffer{policy: p.pol.buffer, batch: p.batch, tel: p.tel, slot: i},
-		cache:    p.cache,
-		tel:      p.tel,
-		slot:     i,
 	}
 }
 
 // handleCore is the shared per-slot handle core every kind's handle embeds:
 // the per-shard readers bound to one process slot, the home shard's
-// handle, the combined read, the buffer, and step accounting. The
-// kind-specific handle adds only its mutation method (Inc, Write,
-// Update) over buf.add.
+// handle (i mod S: a handle's mutations all land on one shard, keeping
+// its cache traffic within that shard's base objects), the combined
+// read, the buffer, and step accounting. The kind-specific handle adds
+// only its mutation method (Inc, Write, Update) over buf.add.
 type handleCore[H Reader[V], V any] struct {
 	readers  []H
 	home     H
-	procs    []*prim.Proc
+	proc     *prim.Proc
 	combine  Combine[V]
 	readInto func(h H, dst V) V // per-shard read into a reused buffer; nil for scalar kinds
 	scratch  V                  // fold buffer for the non-first shards' reads (vector kinds)
-	refresh  func(V) V          // combinedInto, bound once on first cached read (method values allocate)
 	buf      buffer
-	cache    readCache[V] // the plane's read-combiner tier, nil when off
-	tel      *telemetry.Sink
-	slot     int
 }
 
-// Read returns the object's combined value. Without the read cache it
-// combines one read of every shard with the kind's Combine — O(S) — and
-// the result is inside the envelope the object's Bounds describes,
-// relative to the regularity window of the package comment. With the
-// read cache it serves the plane's pre-combined cell in O(1) when fresh
-// (falling back to an inline re-combine through this handle's own
-// readers when not); the same envelope then holds against the
-// regularity window widened backward by the Stale term of Bounds. For
-// vector-valued kinds the slice is fresh (owned by the caller); reuse a
-// buffer across reads with ReadInto instead.
+// Read returns the object's combined value: one read of every shard,
+// folded with the kind's Combine — O(S). The result is inside the
+// envelope the object's Bounds describes, relative to the regularity
+// window of the package comment. For vector-valued kinds the slice is
+// fresh (owned by the caller); reuse a buffer across reads with
+// ReadInto instead.
 func (c *handleCore[H, V]) Read() V {
 	var zero V
 	return c.ReadInto(zero)
 }
 
 // ReadInto is Read with the result written into dst (grown as needed;
-// scalar kinds ignore it). Steady-state cached reads and uncached
-// combines through one handle allocate nothing: per-shard reads land in
-// the handle's scratch buffers and the result in dst.
+// scalar kinds ignore it). Scalar kinds fold plain values; vector kinds
+// read the first shard into dst and every later shard into the handle's
+// scratch buffer, so a steady-state combine allocates nothing.
 func (c *handleCore[H, V]) ReadInto(dst V) V {
-	if c.cache == nil {
-		return c.combinedInto(dst)
-	}
-	if c.refresh == nil {
-		c.refresh = c.combinedInto
-	}
-	if c.tel != nil {
-		// Every cached-path read counts here (hits are derived as reads
-		// minus the misses the cache itself reports): one striped atomic
-		// add when instrumented, one predicted branch when not — the
-		// read path takes no prim steps and allocates nothing either way.
-		c.tel.Inc(telemetry.EvCacheRead, c.slot)
-	}
-	return c.cache.readInto(dst, c.refresh)
-}
-
-// combinedInto is the raw combine loop: one read of every shard, folded
-// by the kind's Combine into dst. Scalar kinds fold plain values and
-// ignore dst; vector kinds read the first shard into dst and every
-// later shard into the handle's scratch buffer, so a steady-state
-// combine allocates nothing.
-func (c *handleCore[H, V]) combinedInto(dst V) V {
 	if c.readInto == nil {
 		acc := c.readers[0].Read()
 		for _, r := range c.readers[1:] {
@@ -684,4 +602,4 @@ func (c *handleCore[H, V]) Pending() uint64 { return c.buf.Pending() }
 
 // Steps returns the shared-memory steps this handle's process slot has
 // taken across all shards.
-func (c *handleCore[H, V]) Steps() uint64 { return stepsOf(c.procs) }
+func (c *handleCore[H, V]) Steps() uint64 { return c.proc.Steps() }

@@ -29,22 +29,21 @@
 // Everything else — construction, handle wiring, flushes, envelope
 // composition, step accounting — is the generic core, shared by all
 // kinds. Adding object family N+1 means declaring its backends and its
-// policy row, not re-growing the plumbing.
-//
-// Every kind can additionally enable the read-combiner tier
-// (Config.ReadStale; see readcache.go): the plane keeps one
-// pre-combined cell — refreshed by a background combiner goroutine on a
-// reserved slot and by read-triggered inline refreshes — so reads are
-// O(1) in S at the cost of a bounded staleness window, reported as the
-// Stale term of Bounds.
+// policy row, not re-growing the plumbing. Nothing here runs a
+// goroutine except a window's rotator (window.go); the read-combiner
+// tier lives one layer up, one cache per public object, over either a
+// plane or a window.
 //
 // # Construction
 //
 // A sharded object for n process slots is S underlying objects
-// ("shards"), each built over its own prim.Factory with n slots. Handle
-// i mutates only its home shard i mod S (handle affinity: a mutator's
-// cache traffic stays within one shard's base objects), and reads
-// combine one read of every shard. Optionally each handle buffers
+// ("shards"), all built over one prim.Factory with n slots, so process
+// slot i is one prim.Proc on every shard — as in the paper's model,
+// where a process applies its primitives to any base object — and its
+// steps and the object's resident base objects are each counted in one
+// place. Handle i mutates only its home shard i mod S (handle affinity:
+// a mutator's cache traffic stays within one shard's base objects), and
+// reads combine one read of every shard. Optionally each handle buffers
 // mutations locally: a counter handle buffers B increments and flushes
 // them in one bulk operation (object.BulkCounterHandle when the backend
 // supports it), a max register handle elides writes within B-1 of its
@@ -229,20 +228,18 @@ var counterPolicy = &policy[uint64]{
 	buffer:                countBatching,
 	addScalesWithShards:   true,
 	bufferScalesWithProcs: true,
-	newCache:              newScalarReadCache,
 }
 
 // Counter is the sharded counter: S independently accurate shards summed
-// by readers, with the plane's accessors (N, Close, Bounds,
-// BaseObjects). Create handles with Handle; the zero value is not
-// usable.
+// by readers, with the plane's accessors (N, Bounds, BaseObjects).
+// Create handles with Handle; the zero value is not usable.
 type Counter struct {
 	*plane[object.Counter, object.CounterHandle, uint64]
 }
 
 // New creates a sharded counter for n process slots with accuracy
-// parameter k over backend be, configured by cfg. Each shard is built
-// over its own n-slot prim.Factory, so any handle can read every shard;
+// parameter k over backend be, configured by cfg. All shards are built
+// over one n-slot prim.Factory, so slot i is one process on every shard;
 // backend preconditions (e.g. k >= sqrt(n) for MultBackend) apply per
 // shard.
 func New(n int, k uint64, be Backend, cfg Config) (*Counter, error) {
@@ -256,10 +253,10 @@ func New(n int, k uint64, be Backend, cfg Config) (*Counter, error) {
 
 // Handle binds process slot i (0 <= i < n) to the counter; a slot binds
 // once (see coreAt). The handle increments shard i mod S and reads all
-// shards through slot i of each shard's factory. Like every handle in
-// this repository it must be used by a single goroutine.
+// shards as process i. Like every handle in this repository it must be
+// used by a single goroutine.
 func (c *Counter) Handle(i int) *Handle {
-	h := &Handle{handleCore: c.newCore(i)}
+	h := &Handle{handleCore: c.coreAt(i)}
 	if bulk, ok := h.home.(object.BulkCounterHandle); ok {
 		h.buf.flush = bulk.IncN
 	} else {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"approxobj/internal/core"
 	"approxobj/internal/prim"
@@ -218,10 +217,9 @@ func TestShardedSteps(t *testing.T) {
 // TestSlotBindsOnce pins that each slot of every kind has one handle:
 // a second Handle(i) on one object panics, because a second set of
 // per-shard handles would restart the slot's per-process state (a fresh
-// AACH handle writes its leaf starting from 0). With the read cache on,
-// the combiner's reserved last slot still panics with its own message.
+// AACH handle writes its leaf starting from 0).
 func TestSlotBindsOnce(t *testing.T) {
-	cfg := shard.Config{Shards: 2, ReadStale: time.Hour}
+	cfg := shard.Config{Shards: 2}
 	c, err := shard.New(2, 1, shard.AACHBackend(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -241,17 +239,14 @@ func TestSlotBindsOnce(t *testing.T) {
 	for _, k := range []struct {
 		name   string
 		handle func(i int)
-		close  func()
 	}{
-		{"counter", func(i int) { c.Handle(i) }, c.Close},
-		{"max-register", func(i int) { m.Handle(i) }, m.Close},
-		{"snapshot", func(i int) { s.Handle(i) }, s.Close},
-		{"histogram", func(i int) { hg.Handle(i) }, hg.Close},
+		{"counter", func(i int) { c.Handle(i) }},
+		{"max-register", func(i int) { m.Handle(i) }},
+		{"snapshot", func(i int) { s.Handle(i) }},
+		{"histogram", func(i int) { hg.Handle(i) }},
 	} {
-		defer k.close()
 		k.handle(0)
 		wantPanic(t, k.name+": second Handle(0)", "already bound", func() { k.handle(0) })
-		wantPanic(t, k.name+": Handle(1)", "reserved for the read-cache combiner", func() { k.handle(1) })
 	}
 }
 

@@ -24,10 +24,9 @@ var snapshotBackend = backend[object.Snapshot]{
 // widens), and handles elide component updates (staleness is per
 // component, so the Buffer term does not scale with n).
 var snapshotPolicy = &policy[[]uint64]{
-	name:     "per-component",
-	combine:  mergeComponents,
-	buffer:   componentElision,
-	newCache: newVecReadCache,
+	name:    "per-component",
+	combine: mergeComponents,
+	buffer:  componentElision,
 }
 
 // snapHandle adapts the object-layer snapshot handle (Update/Scan) to
@@ -65,15 +64,14 @@ type Snapshot struct {
 }
 
 // NewSnapshot creates a sharded snapshot for n process slots (= n
-// components), configured by cfg. Each shard is built over its own
-// n-slot prim.Factory, so any handle can scan every shard. Config.Batch
+// components), configured by cfg. All shards are built over one n-slot
+// prim.Factory, so slot i is one process on every shard. Config.Batch
 // is the component-elision window B: a handle elides updates in the
 // window [flushed, flushed+B-1] above its last flushed component value,
 // keeping the LATEST elided value locally until a move outside the
 // window (in particular any downward move) or Flush publishes it, so a
 // scanned component trails its true value by at most B-1 and never
-// exceeds it. With the read cache on, the reserved last slot's
-// component stays zero.
+// exceeds it.
 func NewSnapshot(n int, cfg Config) (*Snapshot, error) {
 	p, err := newPlane(n, 1, cfg, snapshotBackend, snapshotPolicy,
 		func(o object.Snapshot, pr *prim.Proc) snapHandle { return snapHandle{o.SnapshotHandle(pr)} },
@@ -87,11 +85,11 @@ func NewSnapshot(n int, cfg Config) (*Snapshot, error) {
 // Handle binds process slot i (0 <= i < n) to the snapshot; a slot
 // binds once (see coreAt), so the handle's elision anchor starts at the
 // component's initial zero. The handle owns component i: its updates
-// land in shard i mod S, and its scans merge all shards through slot i
-// of each shard's factory. Like every handle in this repository it must
-// be used by a single goroutine.
+// land in shard i mod S, and its scans merge all shards, read as
+// process i. Like every handle in this repository it must be used by a
+// single goroutine.
 func (s *Snapshot) Handle(i int) *SnapshotHandle {
-	h := &SnapshotHandle{handleCore: s.newCore(i), slot: i}
+	h := &SnapshotHandle{handleCore: s.coreAt(i), slot: i}
 	h.buf.flush = h.home.Update
 	return h
 }

@@ -14,14 +14,13 @@ import (
 // a small ring of plane instances ("epochs") rotated on a fixed period,
 // so reads answer over the last d of mutations instead of
 // since-creation. The construction reuses everything below it — each
-// epoch is an ordinary kind object with its own shards, buffers, and
-// (optionally) read-combiner tier — and everything above it: writers
-// stamp into the current epoch through the kind's existing handle
-// plumbing, and reads fold the live ring with the kind's existing
-// Combine, so the per-epoch accuracy envelope carries over to the
-// window with only the documented widenings (Add x epochs for
-// sum-combines; a one-epoch truncation skew, the Window term of
-// Bounds).
+// epoch is an ordinary kind object with its own shards and buffers —
+// and everything above it: writers stamp into the current epoch through
+// the kind's existing handle plumbing, and reads fold the live ring
+// with the kind's existing Combine, so the per-epoch accuracy envelope
+// carries over to the window with only the documented widenings (Add x
+// epochs for sum-combines; a one-epoch truncation skew, the Window term
+// of Bounds).
 //
 // # Rotation
 //
@@ -35,9 +34,9 @@ import (
 // epochs >= 2. Writes therefore land in the epoch current when the
 // handle resolved the ring, or an adjacent newer one; never in an
 // unreachable instance, and never lost from the live window. The
-// evicted instance (from `epochs` rotations ago) is closed — its
-// read-combiner goroutine, if any, stops — but stays readable for any
-// reader that loaded its pointer just before the swap.
+// evicted instance (from `epochs` rotations ago) leaves the ring but
+// stays readable for any reader that loaded its pointer just before the
+// swap; it holds no goroutine, so nothing needs stopping.
 //
 // # Handles
 //
@@ -80,7 +79,6 @@ type EpochHandle[V any] interface {
 // Counter, MaxReg, Snapshot, and Histogram satisfy it.
 type Epoch[H EpochHandle[V], V any] interface {
 	Handle(i int) H
-	Close()
 	Bounds() Bounds
 	BaseObjects() uint64
 	kindPolicy() *policy[V]
@@ -136,9 +134,6 @@ func NewWindow[T Epoch[H, V], H EpochHandle[V], V any](d time.Duration, epochs i
 	for j := 0; j < epochs; j++ {
 		obj, err := mk()
 		if err != nil {
-			for i := 0; i < j; i++ {
-				w.ring[i].Load().obj.Close()
-			}
 			return nil, err
 		}
 		w.ring[j].Store(&wepoch[T]{seq: uint64(j), obj: obj})
@@ -169,13 +164,13 @@ func (w *Window[T, H, V]) run() {
 
 // Rotate installs a fresh epoch and evicts the oldest: install into the
 // new sequence number's ring slot first, publish the sequence number
-// second, close the evicted instance last. The rotator calls it every
-// d/epochs; tests and manual epoch control call it directly (the
-// windowed conformance sweeps drive epochs by hand instead of sleeping
-// through wall-clock rotations). After Close it is a no-op (the window
-// is frozen). A kind construction that cannot fail built the ring, so
-// mk cannot fail here either; a failure is surfaced by keeping the
-// current window (no rotation) rather than poisoning the ring.
+// second. The rotator calls it every d/epochs; tests and manual epoch
+// control call it directly (the windowed conformance sweeps drive
+// epochs by hand instead of sleeping through wall-clock rotations).
+// After Close it is a no-op (the window is frozen). A kind construction
+// that cannot fail built the ring, so mk cannot fail here either; a
+// failure is surfaced by keeping the current window (no rotation)
+// rather than poisoning the ring.
 func (w *Window[T, H, V]) Rotate() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -187,9 +182,8 @@ func (w *Window[T, H, V]) Rotate() {
 		return
 	}
 	s := w.seq.Load() + 1
-	old := w.ring[s%uint64(w.epochs)].Swap(&wepoch[T]{seq: s, obj: fresh})
+	w.ring[s%uint64(w.epochs)].Store(&wepoch[T]{seq: s, obj: fresh})
 	w.seq.Store(s)
-	old.obj.Close()
 	w.tel.Inc(telemetry.EvRotation, 0)
 	w.tel.Trace(telemetry.TraceRotation, -1, s)
 }
@@ -210,9 +204,6 @@ func (w *Window[T, H, V]) Reset() error {
 	for i := range fresh {
 		obj, err := w.mk()
 		if err != nil {
-			for j := 0; j < i; j++ {
-				fresh[j].Close()
-			}
 			return err
 		}
 		fresh[i] = obj
@@ -220,44 +211,35 @@ func (w *Window[T, H, V]) Reset() error {
 	s := w.seq.Load()
 	for i := 1; i <= w.epochs; i++ {
 		ns := s + uint64(i)
-		old := w.ring[ns%uint64(w.epochs)].Swap(&wepoch[T]{seq: ns, obj: fresh[i-1]})
-		old.obj.Close()
+		w.ring[ns%uint64(w.epochs)].Store(&wepoch[T]{seq: ns, obj: fresh[i-1]})
 	}
 	w.seq.Store(s + uint64(w.epochs))
 	return nil
 }
 
-// Close stops the rotator goroutine and every live epoch's background
-// resources, freezing the window: no further aging, reads keep serving
-// the frozen ring (they remain fully valid — per-epoch cached reads
-// fall back to inline refreshes), writes keep landing in the frozen
-// current epoch, and Reset returns an error. Idempotent.
+// Close stops the rotator goroutine and waits for it to exit, freezing
+// the window: no further aging, reads keep serving the frozen ring,
+// writes keep landing in the frozen current epoch, and Reset returns an
+// error. Idempotent.
 func (w *Window[T, H, V]) Close() {
 	w.once.Do(func() {
 		close(w.stop)
 		<-w.done
+		w.mu.Lock()
+		w.closed = true
+		w.mu.Unlock()
 	})
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return
-	}
-	w.closed = true
-	for j := range w.ring {
-		w.ring[j].Load().obj.Close()
-	}
 }
 
 // Bounds composes the windowed envelope from the per-epoch one: Add
 // widens by the epoch count iff the kind's Combine sums (per-epoch
 // slack accumulates over the fold, exactly like per-shard slack under a
 // sum), Buffer is unchanged (a handle holds buffered mutations in at
-// most one epoch at a time — see the handle comment), Stale is
-// unchanged (each epoch's cache is its own), and Window carries the
-// one-epoch truncation skew d/epochs. Delta widens by the epoch count
-// regardless of the combine (union bound: the windowed read is in range
-// when every one of the `epochs` per-epoch combined reads is, whatever
-// the fold), clamped at 1.
+// most one epoch at a time — see the handle comment), and Window
+// carries the one-epoch truncation skew d/epochs. Delta widens by the
+// epoch count regardless of the combine (union bound: the windowed read
+// is in range when every one of the `epochs` per-epoch combined reads
+// is, whatever the fold), clamped at 1.
 func (w *Window[T, H, V]) Bounds() Bounds {
 	b := w.ring[w.seq.Load()%uint64(w.epochs)].Load().obj.Bounds()
 	if w.pol.addScalesWithShards {

@@ -153,83 +153,67 @@ func TestWindowedZeroObservations(t *testing.T) {
 // pre-filled EMPTY epochs are evicted — every write stays in the live
 // ring, landing in the epoch current when the writer resolved the ring
 // or an adjacent newer one. After quiescence and a flush, the windowed
-// read must equal the write count exactly (exact backend).
+// read must equal the write count exactly (exact backend). The root
+// package runs the same race through the read cache.
 func TestRotationRacingBatchedWrites(t *testing.T) {
-	for _, cached := range []bool{false, true} {
-		name := "uncached"
-		if cached {
-			name = "cached"
+	const (
+		epochs = 8
+		incs   = 20_000
+	)
+	c, err := windowedCounter(3, hourWindow, epochs, Config{Batch: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	w := WCounterHandle{c.Handle(0)}
+	r := c.Handle(1)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	stopRead := make(chan struct{})
+
+	wg.Add(1)
+	go func() { // writer: batched increments racing rotation
+		defer wg.Done()
+		<-start
+		for i := 0; i < incs; i++ {
+			w.Inc()
 		}
-		t.Run(name, func(t *testing.T) {
-			const (
-				epochs = 8
-				incs   = 20_000
-			)
-			cfg := Config{Batch: 16}
-			if cached {
-				cfg.ReadStale = time.Millisecond
+	}()
+	wg.Add(1)
+	go func() { // rotator: at most epochs-1 rotations, so no write-bearing epoch is evicted
+		defer wg.Done()
+		<-start
+		for i := 0; i < epochs-1; i++ {
+			c.Rotate()
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	readDone := make(chan struct{})
+	go func() { // reader: windowed reads racing both
+		defer close(readDone)
+		<-start
+		for {
+			select {
+			case <-stopRead:
+				return
+			default:
 			}
-			c, err := windowedCounter(3, hourWindow, epochs, cfg)
-			if err != nil {
-				t.Fatal(err)
+			if got := r.Read(); got > incs {
+				t.Errorf("mid-race read %d exceeds total writes %d", got, incs)
+				return
 			}
-			defer c.Close()
+		}
+	}()
 
-			w := WCounterHandle{c.Handle(0)}
-			r := c.Handle(1)
-			var wg sync.WaitGroup
-			start := make(chan struct{})
-			stopRead := make(chan struct{})
+	close(start)
+	wg.Wait()
+	close(stopRead)
+	<-readDone
 
-			wg.Add(1)
-			go func() { // writer: batched increments racing rotation
-				defer wg.Done()
-				<-start
-				for i := 0; i < incs; i++ {
-					w.Inc()
-				}
-			}()
-			wg.Add(1)
-			go func() { // rotator: at most epochs-1 rotations, so no write-bearing epoch is evicted
-				defer wg.Done()
-				<-start
-				for i := 0; i < epochs-1; i++ {
-					c.Rotate()
-					time.Sleep(time.Millisecond)
-				}
-			}()
-			readDone := make(chan struct{})
-			go func() { // reader: windowed (and possibly cached) reads racing both
-				defer close(readDone)
-				<-start
-				for {
-					select {
-					case <-stopRead:
-						return
-					default:
-					}
-					if got := r.Read(); got > incs {
-						t.Errorf("mid-race read %d exceeds total writes %d", got, incs)
-						return
-					}
-				}
-			}()
-
-			close(start)
-			wg.Wait()
-			close(stopRead)
-			<-readDone
-
-			w.Flush()
-			if cached {
-				// Let every live epoch's cache window lapse so the final
-				// read cannot serve a pre-flush cell.
-				time.Sleep(5 * time.Millisecond)
-			}
-			if got := r.Read(); got != incs {
-				t.Fatalf("quiescent windowed read = %d, want exactly %d (writes lost or duplicated)", got, incs)
-			}
-		})
+	w.Flush()
+	if got := r.Read(); got != incs {
+		t.Fatalf("quiescent windowed read = %d, want exactly %d (writes lost or duplicated)", got, incs)
 	}
 }
 
@@ -355,7 +339,7 @@ func TestWindowReset(t *testing.T) {
 // returning the last value (no further aging), writes still land,
 // Rotate is a no-op, Reset errors, and Close is idempotent.
 func TestWindowCloseFreezes(t *testing.T) {
-	c, err := windowedCounter(2, hourWindow, 4, Config{ReadStale: time.Millisecond})
+	c, err := windowedCounter(2, hourWindow, 4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +349,7 @@ func TestWindowCloseFreezes(t *testing.T) {
 	}
 	c.Close()
 	c.Close() // idempotent
-	time.Sleep(2 * time.Millisecond)
-	if got := h.Read(); got != 7 { // cached cell expired; inline refresh post-close
+	if got := h.Read(); got != 7 {
 		t.Fatalf("read after Close = %d, want frozen 7", got)
 	}
 	c.Rotate() // frozen: must not age anything out
@@ -376,19 +359,19 @@ func TestWindowCloseFreezes(t *testing.T) {
 	if err := c.Reset(); err == nil {
 		t.Fatal("Reset after Close succeeded, want frozen-window error")
 	}
-	h.Inc()                          // draining writers still land in the frozen epoch
-	time.Sleep(2 * time.Millisecond) // let the cached cell lapse so the read refreshes inline
+	h.Inc() // draining writers still land in the frozen epoch
 	if got := h.Read(); got != 8 {
 		t.Fatalf("read after post-Close Inc = %d, want 8", got)
 	}
 }
 
-// TestWindowCloseStopsGoroutines checks that Close leaves no rotator or
-// combiner goroutine behind, even with read caches on every epoch.
+// TestWindowCloseStopsGoroutines checks that Close leaves no rotator
+// goroutine behind: the rotator is the only goroutine a ring runs (its
+// epochs run none).
 func TestWindowCloseStopsGoroutines(t *testing.T) {
 	before := goruntime.NumGoroutine()
 	for i := 0; i < 8; i++ {
-		c, err := windowedCounter(2, time.Second, 4, Config{ReadStale: time.Millisecond})
+		c, err := windowedCounter(2, time.Second, 4, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +404,6 @@ func TestWindowedBoundsComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer base.Close()
 	wc, err := NewWindow[*Counter, *Handle, uint64](hourWindow, epochs, func() (*Counter, error) {
 		return New(2, 8, AdditiveBackend(), cfg)
 	})
@@ -458,7 +440,6 @@ func TestWindowedBoundsComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bm.Close()
 	if wmb, emb := m.Bounds(), bm.Bounds(); wmb.Add != emb.Add || wmb.Mult != emb.Mult || wmb.Buffer != emb.Buffer {
 		t.Errorf("windowed max-register envelope %+v differs from per-epoch %+v beyond the Window term", wmb, emb)
 	}

@@ -108,7 +108,7 @@ const (
 	// TraceFlush: a handle buffer flushed; value is the flushed amount.
 	TraceFlush TraceEvent = iota
 	// TraceRefresh: a read-cache cell was re-combined; slot is -1 (the
-	// cache is per-plane, not per-slot), value is the combined scalar
+	// cache is per-object, not per-slot), value is the combined scalar
 	// (or the vector length for vector kinds).
 	TraceRefresh
 	// TraceRotation: a windowed object rotated; value is the new epoch

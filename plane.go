@@ -33,14 +33,15 @@ type instance interface {
 
 // objectCore is the state and accessor block every object family
 // shares: the validated spec, the shard runtime (the cumulative plane
-// object or the epoch ring, chosen once by initObject), the slot pool of
-// runtime handles, and the registry snapshot handle. Each kind embeds it
-// and adds only its handle types, its mutation and query surface, and
-// its descriptor row.
+// object or the epoch ring, chosen once by initObject), the epoch ring
+// again when windowed, the read cache, the slot pool of handles, and the
+// registry snapshot handle. Each kind embeds it and adds only its handle
+// types, its mutation and query surface, and its descriptor row.
 type objectCore[H pooledHandle] struct {
 	spec  Spec
 	rt    shardRuntime
-	reset func() error // the ring's Reset, or refuseReset when cumulative
+	ring  ringControl  // the epoch ring when windowed, else nil
+	cache cacheControl // the read cache under WithReadCache, else nil
 	slots slotPool[H]
 	snap  H // registry snapshot handle (slot procs), else the zero H
 }
@@ -51,37 +52,67 @@ type objectCore[H pooledHandle] struct {
 type shardRuntime interface {
 	Bounds() shard.Bounds
 	BaseObjects() uint64
+}
+
+// ringControl is the lifecycle of a windowed object's epoch ring
+// (*shard.Window).
+type ringControl interface {
+	Reset() error
 	Close()
 }
 
 // initObject builds c's shard runtime and the state every kind shares
-// over it. This is the one place the runtime is chosen: an epoch ring of
-// mk's instances when the spec is windowed, a single instance otherwise.
-// plain and windowed adapt the chosen runtime's slot handles to the
-// kind's pooled handle type H.
+// over it. This is the one place the runtime is chosen — an epoch ring
+// of mk's instances when the spec is windowed, a single instance
+// otherwise — and the one place the read cache is built, over either
+// runtime, so an object has at most one. plain and windowed adapt a
+// slot's runtime handle to the kind's pooled handle type H; their read
+// argument is the slot's read through the cache, nil when the object is
+// uncached (the handle then reads through its runtime handle).
 func initObject[H pooledHandle, T shard.Epoch[E, V], E shard.EpochHandle[V], V any](
 	c *objectCore[H], spec Spec, mk func() (T, error),
-	plain func(E) H, windowed func(*shard.WindowHandle[T, E, V]) H,
+	plain func(h E, read func(V) V) H, windowed func(h *shard.WindowHandle[T, E, V], read func(V) V) H,
 ) error {
-	var bind func(int) H
+	var (
+		bind    func(int) H
+		combine func() func(V) V // binds the reserved combiner slot's runtime read
+		cache   readCache[V]
+	)
+	// cached returns slot i's read through the cache, refreshing inline
+	// through rt, the slot's own runtime handle. Binding it once per slot
+	// keeps reads allocation-free (method values and closures allocate).
+	cached := func(i int, rt shard.EpochHandle[V]) func(V) V {
+		rc := cache
+		if rc == nil {
+			return nil
+		}
+		refresh := rt.ReadInto
+		return func(dst V) V { return rc.readInto(dst, refresh, i) }
+	}
 	if spec.Windowed() {
 		w, err := shard.NewWindow[T, E, V](spec.windowDur, spec.windowEpochs, mk)
 		if err != nil {
 			return err
 		}
-		c.rt, c.reset = w, w.Reset
-		bind = func(i int) H { return windowed(w.Handle(i)) }
+		c.rt, c.ring = w, w
+		bind = func(i int) H { h := w.Handle(i); return windowed(h, cached(i, h)) }
+		combine = func() func(V) V { return w.Handle(spec.totalProcs() - 1).ReadInto }
 	} else {
 		o, err := mk()
 		if err != nil {
 			return err
 		}
-		c.rt, c.reset = o, c.refuseReset
-		bind = func(i int) H { return plain(o.Handle(i)) }
+		c.rt = o
+		bind = func(i int) H { h := o.Handle(i); return plain(h, cached(i, h)) }
+		combine = func() func(V) V { return o.Handle(spec.totalProcs() - 1).ReadInto }
 	}
 	c.spec = spec
 	c.slots.init(spec.procs, bind)
 	c.slots.tel = instrumentObject(spec, c)
+	if spec.readStale > 0 {
+		cache = newReadCache(spec.readStale, c.slots.tel, combine())
+		c.cache = cache
+	}
 	if spec.snapshotSlot {
 		c.snap = bind(spec.procs)
 	}
@@ -91,16 +122,11 @@ func initObject[H pooledHandle, T shard.Epoch[E, V], E shard.EpochHandle[V], V a
 // shardConfig translates a spec into the sharded runtime's
 // configuration; each kind adds its own backend choice.
 func shardConfig(s Spec) shard.Config {
-	cfg := shard.Config{Shards: s.shards, Batch: s.batch, ReadStale: s.readStale}
+	cfg := shard.Config{Shards: s.shards, Batch: s.batch}
 	if s.tel != nil {
 		cfg.Tel = s.tel.sink
 	}
 	return cfg
-}
-
-// refuseReset is Reset on a cumulative object.
-func (c *objectCore[H]) refuseReset() error {
-	return fmt.Errorf("approxobj: Reset needs a windowed %s (WithWindow); this one is cumulative", c.spec.kind)
 }
 
 // handle returns process slot i's one handle (0 <= i < N), the same
@@ -151,19 +177,37 @@ func (c *objectCore[H]) Bounds() Bounds { return scaledBounds(c.rt.Bounds(), c.s
 func (c *objectCore[H]) BaseObjects() uint64 { return c.rt.BaseObjects() }
 
 // Close stops the object's background goroutines — the read cache's
-// combiner when WithReadCache is set, and the epoch rotator when
+// one combiner when WithReadCache is set, then the epoch rotator when
 // WithWindow is set (the window freezes: no further aging; reads keep
-// serving the frozen ring and Reset returns an error). Idempotent, and
-// a no-op otherwise; handles stay usable afterwards (cached reads
-// refresh inline).
-func (c *objectCore[H]) Close() { c.rt.Close() }
+// serving the frozen ring and Reset returns an error) — and waits for
+// them to exit. Idempotent, and a no-op otherwise; handles stay usable
+// afterwards (cached reads refresh inline).
+func (c *objectCore[H]) Close() {
+	if c.cache != nil {
+		c.cache.close()
+	}
+	if c.ring != nil {
+		c.ring.Close()
+	}
+}
 
 // Reset replaces the whole window with fresh epochs — the object
 // restarts empty. Only windowed objects (WithWindow) support it; it is
 // an error otherwise, and after Close. Reset is not atomic with
 // concurrent mutations: a mutation racing it lands on either side,
 // exactly like one racing a rotation.
-func (c *objectCore[H]) Reset() error { return c.reset() }
+func (c *objectCore[H]) Reset() error {
+	if c.ring == nil {
+		return fmt.Errorf("approxobj: Reset needs a windowed %s (WithWindow); this one is cumulative", c.spec.kind)
+	}
+	if err := c.ring.Reset(); err != nil {
+		return err
+	}
+	if c.cache != nil {
+		c.cache.invalidate()
+	}
+	return nil
+}
 
 // StepsRetired returns the cumulative shared-memory steps credited by
 // released pooled handles. Steps of handles still held, or of manual

@@ -1,4 +1,4 @@
-package shard
+package approxobj
 
 import (
 	"sync"
@@ -8,26 +8,39 @@ import (
 	"approxobj/internal/telemetry"
 )
 
-// This file is the read-combiner tier of the backend plane: one
-// pre-combined cell per plane instance, so a cached Read returns the
-// cell's value in O(1) — independent of the shard count S and, for
+// This file is the read-combiner tier (WithReadCache): one pre-combined
+// cell per object, so a cached read returns the cell's value in O(1) —
+// independent of the shard count S, of a window's epoch count, and, for
 // vector kinds, of how the combine folds — instead of paying one
-// underlying read per shard. The price is freshness: the cell may be up
-// to maxStale old, which plane.Bounds reports as the envelope's Stale
-// term (the same accuracy-for-speed trade batching makes in the rank
-// domain, moved to the time domain).
+// underlying read per shard and epoch. The price is freshness: the cell
+// may be up to maxStale old, which Bounds reports as the envelope's
+// Stale term (the same accuracy-for-speed trade batching makes in the
+// rank domain, moved to the time domain).
 //
-// The cell is refreshed two ways, whichever happens first:
+// initObject builds the cache over whichever runtime the spec chose, a
+// plane or an epoch ring, so an object has at most one cache and one
+// combiner goroutine. The cell is refreshed two ways, whichever happens
+// first:
 //
-//   - a background combiner goroutine, bound to the plane's reserved
-//     combiner slot (the last slot), re-combines every maxStale/2, so
-//     steady-state readers virtually always hit a fresh cell; and
+//   - the background combiner goroutine re-combines every maxStale/2,
+//     reading through the runtime handle of the object's last slot,
+//     which is reserved for it (Spec.totalProcs counts it, and Handle
+//     never hands it out), so steady-state readers virtually always hit
+//     a fresh cell; and
 //   - a read-triggered inline refresh: a reader finding the cell stale
-//     (or never filled — a brand-new object) re-combines through its own
-//     per-shard readers under the refresh lock and publishes the result.
-//     This keeps the staleness bound unconditional — it holds even if
-//     the combiner goroutine is descheduled — and makes the very first
-//     read of an empty object return the empty value, never a sentinel.
+//     (or never filled — a brand-new or just-Reset object) re-combines
+//     through its own slot's runtime handle under the refresh lock and
+//     publishes the result. This keeps the staleness bound unconditional
+//     — it holds even if the combiner goroutine is descheduled — and
+//     makes the very first read of an empty object return the empty
+//     value, never a sentinel.
+//
+// A windowed object's cell folds the whole ring. Rotation does not
+// publish into it: a cell combined before a rotation is at most maxStale
+// old, which the Stale term admits. Reset does invalidate it, once the
+// fresh ring is installed, so no read after Reset serves a pre-Reset
+// cell (two Snapshot(true) calls within maxStale would otherwise report
+// one interval twice).
 //
 // The cell is stamped with the time the refreshing combined read
 // STARTED, so "fresh" means "the underlying combined read began at most
@@ -40,54 +53,79 @@ import (
 // no clone — and the vector cache double-buffers two cells, recycling
 // the retired one as the next refresh's write buffer (guarded by a
 // reader refcount) and copying out into the caller's reused buffer.
-// The refresh function itself reads into a reusable scratch
-// (handleCore.combinedInto), so neither background nor inline refreshes
-// allocate once the buffers exist.
+// The refresh function itself is a runtime handle's ReadInto, which
+// reads into reusable scratch, so neither background nor inline
+// refreshes allocate once the buffers exist.
 
-// readCache is a plane's read-combiner tier: scalarReadCache for
-// uint64-valued kinds, vecReadCache for []uint64-valued ones. refresh
-// is always the reading handle's combinedInto — a combined read through
-// that handle's own per-shard readers into a reused buffer (the
-// argument; scalar kinds ignore it).
+// readCache is an object's read-combiner tier: scalarReadCache for
+// uint64-valued kinds, vecReadCache for []uint64-valued ones.
 type readCache[V any] interface {
 	// readInto returns the cached combined value, refreshing inline
-	// through refresh when the cell is stale. The vector cache writes it
-	// into dst (grown as needed), the scalar cache ignores dst; the
-	// result is owned by the caller.
-	readInto(dst V, refresh func(V) V) V
-	// run is the background combiner loop; one goroutine per plane,
-	// stopped by close.
-	run(refresh func(V) V)
+	// through refresh — a combined read through the reading slot's own
+	// runtime handle into a reused buffer — when the cell is stale. slot
+	// is the reading slot (the telemetry stripe). The vector cache
+	// writes the value into dst (grown as needed), the scalar cache
+	// ignores dst; the result is owned by the caller.
+	readInto(dst V, refresh func(V) V, slot int) V
+	cacheControl
+}
+
+// cacheControl is the lifecycle the object core drives, whatever the
+// cache's value shape.
+type cacheControl interface {
 	// close stops the background combiner and waits for it to exit.
 	// Idempotent; reads remain valid after close (they fall back to
 	// inline refreshes).
 	close()
-	// staleness returns the maxStale window.
-	staleness() time.Duration
-	// instrument attaches a telemetry sink (nil disables); called once
-	// at plane construction, before the cache is shared.
-	instrument(tel *telemetry.Sink)
+	// invalidate empties the cell, so the next read refreshes inline.
+	invalidate()
 }
 
-// cacheLifecycle is the background-combiner lifecycle shared by both
-// cache implementations.
+// newReadCache builds the cache for V's shape with staleness window
+// maxStale and starts its combiner goroutine, which refreshes the cell
+// through combine (the reserved slot's runtime read) until close. tel
+// (nil when uninstrumented) receives the cache's traffic.
+func newReadCache[V any](maxStale time.Duration, tel *telemetry.Sink, combine func(V) V) readCache[V] {
+	var rc any
+	switch combine := any(combine).(type) {
+	case func(uint64) uint64:
+		c := &scalarReadCache{base: time.Now()}
+		c.start(maxStale, tel, func() { c.refreshLocked(combine) })
+		rc = c
+	case func([]uint64) []uint64:
+		c := &vecReadCache{}
+		c.start(maxStale, tel, func() { c.refreshLocked(combine) })
+		rc = c
+	}
+	return rc.(readCache[V])
+}
+
+// cacheLifecycle is the state both cache implementations share: the
+// staleness window, the refresh lock, the background combiner's
+// lifecycle, and the telemetry sink (nil when uninstrumented).
 type cacheLifecycle struct {
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	maxStale time.Duration
+	mu       sync.Mutex // serializes refreshes
+	stop     chan struct{}
+	done     chan struct{}
+	once     sync.Once
+	tel      *telemetry.Sink
 }
 
-func newCacheLifecycle() cacheLifecycle {
-	return cacheLifecycle{stop: make(chan struct{}), done: make(chan struct{})}
+// start sets the cache up in place and starts the combiner goroutine.
+func (lc *cacheLifecycle) start(maxStale time.Duration, tel *telemetry.Sink, refresh func()) {
+	lc.maxStale, lc.tel = maxStale, tel
+	lc.stop, lc.done = make(chan struct{}), make(chan struct{})
+	go lc.run(refresh)
 }
 
-// runTicks drives tick every maxStale/2 (so a reader racing the ticker
-// still finds a fresh cell) until close.
-func (lc *cacheLifecycle) runTicks(maxStale time.Duration, tick func()) {
+// run drives refresh under the refresh lock every maxStale/2 (so a
+// reader racing the ticker still finds a fresh cell) until close.
+func (lc *cacheLifecycle) run(refresh func()) {
 	defer close(lc.done)
-	period := maxStale / 2
+	period := lc.maxStale / 2
 	if period <= 0 {
-		period = maxStale
+		period = lc.maxStale
 	}
 	t := time.NewTicker(period)
 	defer t.Stop()
@@ -96,7 +134,10 @@ func (lc *cacheLifecycle) runTicks(maxStale time.Duration, tick func()) {
 		case <-lc.stop:
 			return
 		case <-t.C:
-			tick()
+			lc.tel.Inc(telemetry.EvCombinerTick, 0)
+			lc.mu.Lock()
+			refresh()
+			lc.mu.Unlock()
 		}
 	}
 }
@@ -108,28 +149,29 @@ func (lc *cacheLifecycle) close() {
 	})
 }
 
+// countRead counts one cached-path read (hits are derived as reads
+// minus the misses the cache reports): one striped atomic add when
+// instrumented, one predicted branch when not — the read path takes no
+// prim steps and allocates nothing either way.
+func (lc *cacheLifecycle) countRead(slot int) {
+	if lc.tel != nil {
+		lc.tel.Inc(telemetry.EvCacheRead, slot)
+	}
+}
+
 // scalarReadCache is the uint64 cache: the cell is a (value, stamp)
 // atomic pair, so a fresh hit is two atomic loads and one monotonic
 // clock read — no cell object, no allocation. stamp is nanoseconds
 // since base at which the refreshing combined read started (0 = never
-// filled). The refresher stores value THEN stamp; readers load stamp
-// THEN value — so the value paired with a passing stamp is never older
-// than the combined read that stamp describes (it may be newer, which
-// only tightens the staleness bound).
+// filled, or invalidated). The refresher stores value THEN stamp;
+// readers load stamp THEN value — so the value paired with a passing
+// stamp is never older than the combined read that stamp describes (it
+// may be newer, which only tightens the staleness bound).
 type scalarReadCache struct {
-	maxStale time.Duration
-	base     time.Time
-	val      atomic.Uint64
-	stamp    atomic.Int64
-
-	mu sync.Mutex // serializes refreshes
-	lc cacheLifecycle
-
-	tel *telemetry.Sink // nil when uninstrumented
-}
-
-func newScalarReadCache(maxStale time.Duration) readCache[uint64] {
-	return &scalarReadCache{maxStale: maxStale, base: time.Now(), lc: newCacheLifecycle()}
+	cacheLifecycle
+	base  time.Time
+	val   atomic.Uint64
+	stamp atomic.Int64
 }
 
 func (rc *scalarReadCache) fresh() (uint64, bool) {
@@ -140,7 +182,8 @@ func (rc *scalarReadCache) fresh() (uint64, bool) {
 	return rc.val.Load(), true
 }
 
-func (rc *scalarReadCache) readInto(_ uint64, refresh func(uint64) uint64) uint64 {
+func (rc *scalarReadCache) readInto(_ uint64, refresh func(uint64) uint64, slot int) uint64 {
+	rc.countRead(slot)
 	if v, ok := rc.fresh(); ok {
 		return v
 	}
@@ -176,20 +219,11 @@ func (rc *scalarReadCache) refreshLocked(refresh func(uint64) uint64) uint64 {
 	return v
 }
 
-func (rc *scalarReadCache) run(refresh func(uint64) uint64) {
-	rc.lc.runTicks(rc.maxStale, func() {
-		rc.tel.Inc(telemetry.EvCombinerTick, 0)
-		rc.mu.Lock()
-		rc.refreshLocked(refresh)
-		rc.mu.Unlock()
-	})
+func (rc *scalarReadCache) invalidate() {
+	rc.mu.Lock()
+	rc.stamp.Store(0)
+	rc.mu.Unlock()
 }
-
-func (rc *scalarReadCache) close() { rc.lc.close() }
-
-func (rc *scalarReadCache) staleness() time.Duration { return rc.maxStale }
-
-func (rc *scalarReadCache) instrument(tel *telemetry.Sink) { rc.tel = tel }
 
 // vecCell is one published pre-combined vector: the folded combined
 // read, the time that read started, and the refcount of readers
@@ -219,22 +253,13 @@ type vecCell struct {
 // retired, so nothing beyond the nil check touches the cell before the
 // refcount handshake.
 type vecReadCache struct {
-	maxStale time.Duration
-	cur      atomic.Pointer[vecCell]
-
-	mu    sync.Mutex // serializes refreshes; guards spare
-	spare *vecCell
-
-	lc cacheLifecycle
-
-	tel *telemetry.Sink // nil when uninstrumented
+	cacheLifecycle
+	cur   atomic.Pointer[vecCell] // nil = never filled, or invalidated
+	spare *vecCell                // guarded by mu
 }
 
-func newVecReadCache(maxStale time.Duration) readCache[[]uint64] {
-	return &vecReadCache{maxStale: maxStale, lc: newCacheLifecycle()}
-}
-
-func (rc *vecReadCache) readInto(dst []uint64, refresh func([]uint64) []uint64) []uint64 {
+func (rc *vecReadCache) readInto(dst []uint64, refresh func([]uint64) []uint64, slot int) []uint64 {
+	rc.countRead(slot)
 	for {
 		c := rc.cur.Load()
 		if c == nil {
@@ -295,17 +320,10 @@ func (rc *vecReadCache) refreshLocked(refresh func([]uint64) []uint64) *vecCell 
 	return cell
 }
 
-func (rc *vecReadCache) run(refresh func([]uint64) []uint64) {
-	rc.lc.runTicks(rc.maxStale, func() {
-		rc.tel.Inc(telemetry.EvCombinerTick, 0)
-		rc.mu.Lock()
-		rc.refreshLocked(refresh)
-		rc.mu.Unlock()
-	})
+// invalidate unpublishes the current cell; a reader still copying out
+// of it keeps it alive until done, and the collector takes it after.
+func (rc *vecReadCache) invalidate() {
+	rc.mu.Lock()
+	rc.cur.Store(nil)
+	rc.mu.Unlock()
 }
-
-func (rc *vecReadCache) close() { rc.lc.close() }
-
-func (rc *vecReadCache) staleness() time.Duration { return rc.maxStale }
-
-func (rc *vecReadCache) instrument(tel *telemetry.Sink) { rc.tel = tel }

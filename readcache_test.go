@@ -1,7 +1,10 @@
 package approxobj
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -551,5 +554,276 @@ func TestReadCacheCombinerLifecycle(t *testing.T) {
 			t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// cacheKindView is one object as the read-cache lifecycle tests below
+// drive it: handle calls Handle(i), write is one flushed mutation
+// through Handle(i), and read is the value through Handle(i) — a
+// snapshot's largest component, a histogram's count — so a written
+// object reads nonzero.
+type cacheKindView struct {
+	obj interface {
+		N() int
+		Bounds() Bounds
+		Reset() error
+		Close()
+	}
+	handle func(i int)
+	write  func(i int)
+	read   func(i int) uint64
+}
+
+// cacheKinds builds each kind from opts (plus the kind's own options),
+// standalone when reg is nil and registered in reg otherwise. buffer is
+// the Buffer term WithProcs(3) and WithBatch(4) give the kind over its
+// caller slots: (B-1)·N where the headroom scales with the slot count,
+// B-1 where it does not.
+var cacheKinds = []struct {
+	name   string
+	buffer uint64
+	build  func(reg *Registry, opts ...Option) (cacheKindView, error)
+}{
+	{"counter", 9, func(reg *Registry, opts ...Option) (cacheKindView, error) {
+		var c *Counter
+		var err error
+		if reg != nil {
+			c, err = reg.Counter("counter", opts...)
+		} else {
+			c, err = NewCounter(opts...)
+		}
+		return cacheKindView{c,
+			func(i int) { c.Handle(i) },
+			func(i int) { h := c.Handle(i).(BatchedCounterHandle); h.Inc(); h.Flush() },
+			func(i int) uint64 { return c.Handle(i).Read() }}, err
+	}},
+	{"max register", 3, func(reg *Registry, opts ...Option) (cacheKindView, error) {
+		var r *MaxRegister
+		var err error
+		if reg != nil {
+			r, err = reg.MaxRegister("max", opts...)
+		} else {
+			r, err = NewMaxRegister(opts...)
+		}
+		return cacheKindView{r,
+			func(i int) { r.Handle(i) },
+			func(i int) { h := r.Handle(i).(BatchedMaxRegisterHandle); h.Write(7); h.Flush() },
+			func(i int) uint64 { return r.Handle(i).Read() }}, err
+	}},
+	{"snapshot", 3, func(reg *Registry, opts ...Option) (cacheKindView, error) {
+		var s *Snapshot
+		var err error
+		if reg != nil {
+			s, err = reg.SnapshotObject("snapshot", opts...)
+		} else {
+			s, err = NewSnapshot(opts...)
+		}
+		return cacheKindView{s,
+			func(i int) { s.Handle(i) },
+			func(i int) { h := s.Handle(i).(BatchedSnapshotHandle); h.Update(7); h.Flush() },
+			func(i int) uint64 { return slices.Max(s.Handle(i).Scan()) }}, err
+	}},
+	{"histogram", 9, func(reg *Registry, opts ...Option) (cacheKindView, error) {
+		opts = append(opts, WithAccuracy(Multiplicative(2)))
+		var hg *Histogram
+		var err error
+		if reg != nil {
+			hg, err = reg.HistogramObject("histogram", opts...)
+		} else {
+			hg, err = NewHistogram(opts...)
+		}
+		return cacheKindView{hg,
+			func(i int) { hg.Handle(i) },
+			func(i int) { h := hg.Handle(i).(BatchedHistogramHandle); h.Observe(7); h.Flush() },
+			func(i int) uint64 { return hg.Handle(i).Count() }}, err
+	}},
+}
+
+// TestReadCacheInternalSlotsHidden pins that the internal slots — the
+// registry's snapshot slot and the read cache's combiner slot — stay
+// invisible to callers, on every kind, cumulative and windowed, plain
+// and registry-owned: Handle refuses them like any slot out of range,
+// and they never count in a Buffer term that scales with the slot
+// count, since they only ever read.
+func TestReadCacheInternalSlotsHidden(t *testing.T) {
+	for _, k := range cacheKinds {
+		for _, windowed := range []bool{false, true} {
+			for _, registered := range []bool{false, true} {
+				name := k.name + "/cumulative"
+				opts := []Option{WithProcs(3), WithBatch(4), WithReadCache(time.Hour)}
+				if windowed {
+					name = k.name + "/windowed"
+					opts = append(opts, WithWindow(time.Hour, 4))
+				}
+				var reg *Registry
+				if registered {
+					name += "/registry"
+					reg = NewRegistry()
+				} else {
+					name += "/plain"
+				}
+				t.Run(name, func(t *testing.T) {
+					v, err := k.build(reg, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer v.obj.Close()
+					n := v.obj.N()
+					for _, i := range []int{-1, n, n + 1} {
+						func() {
+							defer func() {
+								if msg := fmt.Sprint(recover()); !strings.Contains(msg, "handle slot out of range") {
+									t.Errorf("Handle(%d) with N = %d: panic %q, want \"handle slot out of range\"", i, n, msg)
+								}
+							}()
+							v.handle(i)
+						}()
+					}
+					if got := v.obj.Bounds().Buffer; got != k.buffer {
+						t.Errorf("Bounds().Buffer = %d, want %d (over the %d caller slots only)", got, k.buffer, n)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestReadCacheOneCombinerPerObject pins the goroutine cost of a
+// windowed cached object: one epoch rotator and one read-cache
+// combiner, whatever the epoch count, and none left after Close.
+func TestReadCacheOneCombinerPerObject(t *testing.T) {
+	const objects, epochs = 8, 4
+	for _, k := range cacheKinds {
+		t.Run(k.name, func(t *testing.T) {
+			// Goroutines that earlier tests stopped may still be exiting:
+			// count from a settled baseline.
+			before := goroutines()
+			for {
+				time.Sleep(5 * time.Millisecond)
+				n := goroutines()
+				if n == before {
+					break
+				}
+				before = n
+			}
+			views := make([]cacheKindView, objects)
+			for j := range views {
+				v, err := k.build(nil, WithProcs(2), WithWindow(time.Hour, epochs), WithReadCache(time.Hour))
+				if err != nil {
+					t.Fatal(err)
+				}
+				v.write(0)
+				v.read(1)
+				views[j] = v
+			}
+			if got, want := goroutines()-before, 2*objects; got != want {
+				t.Errorf("%d windowed cached objects of %d epochs added %d goroutines, want %d (a rotator and one combiner each)", objects, epochs, got, want)
+			}
+			for _, v := range views {
+				v.obj.Close()
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for goroutines() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines leaked: %d before, %d after Close", before, goroutines())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestReadCacheResetInvalidates pins that Reset empties a windowed
+// object's cell: with an hour of staleness the cell filled by a read
+// before Reset is still fresh afterwards, so only the invalidation keeps
+// the first read after Reset from serving pre-Reset mutations (and two
+// Snapshot(true) calls from reporting one interval twice).
+func TestReadCacheResetInvalidates(t *testing.T) {
+	for _, k := range cacheKinds {
+		t.Run(k.name, func(t *testing.T) {
+			v, err := k.build(nil, WithProcs(2), WithWindow(time.Hour, 4), WithReadCache(time.Hour))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v.obj.Close()
+			v.write(0)
+			if got := v.read(1); got == 0 {
+				t.Fatal("the first cached read missed a flushed write")
+			}
+			if err := v.obj.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			if got := v.read(1); got != 0 {
+				t.Fatalf("first read after Reset = %d, want 0 (served the pre-Reset cell)", got)
+			}
+		})
+	}
+}
+
+// TestReadCacheRotationRacingBatchedWrites is the "never lost" check
+// through the read cache, run under -race in CI: a writer with batched
+// increments races hand-driven rotations and a cached reader, while the
+// combiner folds the ring through a handle of its own that re-homes
+// after each rotation. At most epochs-1 rotations fire, so every write
+// stays in the live ring. After quiescence, a flush, and a wait of
+// Stale (so no cell combined before the flush is fresh), the read must
+// equal the write count exactly (exact backend).
+func TestReadCacheRotationRacingBatchedWrites(t *testing.T) {
+	const (
+		epochs = 8
+		incs   = 20_000
+	)
+	c, err := NewCounter(WithProcs(2), WithBatch(16), WithWindow(time.Hour, epochs), WithReadCache(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ring := epochRing(t, c.rt)
+	w, r := c.Handle(0).(BatchedCounterHandle), c.Handle(1)
+
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	wg.Add(2)
+	go func() { // writer: batched increments racing rotation
+		defer wg.Done()
+		<-start
+		for i := 0; i < incs; i++ {
+			w.Inc()
+		}
+	}()
+	go func() { // rotator: at most epochs-1 rotations, so no write-bearing epoch is evicted
+		defer wg.Done()
+		<-start
+		for i := 0; i < epochs-1; i++ {
+			ring.Rotate()
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	stopRead, readDone := make(chan struct{}), make(chan struct{})
+	go func() { // reader: cached reads racing both
+		defer close(readDone)
+		<-start
+		for {
+			select {
+			case <-stopRead:
+				return
+			default:
+			}
+			if got := r.Read(); got > incs {
+				t.Errorf("mid-race read %d exceeds total writes %d", got, incs)
+				return
+			}
+		}
+	}()
+
+	close(start)
+	wg.Wait()
+	close(stopRead)
+	<-readDone
+
+	w.Flush()
+	time.Sleep(c.Bounds().Stale)
+	if got := r.Read(); got != incs {
+		t.Fatalf("quiescent cached windowed read = %d, want exactly %d (writes lost or duplicated)", got, incs)
 	}
 }

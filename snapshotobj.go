@@ -108,9 +108,11 @@ func newSnapshot(spec Spec) (*Snapshot, error) {
 	s := &Snapshot{}
 	err := initObject(&s.objectCore, spec,
 		func() (*shard.Snapshot, error) { return shard.NewSnapshot(spec.totalProcs(), shardConfig(spec)) },
-		func(h *shard.SnapshotHandle) *snapshotSlotHandle { return &snapshotSlotHandle{h: h, n: n} },
-		func(h *shard.WindowHandle[*shard.Snapshot, *shard.SnapshotHandle, []uint64]) *snapshotSlotHandle {
-			return &snapshotSlotHandle{h: shard.WSnapshotHandle{WindowHandle: h}, n: n}
+		func(h *shard.SnapshotHandle, read func([]uint64) []uint64) *snapshotSlotHandle {
+			return newSnapshotSlot(h, n, read)
+		},
+		func(h *shard.WindowHandle[*shard.Snapshot, *shard.SnapshotHandle, []uint64], read func([]uint64) []uint64) *snapshotSlotHandle {
+			return newSnapshotSlot(shard.WSnapshotHandle{WindowHandle: h}, n, read)
 		})
 	if err != nil {
 		return nil, err
@@ -144,14 +146,35 @@ func (s *Snapshot) Handle(i int) SnapshotHandle { return s.handle(i) }
 
 // snapshotSlotHandle adapts a runtime snapshot handle to the public
 // interface, truncating scans to the caller-visible components (a
-// registry-owned snapshot holds one extra, never-written slot for
-// Registry.Snapshot reads). It is also the pooled handle.
+// registry-owned or cached snapshot holds extra, never-written slots
+// for Registry.Snapshot reads and the read cache's combiner). It is
+// also the pooled handle.
 type snapshotSlotHandle struct {
 	h BatchedSnapshotHandle
 	n int
 }
 
 var _ BatchedSnapshotHandle = (*snapshotSlotHandle)(nil)
+
+// newSnapshotSlot adapts runtime handle h; read is the slot's read
+// through the read cache, nil when the snapshot is uncached.
+func newSnapshotSlot(h BatchedSnapshotHandle, n int, read func([]uint64) []uint64) *snapshotSlotHandle {
+	if read != nil {
+		h = &cachedSnapshotHandle{h, read}
+	}
+	return &snapshotSlotHandle{h: h, n: n}
+}
+
+// cachedSnapshotHandle is a cached snapshot's runtime handle: Update,
+// Component, Flush and Steps go to the runtime handle, scans to the read
+// cache.
+type cachedSnapshotHandle struct {
+	BatchedSnapshotHandle
+	read func([]uint64) []uint64
+}
+
+func (h *cachedSnapshotHandle) Scan() []uint64                 { return h.read(nil) }
+func (h *cachedSnapshotHandle) ScanInto(dst []uint64) []uint64 { return h.read(dst) }
 
 func (h *snapshotSlotHandle) Update(v uint64) { h.h.Update(v) }
 func (h *snapshotSlotHandle) Scan() []uint64  { return h.h.Scan()[:h.n] }
@@ -160,9 +183,9 @@ func (h *snapshotSlotHandle) Steps() uint64   { return h.h.Steps() }
 func (h *snapshotSlotHandle) Flush()          { h.h.Flush() }
 
 func (h *snapshotSlotHandle) ScanInto(dst []uint64) []uint64 {
-	// The runtime scans all slots (including a registry-reserved one);
-	// the caller sees the first n. dst grows to the runtime width once
-	// and is reused from then on.
+	// The runtime scans all slots (including the internal ones); the
+	// caller sees the first n. dst grows to the runtime width once and
+	// is reused from then on.
 	return h.h.ScanInto(dst)[:h.n]
 }
 

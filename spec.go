@@ -410,11 +410,12 @@ func WithBound(m uint64) Option {
 // the regularity window widened backward by maxStale — reported as the
 // Stale term of Bounds; all other envelope terms are unchanged.
 //
-// The cache reserves one extra internal process slot for the combiner
-// goroutine (like the registry's snapshot slot, it counts toward
-// backend preconditions such as k >= sqrt(n)). Call the object's Close
-// to stop the goroutine; reads stay valid afterwards, refreshing
-// inline.
+// The object has one cache and one combiner goroutine, windowed objects
+// included: their cell folds the whole live window, and Reset empties
+// it. The cache reserves one extra internal process slot for the
+// combiner (like the registry's snapshot slot, it counts toward backend
+// preconditions such as k >= sqrt(n)). Call the object's Close to stop
+// the goroutine; reads stay valid afterwards, refreshing inline.
 func WithReadCache(maxStale time.Duration) Option {
 	return func(s *Spec) {
 		s.readStale = maxStale
@@ -424,7 +425,7 @@ func WithReadCache(maxStale time.Duration) Option {
 
 // WithWindow makes the object windowed (default cumulative): it is
 // backed by a ring of n epoch instances — each a full plane with the
-// spec's shards, batching, and optional read cache — rotated every d/n,
+// spec's shards and batching — rotated every d/n,
 // and every read answers over the live ring instead of
 // since-creation. Writes stamp into the current epoch through the
 // ordinary handle plumbing (handles re-home lazily after a rotation);

@@ -34,7 +34,7 @@ const (
 	// shards; value is the flushed amount.
 	TraceFlush TraceEvent = iota
 	// TraceRefresh: a read-cache cell was re-combined; slot is -1 (the
-	// cache is per plane, not per slot), value is the combined scalar
+	// cache is per object, not per slot), value is the combined scalar
 	// (or the vector length, for vector kinds).
 	TraceRefresh
 	// TraceRotation: a windowed object rotated an epoch out of its
@@ -252,6 +252,12 @@ func selfMeters(sink *telemetry.Sink) []*selfMeter {
 // unpublished events per slot of each instrumented object — which
 // expose renders as their _bound companion series. Every other meter
 // is exact. Hits are derived (cached reads minus misses, saturating).
+//
+// The read-cache meters, combiner ticks and refresh traces count per
+// object: a cached object, windowed or not, has one cache and one
+// combiner. A windowed cached object's combiner reads through a ring
+// handle of its own, which re-homes after every rotation and counts in
+// approx_runtime_rehomed_handles_total.
 //
 // SelfMetrics is idempotent for the same domain and an error when a
 // meter name is already registered to anything else. The returned

@@ -3,6 +3,7 @@ package approxobj
 import (
 	"runtime"
 	"testing"
+	"time"
 )
 
 // TestTelemetryDropsCollectedObjects checks that a telemetry domain does
@@ -36,5 +37,77 @@ func TestTelemetryDropsCollectedObjects(t *testing.T) {
 	runtime.GC()
 	if got, n := tel.sink.ResidentBytes(), tel.sink.Gauges(); got != 0 || n != 0 {
 		t.Errorf("after the last object was collected: %d resident bytes over %d gauges, want 0 over 0", got, n)
+	}
+}
+
+// TestElidedWriteMeterDrainsOnRehome pins that a handle's batched
+// telemetry locals reach the sink on every Flush, not only on one that
+// publishes buffered state. A subsumed max-register write, and a
+// snapshot component's return to its flushed value, count an elided
+// write and leave nothing pending; a window handle drops an epoch's
+// handle when it re-homes, so those events would be lost on every
+// rotation and leave the meter outside its own envelope.
+func TestElidedWriteMeterDrainsOnRehome(t *testing.T) {
+	const rounds, perRound = 4, 200
+	for _, tc := range []struct {
+		kind  string
+		build func(tel *Telemetry) (obj interface{ Close() }, rt shardRuntime, round func(), read func(), err error)
+	}{
+		{"max register", func(tel *Telemetry) (interface{ Close() }, shardRuntime, func(), func(), error) {
+			r, err := NewMaxRegister(WithWindow(time.Hour, 2), WithTelemetry(tel))
+			if err != nil {
+				return nil, nil, nil, nil, err
+			}
+			h := r.Handle(0)
+			return r, r.rt, func() {
+				h.Write(1000) // written through
+				for i := 0; i < perRound; i++ {
+					h.Write(5) // subsumed: elided, nothing pending
+				}
+			}, func() { h.Read() }, nil
+		}},
+		{"snapshot", func(tel *Telemetry) (interface{ Close() }, shardRuntime, func(), func(), error) {
+			s, err := NewSnapshot(WithWindow(time.Hour, 2), WithBatch(16), WithTelemetry(tel))
+			if err != nil {
+				return nil, nil, nil, nil, err
+			}
+			h := s.Handle(0)
+			return s, s.rt, func() {
+				for i := 0; i < perRound/2; i++ {
+					h.Update(5) // inside the window: elided, pending
+					h.Update(0) // back at the flushed value: elided, nothing pending
+				}
+			}, func() { h.Scan() }, nil
+		}},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			tel := NewTelemetry()
+			obj, rt, round, read, err := tc.build(tel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer obj.Close()
+			ring := epochRing(t, rt)
+			for r := 0; r < rounds; r++ {
+				round()
+				ring.Rotate() // two rotations of a 2-epoch ring: the handle
+				ring.Rotate() // re-homes on the same ring slot
+			}
+			read()
+			reg := NewRegistry()
+			if err := reg.SelfMetrics(tel); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range reg.Snapshot() {
+				if s.Name != "approx_runtime_elided_writes" {
+					continue
+				}
+				if !s.Bounds.Contains(rounds*perRound, s.Value) {
+					t.Fatalf("%s reads %d after %d elided writes, outside its envelope %+v", s.Name, s.Value, rounds*perRound, s.Bounds)
+				}
+				return
+			}
+			t.Fatal("no approx_runtime_elided_writes meter")
+		})
 	}
 }
