@@ -156,65 +156,69 @@ func TestWindowedZeroObservations(t *testing.T) {
 // read must equal the write count exactly (exact backend). The root
 // package runs the same race through the read cache.
 func TestRotationRacingBatchedWrites(t *testing.T) {
-	const (
-		epochs = 8
-		incs   = 20_000
-	)
-	c, err := windowedCounter(3, hourWindow, epochs, Config{Batch: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	w := WCounterHandle{c.Handle(0)}
-	r := c.Handle(1)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	stopRead := make(chan struct{})
-
-	wg.Add(1)
-	go func() { // writer: batched increments racing rotation
-		defer wg.Done()
-		<-start
-		for i := 0; i < incs; i++ {
-			w.Inc()
+	// The cached case moved to the root package with the read cache;
+	// the uncached case keeps its subtest name.
+	t.Run("uncached", func(t *testing.T) {
+		const (
+			epochs = 8
+			incs   = 20_000
+		)
+		c, err := windowedCounter(3, hourWindow, epochs, Config{Batch: 16})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	wg.Add(1)
-	go func() { // rotator: at most epochs-1 rotations, so no write-bearing epoch is evicted
-		defer wg.Done()
-		<-start
-		for i := 0; i < epochs-1; i++ {
-			c.Rotate()
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	readDone := make(chan struct{})
-	go func() { // reader: windowed reads racing both
-		defer close(readDone)
-		<-start
-		for {
-			select {
-			case <-stopRead:
-				return
-			default:
+		defer c.Close()
+
+		w := WCounterHandle{c.Handle(0)}
+		r := c.Handle(1)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		stopRead := make(chan struct{})
+
+		wg.Add(1)
+		go func() { // writer: batched increments racing rotation
+			defer wg.Done()
+			<-start
+			for i := 0; i < incs; i++ {
+				w.Inc()
 			}
-			if got := r.Read(); got > incs {
-				t.Errorf("mid-race read %d exceeds total writes %d", got, incs)
-				return
+		}()
+		wg.Add(1)
+		go func() { // rotator: at most epochs-1 rotations, so no write-bearing epoch is evicted
+			defer wg.Done()
+			<-start
+			for i := 0; i < epochs-1; i++ {
+				c.Rotate()
+				time.Sleep(time.Millisecond)
 			}
+		}()
+		readDone := make(chan struct{})
+		go func() { // reader: windowed reads racing both
+			defer close(readDone)
+			<-start
+			for {
+				select {
+				case <-stopRead:
+					return
+				default:
+				}
+				if got := r.Read(); got > incs {
+					t.Errorf("mid-race read %d exceeds total writes %d", got, incs)
+					return
+				}
+			}
+		}()
+
+		close(start)
+		wg.Wait()
+		close(stopRead)
+		<-readDone
+
+		w.Flush()
+		if got := r.Read(); got != incs {
+			t.Fatalf("quiescent windowed read = %d, want exactly %d (writes lost or duplicated)", got, incs)
 		}
-	}()
-
-	close(start)
-	wg.Wait()
-	close(stopRead)
-	<-readDone
-
-	w.Flush()
-	if got := r.Read(); got != incs {
-		t.Fatalf("quiescent windowed read = %d, want exactly %d (writes lost or duplicated)", got, incs)
-	}
+	})
 }
 
 // TestRotationRacingElidedSnapshotUpdates runs the same never-lost
