@@ -379,7 +379,7 @@ func compareRecords(baseline, current []bench.Record, tol float64, inScope func(
 				recordKey(o), o.StepsPerOp, n.StepsPerOp, tol))
 		}
 		// Allocations per read are designed, not timed — the read paths
-		// reuse handle scratch, so the counts are machine-independent
+		// reuse the reader's buffers, so the counts are machine-independent
 		// (E20r rounds away stray process-global noise). Any increase is
 		// a regression with no tolerance, exactly like envelope widening;
 		// in particular a baseline of 0 must stay 0.

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestHandlePoolSoak churns Acquire/release on a batched counter from far
@@ -321,6 +322,20 @@ func TestSlotHandle(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestHistSlotHandleFillsCacheLines pins histSlotHandle to whole 64-B
+// cache lines, beside the construction footprint pinned in
+// alloc_test.go. A reader stores its counts header into the handle on
+// every query, and one histogram's slot handles are allocated next to
+// each other, so in any size class that is not a multiple of 64 B a
+// reader's store shares a line with the next slot's h and bk, which
+// every Observe loads. One 8-B field more (72 B, the 80-B class) took
+// the query workload's req_p50_ns from ~430 to ~530 ns.
+func TestHistSlotHandleFillsCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(histSlotHandle{}); size%64 != 0 {
+		t.Errorf("histSlotHandle is %d B, want a multiple of 64 (a slot's handle must not share a cache line with its neighbor's)", size)
 	}
 }
 

@@ -99,7 +99,8 @@ trajectory tracks them for drift, not as a scaling proof.`,
 // every kind, cached and uncached. The cached cells use an effectively
 // infinite staleness window so the measurement loop sees only the
 // steady-state fast path (no combiner refresh lands mid-loop); the
-// uncached cells fold the shards into handle scratch on every read.
+// uncached cells fold the shards into the reader's reused buffer on
+// every read.
 func e20AllocsPerRead(cfg Config) (*Table, error) {
 	const shards = 4
 	reads := 50_000
@@ -113,12 +114,13 @@ func e20AllocsPerRead(cfg Config) (*Table, error) {
 		ID:    "E20r",
 		Title: fmt.Sprintf("arena plane: heap allocations per read, every kind, cached vs uncached, S=%d", shards),
 		Note: `Each row populates one object through handle 0, warms handle 1's read
-scratch, then measures runtime.MemStats.Mallocs across a read loop.
+buffer, then measures runtime.MemStats.Mallocs across a read loop.
 The zero-allocation read path is a correctness property of this
 repository, not a timing: cached scalar reads are one atomic load (0
 allocs), uncached scalar reads fold the shards in registers (0
-allocs), and vector kinds reuse handle-local buffers (0 steady-state
-allocs; the histogram's Quantile answers from the same reused read).
+allocs), and vector kinds fold every shard into one reused buffer (0
+steady-state allocs; the histogram's Quantile answers from the same
+reused read).
 -compare fails a run whose allocs_per_read exceeds the trajectory
 file's, like an envelope widening.`,
 		Header: []string{"kind", "cached", "allocs/read"},
@@ -139,9 +141,9 @@ file's, like an envelope widening.`,
 				return nil, err
 			}
 			o.fill(writes)
-			// Warm-up: the first reads allocate the handle's scratch
-			// buffers and (when cached) the combined cell; steady state
-			// starts after.
+			// Warm-up: the first reads bind the slot's shard readers and
+			// allocate its read buffer and (when cached) the combined
+			// cell; steady state starts after.
 			for i := 0; i < 16; i++ {
 				sink += o.read()
 			}

@@ -34,7 +34,7 @@ type Record struct {
 	Bytes uint64 `json:"bytes,omitempty"`
 	// AllocsPerRead is the heap allocations per read operation (E20r) —
 	// machine-independent, like the envelope, because the read paths are
-	// designed to reuse handle-local scratch: cached scalar reads must
+	// designed to reuse the reader's buffers: cached scalar reads must
 	// report 0, and -compare treats any increase as a regression.
 	AllocsPerRead float64         `json:"allocs_per_read,omitempty"`
 	Envelope      *RecordEnvelope `json:"envelope,omitempty"`

@@ -80,22 +80,30 @@ func (h *VectorHandle) Read() []uint64 { return h.ReadInto(nil) }
 // step count is identical to Read's: one read per register, n × buckets,
 // whether or not a row is built.
 func (h *VectorHandle) ReadInto(dst []uint64) []uint64 {
-	dst = zeroed(dst, h.v.buckets)
+	return h.AddInto(zeroed(dst, h.v.buckets))
+}
+
+// AddInto adds the per-bucket totals onto acc (saturating), which must
+// hold Buckets() counts, and returns it: the fold step of a combined
+// read over several vectors, which needs no buffer of its own. Its
+// reads and steps are ReadInto's.
+func (h *VectorHandle) AddInto(acc []uint64) []uint64 {
+	acc = acc[:h.v.buckets]
 	for i := range h.v.rows {
 		lr := &h.v.rows[i]
 		if row := lr.Row(); row != nil {
 			for b := range row {
-				dst[b] = satmath.Add(dst[b], row[b].Read(h.p))
+				acc[b] = satmath.Add(acc[b], row[b].Read(h.p))
 			}
 		} else if !lr.ReadUnbuilt(h.p) {
 			// A gated process reads register by register: the row may
 			// be built and written while it waits at a gate.
-			for b := range dst {
-				dst[b] = satmath.Add(dst[b], lr.Read(h.p, b))
+			for b := range acc {
+				acc[b] = satmath.Add(acc[b], lr.Read(h.p, b))
 			}
 		}
 	}
-	return dst
+	return acc
 }
 
 // zeroed returns dst resized to n and zero-filled, reusing its backing

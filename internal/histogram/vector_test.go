@@ -3,11 +3,13 @@ package histogram
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"approxobj/internal/object"
 	"approxobj/internal/prim"
+	"approxobj/internal/satmath"
 	"approxobj/internal/sim"
 )
 
@@ -276,5 +278,90 @@ func TestVectorFirstWritesRace(t *testing.T) {
 		if total != writers*adds {
 			t.Fatalf("trial %d: final read holds %d additions, want %d", trial, total, writers*adds)
 		}
+	}
+}
+
+// TestVectorAddIntoIsARead pins AddInto as a read: onto an accumulator
+// that is not zero it adds ReadInto's totals (saturating), in ReadInto's
+// steps. The states cover a vector with no row built and one with two
+// of three rows built, read by a slot with no row; a production proc
+// charges unbuilt rows at once, a gated sim.Machine proc reads them
+// register by register, and the gated reads must take the same trace.
+func TestVectorAddIntoIsARead(t *testing.T) {
+	const n, buckets, reader = 3, 5, 1
+	acc := []uint64{1, 0, ^uint64(0) - 1, 7, 0}
+	wantSum := func(read []uint64) []uint64 {
+		want := make([]uint64, buckets)
+		for b := range want {
+			want[b] = satmath.Add(acc[b], read[b])
+		}
+		return want
+	}
+	adds := func(write func(p int, b int, d uint64)) {
+		write(0, 2, 3)
+		write(0, 4, 1)
+		write(2, 0, 5)
+	}
+	for _, built := range []bool{false, true} {
+		f := prim.NewFactory(n)
+		v, err := NewVector(f, buckets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := make([]object.HistHandle, n)
+		for i := range hs {
+			hs[i] = v.HistHandle(f.Proc(i))
+		}
+		if built {
+			adds(func(p, b int, d uint64) { hs[p].AddN(b, d) })
+		}
+		p := f.Proc(reader)
+		before := p.Steps()
+		read := hs[reader].ReadInto(nil)
+		readSteps := p.Steps() - before
+		before = p.Steps()
+		got := hs[reader].AddInto(slices.Clone(acc))
+		if addSteps := p.Steps() - before; addSteps != readSteps || addSteps != n*buckets {
+			t.Errorf("rows built %v: AddInto took %d steps, ReadInto %d, want %d each", built, addSteps, readSteps, n*buckets)
+		}
+		if want := wantSum(read); !slices.Equal(got, want) {
+			t.Errorf("rows built %v: AddInto(%v) = %v, want %v (acc plus ReadInto's %v)", built, acc, got, want, read)
+		}
+	}
+
+	// Gated: twin machines in one state, one reading with ReadInto and
+	// one with AddInto.
+	run := func(fold bool) ([]uint64, []prim.Event) {
+		m := sim.NewMachine(n)
+		v, err := NewVector(m.Factory(), buckets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := make([]object.HistHandle, n)
+		for i := range hs {
+			hs[i] = v.HistHandle(m.Proc(i))
+		}
+		adds(func(p, b int, d uint64) {
+			m.Spawn(p, func(*prim.Proc) { hs[p].AddN(b, d) })
+			m.RunSolo(p, 10)
+		})
+		var got []uint64
+		m.Spawn(reader, func(*prim.Proc) {
+			if fold {
+				got = hs[reader].AddInto(slices.Clone(acc))
+			} else {
+				got = hs[reader].ReadInto(nil)
+			}
+		})
+		m.RunSolo(reader, 10*n*buckets)
+		return got, m.TraceOf(reader)
+	}
+	read, readTrace := run(false)
+	got, addTrace := run(true)
+	if len(readTrace) != n*buckets || !reflect.DeepEqual(addTrace, readTrace) {
+		t.Errorf("gated: AddInto took %d steps, ReadInto %d, want the same %d-step trace", len(addTrace), len(readTrace), n*buckets)
+	}
+	if want := wantSum(read); !slices.Equal(got, want) {
+		t.Errorf("gated: AddInto(%v) = %v, want %v (acc plus ReadInto's %v)", acc, got, want, read)
 	}
 }

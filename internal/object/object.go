@@ -82,6 +82,11 @@ type HistHandle interface {
 	// allocating per read. It returns the filled slice; a nil dst
 	// behaves like Read.
 	ReadInto(dst []uint64) []uint64
+	// AddInto adds the per-bucket totals onto acc, which must hold one
+	// count per bucket, and returns it, taking ReadInto's steps: a
+	// combined read over several vectors folds each into the caller's
+	// buffer.
+	AddInto(acc []uint64) []uint64
 }
 
 // Snapshot is a shared single-writer atomic snapshot object supporting
@@ -105,4 +110,9 @@ type SnapshotHandle interface {
 	// per scan. It returns the filled slice; a nil dst behaves like
 	// Scan.
 	ScanInto(dst []uint64) []uint64
+	// MergeInto raises each component of acc, which must hold one value
+	// per component, to the value a scan sees, and returns it, taking
+	// ScanInto's steps: a combined scan over several snapshots folds
+	// each into the caller's buffer.
+	MergeInto(acc []uint64) []uint64
 }

@@ -4,7 +4,6 @@ import (
 	"approxobj/internal/histogram"
 	"approxobj/internal/object"
 	"approxobj/internal/prim"
-	"approxobj/internal/satmath"
 )
 
 // bucketBackend builds one shard's exact bucket-count vector over
@@ -30,19 +29,8 @@ func bucketBackend(buckets int) backend[object.Hist] {
 // handle count, like the counter's).
 var histogramPolicy = &policy[[]uint64]{
 	name:                  "per-bucket sum",
-	combine:               sumBuckets,
 	buffer:                bucketBatching,
 	bufferScalesWithProcs: true,
-}
-
-// sumBuckets merges two per-shard bucket reads element-wise
-// (saturating): bucket j's combined count is the sum of its per-shard
-// counts.
-func sumBuckets(acc, next []uint64) []uint64 {
-	for i, v := range next {
-		acc[i] = satmath.Add(acc[i], v)
-	}
-	return acc
 }
 
 // Histogram is the sharded bucket-count vector: S shards of exact
@@ -70,7 +58,7 @@ type Histogram struct {
 func NewHistogram(n int, k uint64, buckets int, cfg Config) (*Histogram, error) {
 	p, err := newPlane(n, k, cfg, bucketBackend(buckets), histogramPolicy,
 		func(o object.Hist, pr *prim.Proc) object.HistHandle { return o.HistHandle(pr) },
-		object.HistHandle.ReadInto)
+		object.HistHandle.ReadInto, object.HistHandle.AddInto)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +86,7 @@ func (hg *Histogram) Handle(i int) *HistHandle {
 // buffer before quiescent reads. It holds its slot's observation buffer
 // once its first AddN has allocated it.
 type HistHandle struct {
-	handleCore[object.HistHandle, []uint64]
+	handleCore[object.Hist, object.HistHandle, []uint64]
 	bb      bucketBuf
 	buckets int
 }

@@ -69,17 +69,8 @@ func MultBoundedMaxBackend(m uint64) MaxRegBackend {
 // global max), and handles elide writes (the B-1 staleness lives in the
 // ONE handle holding the maximum, so it does not scale with n).
 var maxRegPolicy = &policy[uint64]{
-	name:    "max",
-	combine: maxOf,
-	buffer:  writeElision,
-}
-
-// maxOf is the max register's combine.
-func maxOf(a, b uint64) uint64 {
-	if b > a {
-		return b
-	}
-	return a
+	name:   "max",
+	buffer: writeElision,
 }
 
 // MaxReg is the sharded max register: S independently accurate shards
@@ -105,7 +96,9 @@ type MaxReg struct {
 // kept locally and published by Flush.
 func NewMaxReg(n int, k uint64, be MaxRegBackend, cfg Config) (*MaxReg, error) {
 	p, err := newPlane(n, k, cfg, be, maxRegPolicy,
-		func(o object.MaxReg, pr *prim.Proc) object.MaxRegHandle { return o.MaxRegHandle(pr) }, nil)
+		func(o object.MaxReg, pr *prim.Proc) object.MaxRegHandle { return o.MaxRegHandle(pr) },
+		func(h object.MaxRegHandle, _ uint64) uint64 { return h.Read() },
+		func(h object.MaxRegHandle, acc uint64) uint64 { return max(acc, h.Read()) })
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +120,7 @@ func (m *MaxReg) Handle(i int) *MaxRegHandle {
 // and adds Flush for publishing elided writes before quiescent reads;
 // Read takes the max over one read of every shard.
 type MaxRegHandle struct {
-	handleCore[object.MaxRegHandle, uint64]
+	handleCore[object.MaxReg, object.MaxRegHandle, uint64]
 	bound uint64
 }
 

@@ -13,26 +13,18 @@ import (
 //
 //   - a combine policy: how a read folds the S per-shard reads into the
 //     object's value (sum for counters, max for max registers,
-//     per-component merge for snapshots), and
+//     per-component merge for snapshots, per-bucket sum for histograms),
+//     given as the kind's read and fold functions, and
 //   - a buffer policy: how a handle's mutations are buffered locally
 //     before reaching its home shard (count batching, write elision, or
 //     component elision).
 //
 // The kind-specific files (shard.go, maxreg.go, snapshot.go,
 // histogram.go) contribute only their backends, their mutation method,
-// and their policy row — everything else (construction, handle wiring,
-// combined reads, flushes, envelope composition, step accounting, and
-// the accessors every kind object shares) lives here once.
-
-// Reader is the read side of a per-shard handle: the generic core issues
-// one Read per shard and folds the results with the kind's Combine.
-type Reader[V any] interface{ Read() V }
-
-// Combine folds the next shard's read into the accumulator. It may
-// mutate and return acc (the per-component merge does); acc is always a
-// value the caller owns — the first shard's read into the caller's
-// destination buffer.
-type Combine[V any] func(acc, next V) V
+// their read and fold, and their policy row — everything else
+// (construction, handle wiring, combined reads, flushes, envelope
+// composition, step accounting, and the accessors every kind object
+// shares) lives here once.
 
 // bufferPolicy enumerates the handle-local buffering disciplines of the
 // plane. All three trade read freshness (the Buffer term of Bounds) for
@@ -343,7 +335,7 @@ func (b bufferPolicy) String() string {
 type Config struct {
 	// Shards is the shard count S (0 means 1). Mutations spread across
 	// shards by handle affinity; reads cost one underlying read per
-	// shard, folded by the kind's combine.
+	// shard, folded by the kind's fold.
 	Shards int
 	// Batch is the per-handle buffer B (0 means 1, unbuffered). What it
 	// buffers is the kind's buffer policy: increments for counters (up
@@ -395,15 +387,14 @@ func MaxRegPolicyRow() PolicyRow    { return maxRegPolicy.row() }
 func SnapshotPolicyRow() PolicyRow  { return snapshotPolicy.row() }
 func HistogramPolicyRow() PolicyRow { return histogramPolicy.row() }
 
-// policy is one kind's row of the plane: how reads fold the per-shard
-// (and, in a window, per-epoch) values, how the per-shard envelope
-// composes under that fold, and which buffering discipline its handles
-// use. The spec layer's backend table derives its rows from these via
-// PolicyRow.
+// policy is one kind's row of the plane: how the per-shard envelope
+// composes under the kind's fold (the read and fold functions its
+// constructor hands newPlane), and which buffering discipline its
+// handles use. The spec layer's backend table derives its rows from
+// these via PolicyRow.
 type policy[V any] struct {
-	name    string     // policy-table name: "sum", "max", "per-component"
-	combine Combine[V] // the fold itself, over shards and over epochs
-	buffer  bufferPolicy
+	name   string // policy-table name: "sum", "max", "per-component"
+	buffer bufferPolicy
 	// addScalesWithShards: the per-shard additive slack sums over shards
 	// (true for the counter's sum-combine; false for max and
 	// per-component merge, which pick one shard's value per result).
@@ -416,14 +407,14 @@ type policy[V any] struct {
 	bufferScalesWithProcs bool
 }
 
-// plane is the generic sharded object: S shards of O combined on read by
-// the kind's Combine, with handle-local buffering per the kind's policy.
+// plane is the generic sharded object: S shards of O folded on read by
+// the kind's fold, with handle-local buffering per the kind's policy.
 // All S shards are built over one n-slot prim.Factory, so process slot i
 // is one prim.Proc on every shard, as in the paper's model, where each
 // process applies its primitives to any base object. Kind-specific
 // object types embed it — inheriting N, Bounds, and BaseObjects — and
 // add nothing but their Handle and its mutation method.
-type plane[O any, H Reader[V], V any] struct {
+type plane[O, H, V any] struct {
 	f        *prim.Factory
 	shards   []O
 	k        uint64
@@ -431,11 +422,13 @@ type plane[O any, H Reader[V], V any] struct {
 	be       backend[O]
 	pol      *policy[V]
 	handleOf func(o O, p *prim.Proc) H
-	// readInto is the per-shard read into a reused buffer, nil for
-	// scalar-valued kinds (whose reads allocate nothing anyway). When
-	// set, combined reads fold through two per-handle scratch buffers
-	// instead of allocating per shard read.
-	readInto func(h H, dst V) V
+	// read reads one shard into dst (scalar kinds ignore it), and fold
+	// folds one shard's read into acc, a value the caller owns: a sum
+	// or a max for the scalar kinds, a per-bucket sum or per-component
+	// max into the caller's buffer for the vector kinds. A combined
+	// read is one read and S-1 folds, and needs no buffer of its own.
+	read func(h H, dst V) V
+	fold func(h H, acc V) V
 	// bound marks the slots that have their handle (see coreAt).
 	bound []bool
 	// tel is the telemetry sink the plane's moving parts report into
@@ -446,11 +439,11 @@ type plane[O any, H Reader[V], V any] struct {
 // newPlane builds S shards over one n-slot factory from a configuration
 // the spec layer has validated. cfg.Tel (nil when uninstrumented) is
 // attached to the factory before any shard is built, so
-// construction-time arena rows are counted. readInto is the per-shard
-// read into a reused buffer, nil for scalar kinds.
-func newPlane[O any, H Reader[V], V any](
+// construction-time arena rows are counted. read and fold are the
+// kind's per-shard read and fold (see plane).
+func newPlane[O, H, V any](
 	n int, k uint64, cfg Config, be backend[O], pol *policy[V],
-	handleOf func(o O, p *prim.Proc) H, readInto func(h H, dst V) V,
+	handleOf func(o O, p *prim.Proc) H, read, fold func(h H, v V) V,
 ) (*plane[O, H, V], error) {
 	f := prim.NewFactory(n)
 	f.Instrument(cfg.Tel)
@@ -464,7 +457,7 @@ func newPlane[O any, H Reader[V], V any](
 	}
 	return &plane[O, H, V]{
 		f: f, shards: shards, k: k, batch: uint64(orOne(cfg.Batch)), be: be, pol: pol,
-		handleOf: handleOf, readInto: readInto,
+		handleOf: handleOf, read: read, fold: fold,
 		bound: make([]bool, n),
 		tel:   cfg.Tel,
 	}, nil
@@ -513,93 +506,112 @@ func (p *plane[O, H, V]) Bounds() Bounds {
 // deterministic and randomized state at equal target error.
 func (p *plane[O, H, V]) BaseObjects() uint64 { return p.f.Resident() }
 
-// coreAt binds process slot i to every shard and returns the shared
-// handle core: per-shard readers through the slot's one proc, the home
-// shard's handle, the combine loop, and the policy's buffer (whose
-// flush function the kind-specific handle wires to its home-shard
-// mutation). A slot binds once. Its per-shard handles hold the paper's
-// per-process local state (a sequence number, a counter's own leaf, an
-// elision anchor), which a second set would restart from zero, so a
-// second binding of one slot panics: callers keep the slot's one
-// handle (the public layer's slot pool does). Distinct slots may bind
-// concurrently (they touch distinct entries).
-func (p *plane[O, H, V]) coreAt(i int) handleCore[H, V] {
+// coreAt binds process slot i to its home shard i mod S and returns the
+// shared handle core: the home shard's handle through the slot's one
+// proc, and the policy's buffer (whose flush function the kind-specific
+// handle wires to its home-shard mutation). The slot's readers on the
+// other shards are bound by its first combined read (see
+// handleCore.shardReaders), so a slot that only writes, or only reads
+// through a read cache, holds one shard handle. A slot binds once. Its
+// shard handles hold the paper's per-process local state (a sequence
+// number, a counter's own leaf, an elision anchor), which a second set
+// would restart from zero, so a second binding of one slot panics:
+// callers keep the slot's one handle (the public layer's slot pool
+// does). Distinct slots may bind concurrently (they touch distinct
+// entries).
+func (p *plane[O, H, V]) coreAt(i int) handleCore[O, H, V] {
 	if p.bound[i] {
 		panic(fmt.Sprintf("shard: slot %d is already bound; a slot has one handle", i))
 	}
 	p.bound[i] = true
 	proc := p.f.Proc(i)
-	readers := make([]H, len(p.shards))
-	for s, o := range p.shards {
-		readers[s] = p.handleOf(o, proc)
-	}
-	return handleCore[H, V]{
-		readers:  readers,
-		home:     readers[i%len(p.shards)],
-		proc:     proc,
-		combine:  p.pol.combine,
-		readInto: p.readInto,
-		buf:      buffer{policy: p.pol.buffer, batch: p.batch, tel: p.tel, slot: i},
+	return handleCore[O, H, V]{
+		p:    p,
+		home: p.handleOf(p.shards[i%len(p.shards)], proc),
+		proc: proc,
+		buf:  buffer{policy: p.pol.buffer, batch: p.batch, tel: p.tel, slot: i},
 	}
 }
 
 // handleCore is the shared per-slot handle core every kind's handle embeds:
-// the per-shard readers bound to one process slot, the home shard's
-// handle (i mod S: a handle's mutations all land on one shard, keeping
-// its cache traffic within that shard's base objects), the combined
-// read, the buffer, and step accounting. The kind-specific handle adds
-// only its mutation method (Inc, Write, Update) over buf.add.
-type handleCore[H Reader[V], V any] struct {
-	readers  []H
-	home     H
-	proc     *prim.Proc
-	combine  Combine[V]
-	readInto func(h H, dst V) V // per-shard read into a reused buffer; nil for scalar kinds
-	scratch  V                  // fold buffer for the non-first shards' reads (vector kinds)
-	buf      buffer
+// its plane, the home shard's handle (i mod S: a handle's mutations all
+// land on one shard, keeping its cache traffic within that shard's base
+// objects), the per-shard readers once the slot has read, the buffer,
+// and step accounting, all through the slot's one proc. The
+// kind-specific handle adds only its mutation method (Inc, Write,
+// Update) over buf.add.
+type handleCore[O, H, V any] struct {
+	p       *plane[O, H, V]
+	home    H
+	readers []H // one per shard, home included; nil until the first combined read
+	proc    *prim.Proc
+	buf     buffer
+}
+
+// shardReaders returns the slot's per-shard readers, binding its
+// non-home shards on the first call: shard handles carry per-process
+// read state (Algorithm 1's last_i and help_i, a snapshot's collect
+// buffers), which a slot that never reads should not hold.
+func (c *handleCore[O, H, V]) shardReaders() []H {
+	if c.readers == nil {
+		p := c.p
+		home := c.proc.ID() % len(p.shards)
+		c.readers = make([]H, len(p.shards))
+		for s, o := range p.shards {
+			if s == home {
+				c.readers[s] = c.home
+			} else {
+				c.readers[s] = p.handleOf(o, c.proc)
+			}
+		}
+	}
+	return c.readers
 }
 
 // Read returns the object's combined value: one read of every shard,
-// folded with the kind's Combine — O(S). The result is inside the
+// folded with the kind's fold — O(S). The result is inside the
 // envelope the object's Bounds describes, relative to the regularity
 // window of the package comment. For vector-valued kinds the slice is
 // fresh (owned by the caller); reuse a buffer across reads with
 // ReadInto instead.
-func (c *handleCore[H, V]) Read() V {
+func (c *handleCore[O, H, V]) Read() V {
 	var zero V
 	return c.ReadInto(zero)
 }
 
 // ReadInto is Read with the result written into dst (grown as needed;
-// scalar kinds ignore it). Scalar kinds fold plain values; vector kinds
-// read the first shard into dst and every later shard into the handle's
-// scratch buffer, so a steady-state combine allocates nothing.
-func (c *handleCore[H, V]) ReadInto(dst V) V {
-	if c.readInto == nil {
-		acc := c.readers[0].Read()
-		for _, r := range c.readers[1:] {
-			acc = c.combine(acc, r.Read())
-		}
-		return acc
-	}
-	dst = c.readInto(c.readers[0], dst)
-	for _, r := range c.readers[1:] {
-		c.scratch = c.readInto(r, c.scratch)
-		dst = c.combine(dst, c.scratch)
+// scalar kinds ignore it): the first shard reads into dst and every
+// later shard folds into it, so a steady-state combine allocates
+// nothing and holds no buffer beside the caller's.
+func (c *handleCore[O, H, V]) ReadInto(dst V) V {
+	rs := c.shardReaders()
+	dst = c.p.read(rs[0], dst)
+	for _, r := range rs[1:] {
+		dst = c.p.fold(r, dst)
 	}
 	return dst
 }
 
+// FoldInto folds the handle's combined read, every shard's read as
+// ReadInto takes them, into acc and returns it: a window's step per
+// epoch after the first.
+func (c *handleCore[O, H, V]) FoldInto(acc V) V {
+	for _, r := range c.shardReaders() {
+		acc = c.p.fold(r, acc)
+	}
+	return acc
+}
+
 // Flush publishes any handle-locally buffered mutations to the home
 // shard. It is a no-op when the buffer is empty.
-func (c *handleCore[H, V]) Flush() { c.buf.Flush() }
+func (c *handleCore[O, H, V]) Flush() { c.buf.Flush() }
 
 // Pending returns the handle's buffered state (diagnostic): buffered
 // increments for counters, the total pending observation count across
 // all buckets for histograms, the pending elided value (0 when none)
 // for max registers and snapshots.
-func (c *handleCore[H, V]) Pending() uint64 { return c.buf.Pending() }
+func (c *handleCore[O, H, V]) Pending() uint64 { return c.buf.Pending() }
 
 // Steps returns the shared-memory steps this handle's process slot has
 // taken across all shards.
-func (c *handleCore[H, V]) Steps() uint64 { return c.proc.Steps() }
+func (c *handleCore[O, H, V]) Steps() uint64 { return c.proc.Steps() }

@@ -43,7 +43,14 @@
 // steps and the object's resident base objects are each counted in one
 // place. Handle i mutates only its home shard i mod S (handle affinity:
 // a mutator's cache traffic stays within one shard's base objects), and
-// reads combine one read of every shard. Optionally each handle buffers
+// reads combine one read of every shard. Binding slot i builds only its
+// home shard's handle; the slot's handles on the other shards, which
+// hold the per-process read state of the paper's algorithms (Algorithm
+// 1's last_i and help_i, a snapshot's collect buffers), are built by its
+// first combined read, so a slot that never reads holds none. A combined
+// read folds every shard straight into the caller's buffer (the first
+// shard reads into it, the rest add or max-merge into it), so no handle
+// keeps a fold buffer of its own. Optionally each handle buffers
 // mutations locally: a counter handle buffers B increments and flushes
 // them in one bulk operation (object.BulkCounterHandle when the backend
 // supports it), a max register handle elides writes within B-1 of its
@@ -224,7 +231,6 @@ type Bounds = object.Bounds
 // counts (so the B-1 staleness scales with the handle count).
 var counterPolicy = &policy[uint64]{
 	name:                  "sum",
-	combine:               satmath.Add,
 	buffer:                countBatching,
 	addScalesWithShards:   true,
 	bufferScalesWithProcs: true,
@@ -244,7 +250,9 @@ type Counter struct {
 // shard.
 func New(n int, k uint64, be Backend, cfg Config) (*Counter, error) {
 	p, err := newPlane(n, k, cfg, be, counterPolicy,
-		func(o object.Counter, pr *prim.Proc) object.CounterHandle { return o.CounterHandle(pr) }, nil)
+		func(o object.Counter, pr *prim.Proc) object.CounterHandle { return o.CounterHandle(pr) },
+		func(h object.CounterHandle, _ uint64) uint64 { return h.Read() },
+		func(h object.CounterHandle, acc uint64) uint64 { return satmath.Add(acc, h.Read()) })
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +283,7 @@ func (c *Counter) Handle(i int) *Handle {
 // draining the batch buffer before quiescent reads; Read sums one read
 // of every shard, saturating at MaxUint64.
 type Handle struct {
-	handleCore[object.CounterHandle, uint64]
+	handleCore[object.Counter, object.CounterHandle, uint64]
 }
 
 var _ object.CounterHandle = (*Handle)(nil)

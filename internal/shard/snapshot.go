@@ -24,31 +24,8 @@ var snapshotBackend = backend[object.Snapshot]{
 // widens), and handles elide component updates (staleness is per
 // component, so the Buffer term does not scale with n).
 var snapshotPolicy = &policy[[]uint64]{
-	name:    "per-component",
-	combine: mergeComponents,
-	buffer:  componentElision,
-}
-
-// snapHandle adapts the object-layer snapshot handle (Update/Scan) to
-// the plane's Reader: a Read is a Scan, a readInto a ScanInto.
-type snapHandle struct{ object.SnapshotHandle }
-
-func (h snapHandle) Read() []uint64 { return h.Scan() }
-
-// scanInto is the plane's per-shard readInto for snapshots.
-func scanInto(h snapHandle, dst []uint64) []uint64 { return h.ScanInto(dst) }
-
-// mergeComponents merges two per-shard scans element-wise. Handle
-// affinity means component i is only ever written in shard i mod S; in
-// every other shard it stays 0, so the element-wise max recovers each
-// component's home-shard value exactly.
-func mergeComponents(acc, next []uint64) []uint64 {
-	for i, v := range next {
-		if v > acc[i] {
-			acc[i] = v
-		}
-	}
-	return acc
+	name:   "per-component",
+	buffer: componentElision,
 }
 
 // Snapshot is the sharded single-writer atomic snapshot: S shards whose
@@ -60,7 +37,7 @@ func mergeComponents(acc, next []uint64) []uint64 {
 // because components are disjoint across handles. Create handles with
 // Handle; the zero value is not usable.
 type Snapshot struct {
-	*plane[object.Snapshot, snapHandle, []uint64]
+	*plane[object.Snapshot, object.SnapshotHandle, []uint64]
 }
 
 // NewSnapshot creates a sharded snapshot for n process slots (= n
@@ -74,8 +51,8 @@ type Snapshot struct {
 // exceeds it.
 func NewSnapshot(n int, cfg Config) (*Snapshot, error) {
 	p, err := newPlane(n, 1, cfg, snapshotBackend, snapshotPolicy,
-		func(o object.Snapshot, pr *prim.Proc) snapHandle { return snapHandle{o.SnapshotHandle(pr)} },
-		scanInto)
+		func(o object.Snapshot, pr *prim.Proc) object.SnapshotHandle { return o.SnapshotHandle(pr) },
+		object.SnapshotHandle.ScanInto, object.SnapshotHandle.MergeInto)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +76,7 @@ func (s *Snapshot) Handle(i int) *SnapshotHandle {
 // components (Scan). Flush publishes an elided component update before
 // quiescent scans.
 type SnapshotHandle struct {
-	handleCore[snapHandle, []uint64]
+	handleCore[object.Snapshot, object.SnapshotHandle, []uint64]
 	slot int
 }
 
@@ -120,7 +97,7 @@ func (h *SnapshotHandle) Update(v uint64) { h.buf.add(v) }
 func (h *SnapshotHandle) Scan() []uint64 { return h.Read() }
 
 // ScanInto is Scan into a reused buffer: dst is grown (or allocated, if
-// nil) as needed and filled with the merged view. Per-shard scans land
-// in the handle's scratch buffers, so steady-state scans through one
-// handle allocate nothing.
+// nil) as needed and filled with the merged view. The first shard scans
+// into dst and every later shard max-merges into it, so steady-state
+// scans through one handle allocate nothing.
 func (h *SnapshotHandle) ScanInto(dst []uint64) []uint64 { return h.ReadInto(dst) }

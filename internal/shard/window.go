@@ -17,7 +17,7 @@ import (
 // epoch is an ordinary kind object with its own shards and buffers —
 // and everything above it: writers stamp into the current epoch through
 // the kind's existing handle plumbing, and reads fold the live ring
-// with the kind's existing Combine, so the per-epoch accuracy envelope
+// with the kind's existing fold, so the per-epoch accuracy envelope
 // carries over to the window with only the documented widenings (Add x
 // epochs for sum-combines; a one-epoch truncation skew, the Window term
 // of Bounds).
@@ -54,9 +54,13 @@ import (
 // # Reads
 //
 // A windowed read folds one combined read of every ring slot with the
-// kind's Combine. Every live epoch holds a disjoint share of the
-// window's mutations, so the same composition arguments as sharding
-// apply: a sum of per-epoch k-multiplicative counts is
+// kind's fold, straight into the caller's buffer: the first epoch reads
+// into it and every later epoch's shards fold into it, so the window
+// holds no read buffer of its own. A handle binds an epoch's handle
+// only when it first writes or reads there, and that handle binds its
+// readers only when it first reads. Every live epoch holds a disjoint
+// share of the window's mutations, so the same composition arguments as
+// sharding apply: a sum of per-epoch k-multiplicative counts is
 // k-multiplicative, per-epoch additive slack sums (Add x epochs), max
 // and per-component merges widen nothing. The fold visits the ring
 // racing rotation, so a read may miss the epoch being evicted and see
@@ -64,18 +68,20 @@ import (
 // reported as the Window term of Bounds.
 
 // EpochHandle is what the ring needs of a kind handle: the combined
-// read into a reused buffer (scalar kinds ignore the buffer), Flush,
-// and step accounting. Every kind handle has them through its handle
-// core.
+// read into a reused buffer (scalar kinds ignore the buffer), the same
+// read folded into an accumulator the caller owns, Flush, and step
+// accounting. Every kind handle has them through its handle core.
 type EpochHandle[V any] interface {
 	ReadInto(dst V) V
+	FoldInto(acc V) V
 	Flush()
 	Steps() uint64
 }
 
 // Epoch is what the ring needs of one epoch instance: the kind object's
 // Handle plus the plane accessors every kind carries, including its
-// policy row (whose combine folds the ring) and its telemetry sink.
+// policy row (whose envelope composition the window widens) and its
+// telemetry sink.
 // Counter, MaxReg, Snapshot, and Histogram satisfy it.
 type Epoch[H EpochHandle[V], V any] interface {
 	Handle(i int) H
@@ -102,8 +108,8 @@ type Window[T Epoch[H, V], H EpochHandle[V], V any] struct {
 	epochs int
 	mk     func() (T, error)
 
-	// pol is the kind's policy row: its combine folds the ring, and
-	// addScalesWithShards says per-epoch additive slack sums over it.
+	// pol is the kind's policy row: addScalesWithShards says per-epoch
+	// additive slack sums over the ring.
 	pol *policy[V]
 	// tel is the epochs' telemetry sink (nil when uninstrumented):
 	// rotations and handle re-homes are window-tier events the
@@ -232,7 +238,7 @@ func (w *Window[T, H, V]) Close() {
 }
 
 // Bounds composes the windowed envelope from the per-epoch one: Add
-// widens by the epoch count iff the kind's Combine sums (per-epoch
+// widens by the epoch count iff the kind's fold sums (per-epoch
 // slack accumulates over the fold, exactly like per-shard slack under a
 // sum), Buffer is unchanged (a handle holds buffered mutations in at
 // most one epoch at a time — see the handle comment), and Window
@@ -294,9 +300,6 @@ type WindowHandle[T Epoch[H, V], H EpochHandle[V], V any] struct {
 	// retired accumulates the steps of rebound (dropped) cores, keeping
 	// Steps monotone across epochs.
 	retired uint64
-	// scratch is the fold buffer for the non-first epochs' reads (vector
-	// kinds; see ReadInto).
-	scratch V
 }
 
 // core returns the cached kind handle for ring slot j's installed epoch
@@ -331,7 +334,7 @@ func (h *WindowHandle[T, H, V]) cur() H {
 }
 
 // Read folds one combined read of every live epoch with the kind's
-// Combine. For vector kinds the slice is fresh (owned by the caller);
+// fold. For vector kinds the slice is fresh (owned by the caller);
 // reuse a buffer with ReadInto.
 func (h *WindowHandle[T, H, V]) Read() V {
 	var zero V
@@ -339,15 +342,13 @@ func (h *WindowHandle[T, H, V]) Read() V {
 }
 
 // ReadInto is Read into a reused buffer (scalar kinds ignore it): the
-// first epoch reads into dst, every later epoch into the handle's
-// scratch buffer, so a steady-state windowed read through one handle
-// allocates nothing. The accumulator is always a value the caller owns,
-// so vector combines may mutate it, exactly as in the shard fold.
+// first epoch reads into dst and every later epoch folds into it, as in
+// the shard fold, so a steady-state windowed read through one handle
+// allocates nothing and the handle keeps no fold buffer.
 func (h *WindowHandle[T, H, V]) ReadInto(dst V) V {
 	dst = h.core(0, h.w.ring[0].Load()).ReadInto(dst)
 	for j := 1; j < h.w.epochs; j++ {
-		h.scratch = h.core(j, h.w.ring[j].Load()).ReadInto(h.scratch)
-		dst = h.w.pol.combine(dst, h.scratch)
+		dst = h.core(j, h.w.ring[j].Load()).FoldInto(dst)
 	}
 	return dst
 }

@@ -115,6 +115,47 @@ func (h *Handle) Scan() []uint64 { return h.ScanInto(nil) }
 // counters live in the handle, so steady-state scans through one handle
 // allocate nothing. The step count is identical to Scan's.
 func (h *Handle) ScanInto(dst []uint64) []uint64 {
+	cells, view := h.scan()
+	if view != nil {
+		return append(dst[:0], view...)
+	}
+	if cap(dst) < h.s.n {
+		dst = make([]uint64, h.s.n)
+	}
+	dst = dst[:h.s.n]
+	for i, c := range cells {
+		dst[i] = valOf(c)
+	}
+	return dst
+}
+
+// MergeInto raises every component of acc, which must hold n
+// components, to the value the scan sees, and returns it: the
+// element-wise max of acc and ScanInto's view, the fold step of a
+// combined scan over several snapshots, which needs no buffer of its
+// own. Its reads and steps are ScanInto's.
+func (h *Handle) MergeInto(acc []uint64) []uint64 {
+	acc = acc[:h.s.n]
+	cells, view := h.scan()
+	for i := range acc {
+		var v uint64
+		if view != nil {
+			v = view[i]
+		} else {
+			v = valOf(cells[i])
+		}
+		if v > acc[i] {
+			acc[i] = v
+		}
+	}
+	return acc
+}
+
+// scan takes an atomic view: either two identical successive collects,
+// returned as the cells of the second (view nil), or the embedded view
+// of a process observed to move twice, returned borrowed (cells nil;
+// read-only, shared with the cell that embeds it).
+func (h *Handle) scan() (cells []*cell, view []uint64) {
 	n := h.s.n
 	if cap(h.moved) < n {
 		h.moved = make([]int, n)
@@ -136,22 +177,14 @@ func (h *Handle) ScanInto(dst []uint64) []uint64 {
 				if h.moved[i] >= 2 {
 					// cur[i].view was embedded by an Update that began
 					// after our first collect: it is a valid view here.
-					dst = append(dst[:0], cur[i].view...)
 					h.ca, h.cb = prev, cur
-					return dst
+					return nil, cur[i].view
 				}
 			}
 		}
 		if same {
-			if cap(dst) < n {
-				dst = make([]uint64, n)
-			}
-			dst = dst[:n]
-			for i, c := range cur {
-				dst[i] = valOf(c)
-			}
 			h.ca, h.cb = prev, cur
-			return dst
+			return cur, nil
 		}
 		prev, cur = cur, prev
 	}

@@ -68,34 +68,25 @@ type ringControl interface {
 // runtime, so an object has at most one. plain and windowed adapt a
 // slot's runtime handle to the kind's pooled handle type H; their read
 // argument is the slot's read through the cache, nil when the object is
-// uncached (the handle then reads through its runtime handle).
+// uncached (the handle then reads through its runtime handle). A cached
+// object's refreshes, the combiner's and every inline one, all run
+// through the reserved combiner slot's runtime read under the cache's
+// refresh lock, so its caller and snapshot slots never bind a reader.
 func initObject[H pooledHandle, T shard.Epoch[E, V], E shard.EpochHandle[V], V any](
 	c *objectCore[H], spec Spec, mk func() (T, error),
 	plain func(h E, read func(V) V) H, windowed func(h *shard.WindowHandle[T, E, V], read func(V) V) H,
 ) error {
 	var (
-		bind    func(int) H
-		combine func() func(V) V // binds the reserved combiner slot's runtime read
-		cache   readCache[V]
+		bind    func(i int, read func(V) V) H // slot i's handle, read as given
+		combine func() func(V) V              // binds the reserved combiner slot's runtime read
 	)
-	// cached returns slot i's read through the cache, refreshing inline
-	// through rt, the slot's own runtime handle. Binding it once per slot
-	// keeps reads allocation-free (method values and closures allocate).
-	cached := func(i int, rt shard.EpochHandle[V]) func(V) V {
-		rc := cache
-		if rc == nil {
-			return nil
-		}
-		refresh := rt.ReadInto
-		return func(dst V) V { return rc.readInto(dst, refresh, i) }
-	}
 	if spec.Windowed() {
 		w, err := shard.NewWindow[T, E, V](spec.windowDur, spec.windowEpochs, mk)
 		if err != nil {
 			return err
 		}
 		c.rt, c.ring = w, w
-		bind = func(i int) H { h := w.Handle(i); return windowed(h, cached(i, h)) }
+		bind = func(i int, read func(V) V) H { return windowed(w.Handle(i), read) }
 		combine = func() func(V) V { return w.Handle(spec.totalProcs() - 1).ReadInto }
 	} else {
 		o, err := mk()
@@ -103,18 +94,27 @@ func initObject[H pooledHandle, T shard.Epoch[E, V], E shard.EpochHandle[V], V a
 			return err
 		}
 		c.rt = o
-		bind = func(i int) H { h := o.Handle(i); return plain(h, cached(i, h)) }
+		bind = func(i int, read func(V) V) H { return plain(o.Handle(i), read) }
 		combine = func() func(V) V { return o.Handle(spec.totalProcs() - 1).ReadInto }
 	}
 	c.spec = spec
-	c.slots.init(spec.procs, bind)
-	c.slots.tel = instrumentObject(spec, c)
+	tel := instrumentObject(spec, c)
+	slot := func(i int) H { return bind(i, nil) }
 	if spec.readStale > 0 {
-		cache = newReadCache(spec.readStale, c.slots.tel, combine())
-		c.cache = cache
+		// Slot i reads through the cache and refreshes inline through
+		// the combiner slot's read. Its read is bound once, with its
+		// handle, which keeps reads allocation-free (closures allocate)
+		// and the refresh out of the cache structs, whose layout the
+		// cached read path is tuned to.
+		refresh := combine()
+		rc := newReadCache(spec.readStale, tel, refresh)
+		c.cache = rc
+		slot = func(i int) H { return bind(i, func(dst V) V { return rc.readInto(dst, refresh, i) }) }
 	}
+	c.slots.init(spec.procs, slot)
+	c.slots.tel = tel
 	if spec.snapshotSlot {
-		c.snap = bind(spec.procs)
+		c.snap = slot(spec.procs)
 	}
 	return nil
 }
@@ -181,7 +181,8 @@ func (c *objectCore[H]) BaseObjects() uint64 { return c.rt.BaseObjects() }
 // WithWindow is set (the window freezes: no further aging; reads keep
 // serving the frozen ring and Reset returns an error) — and waits for
 // them to exit. Idempotent, and a no-op otherwise; handles stay usable
-// afterwards (cached reads refresh inline).
+// afterwards (cached reads refresh inline, still through the
+// combiner's reserved slot).
 func (c *objectCore[H]) Close() {
 	if c.cache != nil {
 		c.cache.close()
@@ -217,7 +218,8 @@ func (c *objectCore[H]) StepsRetired() uint64 { return c.slots.retired.Load() }
 
 // snapshotOf is the registry's view of v, a value read through the
 // snapshot slot under envelope b: Steps adds the snapshot slot's steps,
-// the read's included, to those of released pooled handles.
+// the read's included (none when cached: refreshes are the combiner
+// slot's steps), to those of released pooled handles.
 func (c *objectCore[H]) snapshotOf(v uint64, b Bounds) ObjectSnapshot {
 	return ObjectSnapshot{Value: v, Bounds: b, Steps: c.StepsRetired() + c.snap.Steps()}
 }

@@ -29,11 +29,15 @@ import (
 //     a fresh cell; and
 //   - a read-triggered inline refresh: a reader finding the cell stale
 //     (or never filled — a brand-new or just-Reset object) re-combines
-//     through its own slot's runtime handle under the refresh lock and
-//     publishes the result. This keeps the staleness bound unconditional
-//     — it holds even if the combiner goroutine is descheduled — and
-//     makes the very first read of an empty object return the empty
-//     value, never a sentinel.
+//     under the refresh lock and publishes the result. This keeps the
+//     staleness bound unconditional — it holds even if the combiner
+//     goroutine is descheduled — and makes the very first read of an
+//     empty object return the empty value, never a sentinel.
+//
+// Both run the same refresh, the reserved slot's runtime read, which
+// the refresh lock serializes: a caller slot, or the registry's
+// snapshot slot, never binds a reader of its own, and its handle's
+// Steps never include a refresh.
 //
 // A windowed object's cell folds the whole ring. Rotation does not
 // publish into it: a cell combined before a rotation is at most maxStale
@@ -53,19 +57,20 @@ import (
 // no clone — and the vector cache double-buffers two cells, recycling
 // the retired one as the next refresh's write buffer (guarded by a
 // reader refcount) and copying out into the caller's reused buffer.
-// The refresh function itself is a runtime handle's ReadInto, which
-// reads into reusable scratch, so neither background nor inline
-// refreshes allocate once the buffers exist.
+// The refresh function itself is the reserved slot's ReadInto, which
+// folds every shard and epoch straight into the cell it is given, so
+// neither background nor inline refreshes allocate once the cells
+// exist.
 
 // readCache is an object's read-combiner tier: scalarReadCache for
 // uint64-valued kinds, vecReadCache for []uint64-valued ones.
 type readCache[V any] interface {
 	// readInto returns the cached combined value, refreshing inline
-	// through refresh — a combined read through the reading slot's own
-	// runtime handle into a reused buffer — when the cell is stale. slot
-	// is the reading slot (the telemetry stripe). The vector cache
-	// writes the value into dst (grown as needed), the scalar cache
-	// ignores dst; the result is owned by the caller.
+	// through refresh — the reserved slot's combined read into a reused
+	// buffer, the combiner's own — when the cell is stale. slot is the
+	// reading slot (the telemetry stripe). The vector cache writes the
+	// value into dst (grown as needed), the scalar cache ignores dst;
+	// the result is owned by the caller.
 	readInto(dst V, refresh func(V) V, slot int) V
 	cacheControl
 }

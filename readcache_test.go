@@ -827,3 +827,125 @@ func TestReadCacheRotationRacingBatchedWrites(t *testing.T) {
 		t.Fatalf("quiescent cached windowed read = %d, want exactly %d (writes lost or duplicated)", got, incs)
 	}
 }
+
+// TestReadCacheSharedRefreshHandle is the race check of the one refresh
+// handle, run under -race in CI: several goroutines read through
+// distinct caller slots of a cached counter and a cached histogram,
+// cumulative and windowed, while a writer slot writes, the combiner
+// ticks and, when windowed, the ring rotates by hand, for at least
+// 2 ms. With a staleness of tens of µs the cell lapses dozens of times
+// in that span, and readers refresh it inline far more often than the
+// combiner ticks (a 2-vCPU probe counted ~46 inline refreshes in ~30k
+// cached reads, and no tick). Every refresh, inline or not, runs
+// through the reserved combiner slot's runtime read under the refresh
+// lock, so the readers' handles take no step. After quiescence, a flush and a wait of Stale, a read
+// must equal the write count (exact backends; rotations stay below the
+// epoch count, so no write leaves the ring).
+func TestReadCacheSharedRefreshHandle(t *testing.T) {
+	const (
+		readers = 3
+		race    = 2 * time.Millisecond
+		epochs  = 4
+		stale   = 40 * time.Microsecond
+	)
+	type view struct {
+		obj   interface{ Close() }
+		rt    shardRuntime
+		write func()
+		flush func()
+		read  func(i int) uint64 // through caller slot i
+		steps func(i int) uint64
+	}
+	for _, k := range []struct {
+		name  string
+		build func(opts []Option) (view, error)
+	}{
+		{"counter", func(opts []Option) (view, error) {
+			c, err := NewCounter(opts...)
+			if err != nil {
+				return view{}, err
+			}
+			w := c.Handle(0).(BatchedCounterHandle)
+			return view{c, c.rt, w.Inc, w.Flush,
+				func(i int) uint64 { return c.Handle(i).Read() },
+				func(i int) uint64 { return c.Handle(i).Steps() }}, nil
+		}},
+		{"histogram", func(opts []Option) (view, error) {
+			h, err := NewHistogram(append(opts, WithAccuracy(Multiplicative(2)))...)
+			if err != nil {
+				return view{}, err
+			}
+			w, n := h.Handle(0).(BatchedHistogramHandle), uint64(0)
+			return view{h, h.rt, func() { n++; w.Observe(n % 1000) }, w.Flush,
+				func(i int) uint64 { return h.Handle(i).Count() },
+				func(i int) uint64 { return h.Handle(i).Steps() }}, nil
+		}},
+	} {
+		for _, windowed := range []bool{false, true} {
+			opts := []Option{WithProcs(1 + readers), WithBatch(4), WithReadCache(stale)}
+			name := k.name + "/cumulative"
+			if windowed {
+				opts = append(opts, WithWindow(time.Hour, epochs))
+				name = k.name + "/windowed"
+			}
+			t.Run(name, func(t *testing.T) {
+				v, err := k.build(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer v.obj.Close()
+				for i := 1; i <= readers; i++ {
+					v.read(i) // bind the slot before the race
+				}
+				var wg sync.WaitGroup
+				var done atomic.Bool
+				var wrote atomic.Uint64 // writes returned; one more may be in flight
+				start := make(chan struct{})
+				for i := 1; i <= readers; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						for !done.Load() {
+							if got, limit := v.read(i), wrote.Load()+1; got > limit {
+								t.Errorf("slot %d read %d mid-race, above the %d writes invoked", i, got, limit)
+								return
+							}
+						}
+					}()
+				}
+				if windowed {
+					ring := epochRing(t, v.rt)
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						for j := 0; j < epochs-1; j++ {
+							time.Sleep(200 * time.Microsecond)
+							ring.Rotate()
+						}
+					}()
+				}
+				close(start)
+				for t0 := time.Now(); time.Since(t0) < race; {
+					v.write()
+					wrote.Add(1)
+				}
+				done.Store(true)
+				wg.Wait()
+				writes := wrote.Load()
+
+				for i := 1; i <= readers; i++ {
+					if s := v.steps(i); s != 0 {
+						t.Errorf("caller slot %d took %d steps, want 0 (refreshes are the combiner slot's steps)", i, s)
+					}
+				}
+				v.flush()
+				time.Sleep(stale)
+				if got := v.read(1); got != writes {
+					t.Errorf("quiescent cached read = %d, want exactly %d", got, writes)
+				}
+			})
+		}
+	}
+}

@@ -153,7 +153,10 @@ type ObjectSnapshot struct {
 	// Steps is the cumulative shared-memory step count attributed to the
 	// object: steps credited by released pooled handles plus the
 	// registry's own snapshot reads. Steps of handles currently held (and
-	// of manual Handle(i) handles) are not included.
+	// of manual Handle(i) handles) are not included. A cached object's
+	// refreshes, background and inline, are charged to its reserved
+	// combiner slot, and Steps does not include them: its snapshot reads
+	// and pooled reads then add no steps.
 	Steps uint64
 	// Histogram carries the distribution detail of histogram objects (the
 	// bucket read Value comes from, so Value equals Histogram.Count), nil

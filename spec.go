@@ -414,8 +414,11 @@ func WithBound(m uint64) Option {
 // included: their cell folds the whole live window, and Reset empties
 // it. The cache reserves one extra internal process slot for the
 // combiner (like the registry's snapshot slot, it counts toward backend
-// preconditions such as k >= sqrt(n)). Call the object's Close to stop
-// the goroutine; reads stay valid afterwards, refreshing inline.
+// preconditions such as k >= sqrt(n)). Every refresh, the combiner's
+// and each inline one, reads through that slot, so its steps are the
+// reserved slot's and a caller handle's Steps does not count them. Call
+// the object's Close to stop the goroutine; reads stay valid
+// afterwards, refreshing inline.
 func WithReadCache(maxStale time.Duration) Option {
 	return func(s *Spec) {
 		s.readStale = maxStale

@@ -142,9 +142,11 @@ func instrumentObject[H pooledHandle](spec Spec, c *objectCore[H]) *telemetry.Si
 		return nil
 	}
 	sink := spec.tel.sink
-	// One lag unit per allocated slot: each slot's handle buffer owns at
-	// most one unpublished BumpLocal accumulator per batched meter.
-	sink.AddLagUnits(spec.totalProcs())
+	// One lag unit per caller slot: each slot's handle buffer owns at
+	// most one unpublished BumpLocal accumulator per batched meter. The
+	// registry's snapshot slot and the read cache's combiner slot never
+	// mutate, so they never hold one.
+	sink.AddLagUnits(spec.procs)
 	// The paper's space measure is base objects; a register is an ID
 	// word plus a value word, so 16 bytes each is the documented
 	// estimate (padding and arena guards are deliberately excluded —

@@ -1,9 +1,12 @@
 package approxobj
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
+
+	"approxobj/internal/telemetry"
 )
 
 // TestTelemetryDropsCollectedObjects checks that a telemetry domain does
@@ -109,5 +112,64 @@ func TestElidedWriteMeterDrainsOnRehome(t *testing.T) {
 			}
 			t.Fatal("no approx_runtime_elided_writes meter")
 		})
+	}
+}
+
+// TestBatchedMeterLagCountsCallerSlots pins the batched meters' Buffer
+// term to the slots that can hold a batched telemetry local: the caller
+// slots, which mutate. A registry-owned cached object also has a
+// snapshot slot and a combiner slot, which only read, so with
+// WithProcs(1) the term is 255, not 765. The windowed case rotates the
+// ring, so the combiner's window handle re-homes and flushes an empty
+// buffer while it serves inline refreshes.
+func TestBatchedMeterLagCountsCallerSlots(t *testing.T) {
+	const incs, batch = 1000, 4
+	for _, procs := range []int{1, 3} {
+		for _, windowed := range []bool{false, true} {
+			opts := []Option{WithProcs(procs), WithBatch(batch), WithReadCache(time.Millisecond)}
+			name := fmt.Sprintf("procs=%d/cumulative", procs)
+			if windowed {
+				opts = append(opts, WithWindow(time.Hour, 2))
+				name = fmt.Sprintf("procs=%d/windowed", procs)
+			}
+			t.Run(name, func(t *testing.T) {
+				tel := NewTelemetry()
+				reg := NewRegistry()
+				defer reg.Close()
+				c, err := reg.Counter("requests", append(opts, WithTelemetry(tel))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := c.Handle(0).(BatchedCounterHandle)
+				for i := 0; i < incs; i++ {
+					if i%100 == 0 { // between batches: nothing pending
+						h.Read()
+						reg.Snapshot()
+						if windowed {
+							epochRing(t, c.rt).Rotate()
+						}
+					}
+					h.Inc()
+				}
+				h.Flush()
+				meters := NewRegistry()
+				if err := meters.SelfMetrics(tel); err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range meters.Snapshot() {
+					if s.Name != "approx_runtime_buffer_hits" {
+						continue
+					}
+					if want := uint64(telemetry.CounterBatch-1) * uint64(procs); s.Bounds.Buffer != want {
+						t.Errorf("%s: Buffer %d, want %d (%d per caller slot)", s.Name, s.Bounds.Buffer, want, telemetry.CounterBatch-1)
+					}
+					if hits := uint64(incs - incs/batch); !s.Bounds.Contains(hits, s.Value) {
+						t.Errorf("%s reads %d after %d buffered increments, outside its envelope %+v", s.Name, s.Value, hits, s.Bounds)
+					}
+					return
+				}
+				t.Fatal("no approx_runtime_buffer_hits meter")
+			})
+		}
 	}
 }
