@@ -16,10 +16,8 @@ import (
 // independently — the E20r bench records the same numbers into the
 // -json trajectory, but a unit test fails faster and under -race too.
 //
-// The cached cells use an hour of staleness so the combiner goroutine
-// never refreshes mid-measurement (the warm-up read pays the one
-// inline refresh); allocations by OTHER goroutines would otherwise
-// land in the per-run count.
+// The cached cells use an hour of staleness so no read refreshes
+// mid-measurement (the warm-up read pays the one inline refresh).
 
 // requireZeroAllocs runs f through testing.AllocsPerRun and fails if
 // any run allocated.
@@ -357,21 +355,23 @@ func TestReadsBuildNothing(t *testing.T) {
 // 2-slot, 4-shard histogram measures 27 allocations. Algorithm 1's
 // switch table and helping row are built by the first announcement: the
 // 2-slot, 4-shard Multiplicative(4) counter measures 32 allocations.
-// With WithReadCache its 16-shard twin measures 95 (126 while every
-// bound slot, the registry's snapshot slot included, held a reader on
-// every shard; 201 with a factory per shard besides), and its 4-shard
-// twin windowed over 4 epochs 132 (264 with a factory per shard and a
+// With WithReadCache its 16-shard twin measures 88 (95 with a combiner
+// goroutine per cache; 126 while every bound slot, the registry's
+// snapshot slot included, held a reader on every shard; 201 with a
+// factory per shard besides), and its 4-shard twin windowed over 4
+// epochs 125 (132 with the combiner; 264 with a factory per shard and a
 // read cache per epoch).
 //
 // A slot binds its readers on the shards other than its home by its
 // first uncached combined read, and a combined read folds every shard
 // into the caller's buffer. The last two rows build an object and read
 // once through every caller slot, and their budgets sit one allocation
-// above the count. The cached 16-shard counter measures 138: its caller
+// above the count. The cached 16-shard counter measures 131: its caller
 // slots read through the cache, whose every refresh runs through the
-// reserved combiner slot's readers, so only that slot binds all 16
-// shards (200 when every bound slot binds all 16 at construction, 202
-// when caller slots also refreshed through readers of their own). The
+// reserved refresh slot's readers, so only that slot binds all 16
+// shards (138 with a combiner goroutine per cache, 200 when every bound
+// slot binds all 16 at construction, 202 when caller slots also
+// refreshed through readers of their own). The
 // uncached 2-slot, 4-shard histogram measures 45: each slot binds its 3
 // other shards and folds them into its query buffer (47 with a fold
 // buffer per slot beside it).
@@ -410,15 +410,15 @@ func TestConstructionFootprint(t *testing.T) {
 	budget("Multiplicative(4) counter, 2 procs, 4 shards", 35, func() (interface{ Close() }, error) {
 		return newMultCounter()
 	})
-	budget("cached Multiplicative(4) counter, 2 procs, 16 shards", 102, func() (interface{ Close() }, error) {
+	budget("cached Multiplicative(4) counter, 2 procs, 16 shards", 95, func() (interface{ Close() }, error) {
 		return approxobj.NewCounter(approxobj.WithProcs(2), approxobj.WithShards(16), approxobj.WithAccuracy(approxobj.Multiplicative(4)),
 			approxobj.WithReadCache(time.Millisecond))
 	})
-	budget("cached Multiplicative(4) counter, 2 procs, 4 shards, 4 epochs", 139, func() (interface{ Close() }, error) {
+	budget("cached Multiplicative(4) counter, 2 procs, 4 shards, 4 epochs", 132, func() (interface{ Close() }, error) {
 		return approxobj.NewCounter(approxobj.WithProcs(2), approxobj.WithShards(4), approxobj.WithAccuracy(approxobj.Multiplicative(4)),
 			approxobj.WithReadCache(time.Millisecond), approxobj.WithWindow(2*time.Second, 4))
 	})
-	budget("cached Multiplicative(4) counter, 2 procs, 16 shards, read through every slot", 139, func() (interface{ Close() }, error) {
+	budget("cached Multiplicative(4) counter, 2 procs, 16 shards, read through every slot", 132, func() (interface{ Close() }, error) {
 		c, err := approxobj.NewCounter(approxobj.WithProcs(2), approxobj.WithShards(16), approxobj.WithAccuracy(approxobj.Multiplicative(4)),
 			approxobj.WithReadCache(time.Hour))
 		if err != nil {

@@ -179,7 +179,7 @@ func checkMultCounter(s Spec) error {
 				parts += " + 1 registry snapshot slot"
 			}
 			if s.readStale > 0 {
-				parts += " + 1 read-cache combiner slot"
+				parts += " + 1 read-cache refresh slot"
 			}
 			return fmt.Errorf("approxobj: multiplicative accuracy needs k >= sqrt(n): k=%d, n=%d (%s)", k, n, parts)
 		}
@@ -309,7 +309,7 @@ func (c *Counter) Snapshot(reset bool) (uint64, error) {
 // knows. Stale is the read cache's staleness window (0 when uncached).
 // On kinds whose Buffer term scales with the slot count, the shard
 // runtime sizes Buffer over every allocated slot, but the registry's
-// snapshot slot and the read cache's combiner slot only ever read —
+// snapshot slot and the read cache's refresh slot only ever read —
 // they can never hold buffered mutations — so the documented (B-1)*n
 // holds over the caller slots (the same per-handle headroom times slot
 // count that the plane composes, just over the caller-visible slots).

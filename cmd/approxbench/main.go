@@ -56,8 +56,8 @@
 // experiment has run), for digging into regressions the record
 // trajectory flags: `go tool pprof cpu.pprof`. -trace writes a
 // runtime/trace execution trace of the same span, for scheduler-level
-// questions the sampling profiler cannot answer (combiner goroutine
-// wakeups, epoch-rotation timing, handle-pool contention): `go tool
+// questions the sampling profiler cannot answer (epoch-rotation timing,
+// read-cache refresh convoys, handle-pool contention): `go tool
 // trace trace.out`. CPU profiling and execution tracing can run
 // together; keep traced runs short (-quick, a narrow -exp) — traces
 // record every event, so files grow with runtime.

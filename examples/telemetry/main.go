@@ -183,8 +183,8 @@ func main() {
 		fmt.Printf("  %-8s %d\n", ev, traced[ev].Load())
 	}
 
-	// Close freezes the windows and stops every rotator and combiner;
-	// the endpoint keeps serving the last value.
+	// Close freezes the windows and stops every rotator; the endpoint
+	// keeps serving the last value.
 	reg.Close()
 	frozen := mustGet(url)
 	if err := expose.Lint(frozen); err != nil {

@@ -9,19 +9,20 @@ import (
 	"approxobj"
 )
 
-// E17ReadPlane measures the read-combiner tier (WithReadCache): the PR 6
+// E17ReadPlane measures the read cache (WithReadCache): the PR 6
 // claim is that a cached read is O(1) in the shard count S — an atomic
 // load of the pre-combined cell — where an uncached read folds all S
 // shards. Two sweeps:
 //
 //   - E17: every object kind x S in {1, 4, 16} x {uncached, cached},
 //     read-only after a populate phase. Uncached read cost grows with S;
-//     cached cost must stay flat (the combiner goroutine pays the fold).
+//     cached cost must stay flat (a read that finds the cell stale pays
+//     the fold, at most once per staleness window).
 //   - E17b: a counter under mixed traffic with the reader:writer
 //     operation ratio swept from 1:64 (write-dominated) to 64:1
 //     (read-dominated), cached vs uncached, on a fixed S = 4. The cache
 //     buys the most where reads dominate; write-heavy mixes bound the
-//     overhead of carrying the combiner.
+//     cost of the refresh each sparse read pays.
 //
 // Every E17 cell re-verifies the convergence contract at quiescence:
 // once writers have flushed (and, for a cached cell, the staleness
@@ -44,8 +45,9 @@ func E17ReadPlane(cfg Config) ([]*Table, error) {
 handle 0, then a timed read-only loop through handle 1 (Read for the
 counter and max register, ScanInto for the snapshot, p99 Quantile for the
 histogram). Uncached reads fold all S shards, so their ns/op grows
-with S; cached reads (WithReadCache, maxStale 5ms) load the combiner's
-pre-combined cell, so their ns/op must stay flat across S. The Stale
+with S; cached reads (WithReadCache, maxStale 5ms) load the pre-combined
+cell, refreshed by the read that finds it stale, so their ns/op must
+stay flat across S. The Stale
 column of the recorded envelope is the configured staleness window:
 cached reads serve a value whose combined read began at most that long
 before the read, which is the accuracy price of the O(1) read.`,
@@ -127,7 +129,8 @@ r/(r+w)) against a Multiplicative(3) counter with and without
 WithReadCache. The cache converts every read into an O(1) cell load at
 the price of the staleness term, so its advantage grows toward the
 read-dominated end of the sweep; the write-dominated end bounds the
-cost of carrying the combiner goroutine when reads are rare.`,
+cost of a cache whose rare reads mostly find the cell stale and refresh
+it themselves.`,
 		Header: []string{"reads:writes", "cached", "Mops/s", "ns/op"},
 	}
 

@@ -98,7 +98,7 @@ trajectory tracks them for drift, not as a scaling proof.`,
 // e20AllocsPerRead is the E20r table: heap allocations per read for
 // every kind, cached and uncached. The cached cells use an effectively
 // infinite staleness window so the measurement loop sees only the
-// steady-state fast path (no combiner refresh lands mid-loop); the
+// steady-state fast path (no refresh lands mid-loop); the
 // uncached cells fold the shards into the reader's reused buffer on
 // every read.
 func e20AllocsPerRead(cfg Config) (*Table, error) {

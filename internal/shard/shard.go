@@ -30,9 +30,9 @@
 // composition, step accounting — is the generic core, shared by all
 // kinds. Adding object family N+1 means declaring its backends and its
 // policy row, not re-growing the plumbing. Nothing here runs a
-// goroutine except a window's rotator (window.go); the read-combiner
-// tier lives one layer up, one cache per public object, over either a
-// plane or a window.
+// goroutine except a window's rotator (window.go); the read cache lives
+// one layer up, one per public object, over either a plane or a
+// window, and runs no goroutine.
 //
 // # Construction
 //

@@ -32,9 +32,9 @@ import (
 
 // Event enumerates the runtime events the sink counts. The set mirrors
 // the plane's moving parts layer by layer: buffer-policy activity and
-// flushes (internal/shard/plane.go), read-cache traffic and combiner
-// refreshes (readcache.go), pool handle churn (handlepool.go), window
-// rotation (window.go), and arena residency (internal/prim/arena.go).
+// flushes (internal/shard/plane.go), read-cache traffic and refreshes
+// (readcache.go), pool handle churn (handlepool.go), window rotation
+// (window.go), and arena residency (internal/prim/arena.go).
 type Event uint8
 
 const (
@@ -48,19 +48,17 @@ const (
 	// (max-register subsumption or window headroom, snapshot component
 	// elision) — never published, by design.
 	EvElidedWrite
-	// EvCacheRead: a read was served from the read-combiner cache
-	// (fresh cell hit on the O(1) path).
+	// EvCacheRead: a read went through the read cache (hits are the
+	// reads that found a fresh cell on the O(1) path: reads minus
+	// misses).
 	EvCacheRead
 	// EvCacheMiss: a read found the cached cell stale or unfilled and
 	// fell through to the refresh lock.
 	EvCacheMiss
-	// EvInlineRefresh: a reader re-combined the cell itself (the
-	// unconditional-staleness fallback), rather than finding it
-	// refreshed by the time it held the lock.
+	// EvInlineRefresh: a reader re-combined the cell itself (the only
+	// way the cell is refreshed), rather than finding it refreshed by
+	// another reader by the time it held the lock.
 	EvInlineRefresh
-	// EvCombinerTick: the background combiner goroutine refreshed the
-	// cell on its maxStale/2 tick.
-	EvCombinerTick
 	// EvPoolAcquire: a slot was leased from a handle pool (Acquire or a
 	// successful TryAcquire).
 	EvPoolAcquire
@@ -91,7 +89,7 @@ const CounterBatch = 256
 const stripeCount = 8
 
 // stripe is one padded bank of per-event counters. NumEvents uint64
-// cells are 96 bytes; the pad rounds the struct to 128 — the same
+// cells are 88 bytes; the pad rounds the struct to 128 — the same
 // false-sharing stride the base-object arenas use — so neighboring
 // stripes never share a cache line.
 type stripe struct {

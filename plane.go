@@ -19,9 +19,9 @@ import (
 // kind's handle types. Every public object family (*Counter,
 // *MaxRegister, *Snapshot, *Histogram) implements it.
 type instance interface {
-	// Close stops the object's background resources — the read cache's
-	// combiner goroutine, when WithReadCache is set. Idempotent; a no-op
-	// for objects without any.
+	// Close stops the object's background resources — the epoch
+	// rotator, when WithWindow is set. Idempotent; a no-op for objects
+	// without any.
 	Close()
 	// snapshot reads the object's current value through the registry's
 	// reserved snapshot slot (only registry-owned objects have one) and
@@ -69,16 +69,16 @@ type ringControl interface {
 // slot's runtime handle to the kind's pooled handle type H; their read
 // argument is the slot's read through the cache, nil when the object is
 // uncached (the handle then reads through its runtime handle). A cached
-// object's refreshes, the combiner's and every inline one, all run
-// through the reserved combiner slot's runtime read under the cache's
-// refresh lock, so its caller and snapshot slots never bind a reader.
+// object's refreshes all run through the reserved refresh slot's
+// runtime read under the cache's refresh lock, so its caller and
+// snapshot slots never bind a reader.
 func initObject[H pooledHandle, T shard.Epoch[E, V], E shard.EpochHandle[V], V any](
 	c *objectCore[H], spec Spec, mk func() (T, error),
 	plain func(h E, read func(V) V) H, windowed func(h *shard.WindowHandle[T, E, V], read func(V) V) H,
 ) error {
 	var (
-		bind    func(i int, read func(V) V) H // slot i's handle, read as given
-		combine func() func(V) V              // binds the reserved combiner slot's runtime read
+		bind        func(i int, read func(V) V) H // slot i's handle, read as given
+		bindRefresh func() func(V) V              // binds the reserved refresh slot's runtime read
 	)
 	if spec.Windowed() {
 		w, err := shard.NewWindow[T, E, V](spec.windowDur, spec.windowEpochs, mk)
@@ -87,7 +87,7 @@ func initObject[H pooledHandle, T shard.Epoch[E, V], E shard.EpochHandle[V], V a
 		}
 		c.rt, c.ring = w, w
 		bind = func(i int, read func(V) V) H { return windowed(w.Handle(i), read) }
-		combine = func() func(V) V { return w.Handle(spec.totalProcs() - 1).ReadInto }
+		bindRefresh = func() func(V) V { return w.Handle(spec.totalProcs() - 1).ReadInto }
 	} else {
 		o, err := mk()
 		if err != nil {
@@ -95,19 +95,19 @@ func initObject[H pooledHandle, T shard.Epoch[E, V], E shard.EpochHandle[V], V a
 		}
 		c.rt = o
 		bind = func(i int, read func(V) V) H { return plain(o.Handle(i), read) }
-		combine = func() func(V) V { return o.Handle(spec.totalProcs() - 1).ReadInto }
+		bindRefresh = func() func(V) V { return o.Handle(spec.totalProcs() - 1).ReadInto }
 	}
 	c.spec = spec
 	tel := instrumentObject(spec, c)
 	slot := func(i int) H { return bind(i, nil) }
 	if spec.readStale > 0 {
 		// Slot i reads through the cache and refreshes inline through
-		// the combiner slot's read. Its read is bound once, with its
+		// the refresh slot's read. Its read is bound once, with its
 		// handle, which keeps reads allocation-free (closures allocate)
 		// and the refresh out of the cache structs, whose layout the
 		// cached read path is tuned to.
-		refresh := combine()
-		rc := newReadCache(spec.readStale, tel, refresh)
+		refresh := bindRefresh()
+		rc := newReadCache[V](spec.readStale, tel)
 		c.cache = rc
 		slot = func(i int) H { return bind(i, func(dst V) V { return rc.readInto(dst, refresh, i) }) }
 	}
@@ -176,17 +176,12 @@ func (c *objectCore[H]) Bounds() Bounds { return scaledBounds(c.rt.Bounds(), c.s
 // to compare deterministic and randomized state at equal target error.
 func (c *objectCore[H]) BaseObjects() uint64 { return c.rt.BaseObjects() }
 
-// Close stops the object's background goroutines — the read cache's
-// one combiner when WithReadCache is set, then the epoch rotator when
-// WithWindow is set (the window freezes: no further aging; reads keep
-// serving the frozen ring and Reset returns an error) — and waits for
-// them to exit. Idempotent, and a no-op otherwise; handles stay usable
-// afterwards (cached reads refresh inline, still through the
-// combiner's reserved slot).
+// Close stops a windowed object's epoch rotator and waits for it to
+// exit: the window freezes (no further aging; reads keep serving the
+// frozen ring and Reset returns an error). Idempotent, and a no-op on
+// cumulative objects, which run no goroutine, cached or not; handles
+// stay usable afterwards.
 func (c *objectCore[H]) Close() {
-	if c.cache != nil {
-		c.cache.close()
-	}
 	if c.ring != nil {
 		c.ring.Close()
 	}
@@ -218,7 +213,7 @@ func (c *objectCore[H]) StepsRetired() uint64 { return c.slots.retired.Load() }
 
 // snapshotOf is the registry's view of v, a value read through the
 // snapshot slot under envelope b: Steps adds the snapshot slot's steps,
-// the read's included (none when cached: refreshes are the combiner
+// the read's included (none when cached: refreshes are the refresh
 // slot's steps), to those of released pooled handles.
 func (c *objectCore[H]) snapshotOf(v uint64, b Bounds) ObjectSnapshot {
 	return ObjectSnapshot{Value: v, Bounds: b, Steps: c.StepsRetired() + c.snap.Steps()}

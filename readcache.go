@@ -8,8 +8,8 @@ import (
 	"approxobj/internal/telemetry"
 )
 
-// This file is the read-combiner tier (WithReadCache): one pre-combined
-// cell per object, so a cached read returns the cell's value in O(1) —
+// This file is the read cache (WithReadCache): one pre-combined cell
+// per object, so a cached read returns the cell's value in O(1) —
 // independent of the shard count S, of a window's epoch count, and, for
 // vector kinds, of how the combine folds — instead of paying one
 // underlying read per shard and epoch. The price is freshness: the cell
@@ -18,26 +18,18 @@ import (
 // rank domain, moved to the time domain).
 //
 // initObject builds the cache over whichever runtime the spec chose, a
-// plane or an epoch ring, so an object has at most one cache and one
-// combiner goroutine. The cell is refreshed two ways, whichever happens
-// first:
-//
-//   - the background combiner goroutine re-combines every maxStale/2,
-//     reading through the runtime handle of the object's last slot,
-//     which is reserved for it (Spec.totalProcs counts it, and Handle
-//     never hands it out), so steady-state readers virtually always hit
-//     a fresh cell; and
-//   - a read-triggered inline refresh: a reader finding the cell stale
-//     (or never filled — a brand-new or just-Reset object) re-combines
-//     under the refresh lock and publishes the result. This keeps the
-//     staleness bound unconditional — it holds even if the combiner
-//     goroutine is descheduled — and makes the very first read of an
-//     empty object return the empty value, never a sentinel.
-//
-// Both run the same refresh, the reserved slot's runtime read, which
-// the refresh lock serializes: a caller slot, or the registry's
-// snapshot slot, never binds a reader of its own, and its handle's
-// Steps never include a refresh.
+// plane or an epoch ring, so an object has at most one cache. Only a
+// read refreshes the cell: a reader finding it stale (or never filled —
+// a brand-new or just-Reset object) re-combines under the refresh lock
+// and publishes the result. So the staleness bound is unconditional,
+// an object nobody reads does no work and runs no goroutine, and the
+// very first read of an empty object returns the empty value, never a
+// sentinel. Every refresh is the runtime read of the object's last
+// slot, the refresh slot, which is reserved for it (Spec.totalProcs
+// counts it, and Handle never hands it out) and which the refresh lock
+// serializes: a caller slot, or the registry's snapshot slot, never
+// binds a reader of its own, and its handle's Steps never include a
+// refresh.
 //
 // A windowed object's cell folds the whole ring. Rotation does not
 // publish into it: a cell combined before a rotation is at most maxStale
@@ -57,110 +49,59 @@ import (
 // no clone — and the vector cache double-buffers two cells, recycling
 // the retired one as the next refresh's write buffer (guarded by a
 // reader refcount) and copying out into the caller's reused buffer.
-// The refresh function itself is the reserved slot's ReadInto, which
+// The refresh function itself is the refresh slot's ReadInto, which
 // folds every shard and epoch straight into the cell it is given, so
-// neither background nor inline refreshes allocate once the cells
-// exist.
+// refreshes do not allocate once the cells exist.
 
-// readCache is an object's read-combiner tier: scalarReadCache for
+// readCache is an object's read cache: scalarReadCache for
 // uint64-valued kinds, vecReadCache for []uint64-valued ones.
 type readCache[V any] interface {
 	// readInto returns the cached combined value, refreshing inline
-	// through refresh — the reserved slot's combined read into a reused
-	// buffer, the combiner's own — when the cell is stale. slot is the
-	// reading slot (the telemetry stripe). The vector cache writes the
-	// value into dst (grown as needed), the scalar cache ignores dst;
-	// the result is owned by the caller.
+	// through refresh — the refresh slot's combined read into a reused
+	// buffer — when the cell is stale. slot is the reading slot (the
+	// telemetry stripe). The vector cache writes the value into dst
+	// (grown as needed), the scalar cache ignores dst; the result is
+	// owned by the caller.
 	readInto(dst V, refresh func(V) V, slot int) V
 	cacheControl
 }
 
-// cacheControl is the lifecycle the object core drives, whatever the
-// cache's value shape.
+// cacheControl is what the object core drives, whatever the cache's
+// value shape.
 type cacheControl interface {
-	// close stops the background combiner and waits for it to exit.
-	// Idempotent; reads remain valid after close (they fall back to
-	// inline refreshes).
-	close()
 	// invalidate empties the cell, so the next read refreshes inline.
 	invalidate()
 }
 
 // newReadCache builds the cache for V's shape with staleness window
-// maxStale and starts its combiner goroutine, which refreshes the cell
-// through combine (the reserved slot's runtime read) until close. tel
-// (nil when uninstrumented) receives the cache's traffic.
-func newReadCache[V any](maxStale time.Duration, tel *telemetry.Sink, combine func(V) V) readCache[V] {
+// maxStale. tel (nil when uninstrumented) receives the cache's traffic.
+func newReadCache[V any](maxStale time.Duration, tel *telemetry.Sink) readCache[V] {
 	var rc any
-	switch combine := any(combine).(type) {
-	case func(uint64) uint64:
-		c := &scalarReadCache{base: time.Now()}
-		c.start(maxStale, tel, func() { c.refreshLocked(combine) })
-		rc = c
-	case func([]uint64) []uint64:
-		c := &vecReadCache{}
-		c.start(maxStale, tel, func() { c.refreshLocked(combine) })
-		rc = c
+	switch any(*new(V)).(type) {
+	case uint64:
+		rc = &scalarReadCache{cacheCommon: cacheCommon{maxStale: maxStale, tel: tel}, base: time.Now()}
+	case []uint64:
+		rc = &vecReadCache{cacheCommon: cacheCommon{maxStale: maxStale, tel: tel}}
 	}
 	return rc.(readCache[V])
 }
 
-// cacheLifecycle is the state both cache implementations share: the
-// staleness window, the refresh lock, the background combiner's
-// lifecycle, and the telemetry sink (nil when uninstrumented).
-type cacheLifecycle struct {
+// cacheCommon is the state both cache implementations share: the
+// staleness window, the refresh lock, and the telemetry sink (nil when
+// uninstrumented).
+type cacheCommon struct {
 	maxStale time.Duration
 	mu       sync.Mutex // serializes refreshes
-	stop     chan struct{}
-	done     chan struct{}
-	once     sync.Once
 	tel      *telemetry.Sink
-}
-
-// start sets the cache up in place and starts the combiner goroutine.
-func (lc *cacheLifecycle) start(maxStale time.Duration, tel *telemetry.Sink, refresh func()) {
-	lc.maxStale, lc.tel = maxStale, tel
-	lc.stop, lc.done = make(chan struct{}), make(chan struct{})
-	go lc.run(refresh)
-}
-
-// run drives refresh under the refresh lock every maxStale/2 (so a
-// reader racing the ticker still finds a fresh cell) until close.
-func (lc *cacheLifecycle) run(refresh func()) {
-	defer close(lc.done)
-	period := lc.maxStale / 2
-	if period <= 0 {
-		period = lc.maxStale
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-lc.stop:
-			return
-		case <-t.C:
-			lc.tel.Inc(telemetry.EvCombinerTick, 0)
-			lc.mu.Lock()
-			refresh()
-			lc.mu.Unlock()
-		}
-	}
-}
-
-func (lc *cacheLifecycle) close() {
-	lc.once.Do(func() {
-		close(lc.stop)
-		<-lc.done
-	})
 }
 
 // countRead counts one cached-path read (hits are derived as reads
 // minus the misses the cache reports): one striped atomic add when
 // instrumented, one predicted branch when not — the read path takes no
 // prim steps and allocates nothing either way.
-func (lc *cacheLifecycle) countRead(slot int) {
-	if lc.tel != nil {
-		lc.tel.Inc(telemetry.EvCacheRead, slot)
+func (cc *cacheCommon) countRead(slot int) {
+	if cc.tel != nil {
+		cc.tel.Inc(telemetry.EvCacheRead, slot)
 	}
 }
 
@@ -173,7 +114,7 @@ func (lc *cacheLifecycle) countRead(slot int) {
 // stamp is never older than the combined read that stamp describes (it
 // may be newer, which only tightens the staleness bound).
 type scalarReadCache struct {
-	cacheLifecycle
+	cacheCommon
 	base  time.Time
 	val   atomic.Uint64
 	stamp atomic.Int64
@@ -194,8 +135,7 @@ func (rc *scalarReadCache) readInto(_ uint64, refresh func(uint64) uint64, slot 
 	}
 	rc.tel.Inc(telemetry.EvCacheMiss, 0)
 	rc.mu.Lock()
-	// Another reader (or the combiner) may have refreshed while we
-	// waited for the lock.
+	// Another reader may have refreshed while we waited for the lock.
 	v, ok := rc.fresh()
 	if !ok {
 		rc.tel.Inc(telemetry.EvInlineRefresh, 0)
@@ -258,7 +198,7 @@ type vecCell struct {
 // retired, so nothing beyond the nil check touches the cell before the
 // refcount handshake.
 type vecReadCache struct {
-	cacheLifecycle
+	cacheCommon
 	cur   atomic.Pointer[vecCell] // nil = never filled, or invalidated
 	spare *vecCell                // guarded by mu
 }
@@ -287,9 +227,9 @@ func (rc *vecReadCache) readInto(dst []uint64, refresh func([]uint64) []uint64, 
 	}
 	rc.tel.Inc(telemetry.EvCacheMiss, 0)
 	rc.mu.Lock()
-	// Another reader (or the combiner) may have refreshed while we
-	// waited for the lock. Copying under mu is safe against reuse:
-	// retiring and reusing cells happens only under mu.
+	// Another reader may have refreshed while we waited for the lock.
+	// Copying under mu is safe against reuse: retiring and reusing cells
+	// happens only under mu.
 	if c := rc.cur.Load(); c != nil && time.Since(c.at) <= rc.maxStale {
 		dst = append(dst[:0], c.vals...)
 		rc.mu.Unlock()

@@ -13,11 +13,12 @@ import (
 	"approxobj/internal/planetest"
 )
 
-// This file is the conformance surface of the read-combiner tier
+// This file is the conformance surface of the read cache
 // (WithReadCache): the staleness-widened envelope property for every
 // kind x shards x batch combination, convergence to the uncached value
 // at quiescence, the never-refreshed-cache-on-empty-object edge case,
-// and the combiner goroutine lifecycle (Close drains, reads survive).
+// refreshes only on read (no goroutine, no work without a read), and
+// the Close lifecycle (idempotent, reads survive, nothing leaks).
 //
 // The Stale term is time-domain, so the checkers here widen the
 // regularity window themselves instead of feeding Stale into
@@ -47,13 +48,12 @@ func staleWindowChecks(done *atomic.Bool, fn func() bool) int {
 }
 
 // TestReadCacheEmptyObjects pins the never-refreshed-cache edge case:
-// an object built with WithReadCache whose background combiner has not
-// ticked yet (maxStale is an hour) must serve the EMPTY value on its
+// an object built with WithReadCache must serve the EMPTY value on its
 // first read — the inline refresh folds the zero state, it does not
 // return garbage or block. This is the "Read() on a zero-observation
 // histogram" bug sweep case, applied to every kind.
 func TestReadCacheEmptyObjects(t *testing.T) {
-	const stale = time.Hour // combiner ticks at maxStale/2: never during the test
+	const stale = time.Hour
 
 	c, err := NewCounter(WithProcs(2), WithReadCache(stale))
 	if err != nil {
@@ -475,12 +475,12 @@ func TestCachedHistogramConformance(t *testing.T) {
 	}
 }
 
-// TestReadCacheCombinerLifecycle is the goroutine-leak soak for the
-// background combiner: churning cached objects of every kind —
-// including registry-owned ones — and closing them must return the
-// goroutine count to its baseline, Close must be idempotent, and
-// cached reads must keep working after Close (inline refresh).
-func TestReadCacheCombinerLifecycle(t *testing.T) {
+// TestReadCacheCloseLifecycle is the goroutine-leak soak of Close on
+// cached objects: churning cached objects of every kind — including
+// registry-owned and windowed ones — and closing them must return the
+// goroutine count to its baseline, Close must be idempotent, and cached
+// reads must keep working after Close (inline refresh).
+func TestReadCacheCloseLifecycle(t *testing.T) {
 	rounds := 5
 	if testing.Short() {
 		rounds = 2
@@ -491,7 +491,7 @@ func TestReadCacheCombinerLifecycle(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	for round := 0; round < rounds; round++ {
-		const stale = 500 * time.Microsecond // fast ticker: lots of combiner activity
+		const stale = 500 * time.Microsecond // cells lapse between the reads below
 
 		c, err := NewCounter(WithProcs(2), WithAccuracy(Multiplicative(2)), WithShards(2), WithReadCache(stale))
 		if err != nil {
@@ -510,7 +510,7 @@ func TestReadCacheCombinerLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := NewRegistry()
-		rc, err := reg.Counter("hits", WithProcs(2), WithReadCache(stale))
+		rc, err := reg.Counter("hits", WithProcs(2), WithWindow(time.Hour, 4), WithReadCache(stale))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -521,7 +521,7 @@ func TestReadCacheCombinerLifecycle(t *testing.T) {
 		hg.Do(func(h HistogramHandle) { h.Observe(9); h.Count() })
 		rc.Do(func(h CounterHandle) { h.Inc() })
 		reg.Snapshot()
-		time.Sleep(2 * stale) // let the combiners tick at least once
+		time.Sleep(2 * stale) // let the cells lapse: the reads below refresh inline
 
 		c.Close()
 		c.Close() // idempotent
@@ -542,8 +542,9 @@ func TestReadCacheCombinerLifecycle(t *testing.T) {
 		}
 	}
 
-	// All combiners are closed (Close blocks on the goroutine's exit),
-	// so the count must settle back; allow slack for runtime helpers.
+	// The windowed counters' rotators are closed (Close blocks on the
+	// goroutine's exit), so the count must settle back; allow slack for
+	// runtime helpers.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		runtime.GC()
@@ -640,7 +641,7 @@ var cacheKinds = []struct {
 }
 
 // TestReadCacheInternalSlotsHidden pins that the internal slots — the
-// registry's snapshot slot and the read cache's combiner slot — stay
+// registry's snapshot slot and the read cache's refresh slot — stay
 // invisible to callers, on every kind, cumulative and windowed, plain
 // and registry-owned: Handle refuses them like any slot out of range,
 // and they never count in a Buffer term that scales with the slot
@@ -688,10 +689,11 @@ func TestReadCacheInternalSlotsHidden(t *testing.T) {
 	}
 }
 
-// TestReadCacheOneCombinerPerObject pins the goroutine cost of a
-// windowed cached object: one epoch rotator and one read-cache
-// combiner, whatever the epoch count, and none left after Close.
-func TestReadCacheOneCombinerPerObject(t *testing.T) {
+// TestReadCacheStartsNoGoroutine pins the goroutine cost of a cached
+// object: none of its own. Cumulative cached objects add no goroutine,
+// windowed cached objects add one each, their epoch rotator, whatever
+// the epoch count, and none is left after Close.
+func TestReadCacheStartsNoGoroutine(t *testing.T) {
 	const objects, epochs = 8, 4
 	for _, k := range cacheKinds {
 		t.Run(k.name, func(t *testing.T) {
@@ -706,18 +708,27 @@ func TestReadCacheOneCombinerPerObject(t *testing.T) {
 				}
 				before = n
 			}
-			views := make([]cacheKindView, objects)
-			for j := range views {
-				v, err := k.build(nil, WithProcs(2), WithWindow(time.Hour, epochs), WithReadCache(time.Hour))
-				if err != nil {
-					t.Fatal(err)
+			var views []cacheKindView
+			for _, windowed := range []bool{false, true} {
+				opts := []Option{WithProcs(2), WithReadCache(time.Microsecond)}
+				want := 0
+				if windowed {
+					opts = append(opts, WithWindow(time.Hour, epochs))
+					want = objects
 				}
-				v.write(0)
-				v.read(1)
-				views[j] = v
-			}
-			if got, want := goroutines()-before, 2*objects; got != want {
-				t.Errorf("%d windowed cached objects of %d epochs added %d goroutines, want %d (a rotator and one combiner each)", objects, epochs, got, want)
+				start := goroutines()
+				for j := 0; j < objects; j++ {
+					v, err := k.build(nil, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					v.write(0)
+					v.read(1)
+					views = append(views, v)
+				}
+				if got := goroutines() - start; got != want {
+					t.Errorf("%d cached objects (windowed %v, %d epochs) added %d goroutines, want %d (one rotator per windowed object)", objects, windowed, epochs, got, want)
+				}
 			}
 			for _, v := range views {
 				v.obj.Close()
@@ -730,6 +741,50 @@ func TestReadCacheOneCombinerPerObject(t *testing.T) {
 				time.Sleep(10 * time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestReadCacheRefreshesOnlyOnRead pins that a cached object does no
+// work without a read: with a staleness of 1 µs the cell lapses at
+// once, yet while nobody reads, nothing refreshes it. Each refresh
+// fires one TraceRefresh through an unsampled trace hook; after one
+// read and 20 ms without reads the count must not have moved, and one
+// more read must add exactly one refresh.
+func TestReadCacheRefreshesOnlyOnRead(t *testing.T) {
+	for _, k := range cacheKinds {
+		for _, windowed := range []bool{false, true} {
+			name := k.name + "/cumulative"
+			if windowed {
+				name = k.name + "/windowed"
+			}
+			t.Run(name, func(t *testing.T) {
+				var refreshes atomic.Int64
+				tel := NewTelemetry(WithTraceHook(func(ev TraceEvent, _ int, _ uint64) {
+					if ev == TraceRefresh {
+						refreshes.Add(1)
+					}
+				}, 0))
+				opts := []Option{WithProcs(2), WithReadCache(time.Microsecond), WithTelemetry(tel)}
+				if windowed {
+					opts = append(opts, WithWindow(time.Hour, 4))
+				}
+				v, err := k.build(nil, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer v.obj.Close()
+				v.read(1)
+				idle := refreshes.Load()
+				time.Sleep(20 * time.Millisecond)
+				if got := refreshes.Load() - idle; got != 0 {
+					t.Fatalf("%d refreshes in 20 ms without a read, want 0", got)
+				}
+				v.read(1)
+				if got := refreshes.Load() - idle; got != 1 {
+					t.Errorf("one read of a stale cell made %d refreshes, want 1", got)
+				}
+			})
+		}
 	}
 }
 
@@ -762,9 +817,9 @@ func TestReadCacheResetInvalidates(t *testing.T) {
 
 // TestReadCacheRotationRacingBatchedWrites is the "never lost" check
 // through the read cache, run under -race in CI: a writer with batched
-// increments races hand-driven rotations and a cached reader, while the
-// combiner folds the ring through a handle of its own that re-homes
-// after each rotation. At most epochs-1 rotations fire, so every write
+// increments races hand-driven rotations and a cached reader, whose
+// refreshes fold the ring through the refresh slot's handle, which
+// re-homes after each rotation. At most epochs-1 rotations fire, so every write
 // stays in the live ring. After quiescence, a flush, and a wait of
 // Stale (so no cell combined before the flush is fresh), the read must
 // equal the write count exactly (exact backend).
@@ -831,14 +886,13 @@ func TestReadCacheRotationRacingBatchedWrites(t *testing.T) {
 // TestReadCacheSharedRefreshHandle is the race check of the one refresh
 // handle, run under -race in CI: several goroutines read through
 // distinct caller slots of a cached counter and a cached histogram,
-// cumulative and windowed, while a writer slot writes, the combiner
-// ticks and, when windowed, the ring rotates by hand, for at least
-// 2 ms. With a staleness of tens of µs the cell lapses dozens of times
-// in that span, and readers refresh it inline far more often than the
-// combiner ticks (a 2-vCPU probe counted ~46 inline refreshes in ~30k
-// cached reads, and no tick). Every refresh, inline or not, runs
-// through the reserved combiner slot's runtime read under the refresh
-// lock, so the readers' handles take no step. After quiescence, a flush and a wait of Stale, a read
+// cumulative and windowed, while a writer slot writes and, when
+// windowed, the ring rotates by hand, for at least 2 ms. With a
+// staleness of tens of µs the cell lapses dozens of times in that span,
+// and the readers refresh it inline (a 2-vCPU probe counted ~46 inline
+// refreshes in ~30k cached reads). Every refresh runs through the
+// reserved refresh slot's runtime read under the refresh lock, so the
+// readers' handles take no step. After quiescence, a flush and a wait of Stale, a read
 // must equal the write count (exact backends; rotations stay below the
 // epoch count, so no write leaves the ring).
 func TestReadCacheSharedRefreshHandle(t *testing.T) {
@@ -937,7 +991,7 @@ func TestReadCacheSharedRefreshHandle(t *testing.T) {
 
 				for i := 1; i <= readers; i++ {
 					if s := v.steps(i); s != 0 {
-						t.Errorf("caller slot %d took %d steps, want 0 (refreshes are the combiner slot's steps)", i, s)
+						t.Errorf("caller slot %d took %d steps, want 0 (refreshes are the refresh slot's steps)", i, s)
 					}
 				}
 				v.flush()

@@ -154,9 +154,9 @@ type ObjectSnapshot struct {
 	// object: steps credited by released pooled handles plus the
 	// registry's own snapshot reads. Steps of handles currently held (and
 	// of manual Handle(i) handles) are not included. A cached object's
-	// refreshes, background and inline, are charged to its reserved
-	// combiner slot, and Steps does not include them: its snapshot reads
-	// and pooled reads then add no steps.
+	// refreshes are charged to its reserved refresh slot, and Steps does
+	// not include them: its snapshot reads and pooled reads then add no
+	// steps.
 	Steps uint64
 	// Histogram carries the distribution detail of histogram objects (the
 	// bucket read Value comes from, so Value equals Histogram.Count), nil
@@ -224,15 +224,14 @@ func (r *Registry) Snapshot() []ObjectSnapshot {
 }
 
 // Close stops the background resources of every registered object: the
-// read-cache combiner goroutines of objects registered with
-// WithReadCache, and the epoch rotators of objects registered with
-// WithWindow. Close leaves no background goroutine running and is
-// idempotent; the registry and its objects stay usable afterwards —
-// Snapshot and handle reads return the last value (cached reads refresh
-// inline; windowed objects freeze at their final ring, so their values
-// stop aging out and Reset returns an error). Mutations through handles
-// also remain safe — a frozen window still accepts writes into its
-// final epochs, useful for draining in-flight workers during shutdown.
+// epoch rotators of objects registered with WithWindow. Close leaves no
+// background goroutine running and is idempotent; the registry and its
+// objects stay usable afterwards — Snapshot and handle reads return the
+// last value (windowed objects freeze at their final ring, so their
+// values stop aging out and Reset returns an error). Mutations through
+// handles also remain safe — a frozen window still accepts writes into
+// its final epochs, useful for draining in-flight workers during
+// shutdown.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	entries := make([]*regEntry, 0, len(r.order))

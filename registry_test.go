@@ -510,8 +510,8 @@ func TestRegistrySnapshotWhileRegistering(t *testing.T) {
 }
 
 // TestRegistryCloseContract pins the post-Close contract end to end:
-// Close stops every background goroutine (read-cache combiners and
-// epoch rotators), is idempotent, and afterwards Snapshot and direct
+// Close stops every background goroutine (the epoch rotators; cached
+// objects run none), is idempotent, and afterwards Snapshot and direct
 // reads neither panic nor block — they keep returning the last value
 // (windowed objects freeze, so nothing ages out after Close).
 func TestRegistryCloseContract(t *testing.T) {
@@ -568,7 +568,7 @@ func TestRegistryCloseContract(t *testing.T) {
 		t.Error("Reset after Close succeeded, want frozen-window error")
 	}
 
-	// No goroutine leak: the combiners and rotators are gone.
+	// No goroutine leak: the rotators are gone.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if goroutines() <= before {

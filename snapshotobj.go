@@ -147,7 +147,7 @@ func (s *Snapshot) Handle(i int) SnapshotHandle { return s.handle(i) }
 // snapshotSlotHandle adapts a runtime snapshot handle to the public
 // interface, truncating scans to the caller-visible components (a
 // registry-owned or cached snapshot holds extra, never-written slots
-// for Registry.Snapshot reads and the read cache's combiner). It is
+// for Registry.Snapshot reads and the read cache's refreshes). It is
 // also the pooled handle.
 type snapshotSlotHandle struct {
 	h BatchedSnapshotHandle

@@ -287,7 +287,7 @@ func (s Spec) Windowed() bool { return s.windowEpochs > 0 }
 
 // totalProcs is the number of slots actually allocated in the underlying
 // factories: the caller-visible slots, plus the registry snapshot slot,
-// plus the read cache's reserved combiner slot. Backend preconditions
+// plus the read cache's reserved refresh slot. Backend preconditions
 // (e.g. k >= sqrt(n) for multiplicative counters) apply to this total.
 func (s Spec) totalProcs() int {
 	n := s.procs
@@ -401,24 +401,22 @@ func WithBound(m uint64) Option {
 
 // WithReadCache enables the read-combiner tier with staleness window
 // maxStale (default off). The object keeps one pre-combined cell —
-// refreshed by a background combiner goroutine and by read-triggered
-// inline refreshes — and serves reads from it in O(1) in the shard
-// count: Read for counters and max registers, Scan for snapshots, and
-// the bucket read under every histogram query (Count, Quantile, Rank,
-// CDF). The cell's underlying combined read started at most maxStale
-// before the cached read, so the object's Bounds envelope holds against
-// the regularity window widened backward by maxStale — reported as the
-// Stale term of Bounds; all other envelope terms are unchanged.
+// refreshed only by a read that finds it stale or empty — and serves
+// reads from it in O(1) in the shard count: Read for counters and max
+// registers, Scan for snapshots, and the bucket read under every
+// histogram query (Count, Quantile, Rank, CDF). The cell's underlying
+// combined read started at most maxStale before the cached read, so the
+// object's Bounds envelope holds against the regularity window widened
+// backward by maxStale — reported as the Stale term of Bounds; all other
+// envelope terms are unchanged.
 //
-// The object has one cache and one combiner goroutine, windowed objects
-// included: their cell folds the whole live window, and Reset empties
-// it. The cache reserves one extra internal process slot for the
-// combiner (like the registry's snapshot slot, it counts toward backend
-// preconditions such as k >= sqrt(n)). Every refresh, the combiner's
-// and each inline one, reads through that slot, so its steps are the
-// reserved slot's and a caller handle's Steps does not count them. Call
-// the object's Close to stop the goroutine; reads stay valid
-// afterwards, refreshing inline.
+// The object has one cache, windowed objects included: their cell folds
+// the whole live window, and Reset empties it. The cache starts no
+// goroutine, so an object nobody reads does no work. It reserves one
+// extra internal process slot for refreshes (like the registry's
+// snapshot slot, it counts toward backend preconditions such as k >=
+// sqrt(n)). Every refresh reads through that slot, so its steps are the
+// reserved slot's and a caller handle's Steps does not count them.
 func WithReadCache(maxStale time.Duration) Option {
 	return func(s *Spec) {
 		s.readStale = maxStale

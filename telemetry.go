@@ -144,7 +144,7 @@ func instrumentObject[H pooledHandle](spec Spec, c *objectCore[H]) *telemetry.Si
 	sink := spec.tel.sink
 	// One lag unit per caller slot: each slot's handle buffer owns at
 	// most one unpublished BumpLocal accumulator per batched meter. The
-	// registry's snapshot slot and the read cache's combiner slot never
+	// registry's snapshot slot and the read cache's refresh slot never
 	// mutate, so they never hold one.
 	sink.AddLagUnits(spec.procs)
 	// The paper's space measure is base objects; a register is an ID
@@ -217,7 +217,6 @@ func selfMeters(sink *telemetry.Sink) []*selfMeter {
 		}),
 		counted("approx_runtime_readcache_misses", telemetry.EvCacheMiss),
 		counted("approx_runtime_readcache_inline_refreshes", telemetry.EvInlineRefresh),
-		counted("approx_runtime_combiner_ticks", telemetry.EvCombinerTick),
 		gauge("approx_runtime_refresh_ns_peak", KindMaxRegister, sink.RefreshHighWaterNs),
 		counted("approx_runtime_pool_acquires", telemetry.EvPoolAcquire),
 		counted("approx_runtime_pool_tryacquire_failures", telemetry.EvPoolTryFail),
@@ -239,7 +238,6 @@ func selfMeters(sink *telemetry.Sink) []*selfMeter {
 //	approx_runtime_readcache_hits_total     cached reads served from a fresh cell
 //	approx_runtime_readcache_misses_total   cached reads that fell through to the refresh lock
 //	approx_runtime_readcache_inline_refreshes_total  reads that re-combined the cell themselves
-//	approx_runtime_combiner_ticks_total     background combiner refresh ticks
 //	approx_runtime_refresh_ns_peak          read-cache refresh latency high-water mark (gauge, ns)
 //	approx_runtime_pool_acquires_total      pool slots leased
 //	approx_runtime_pool_tryacquire_failures_total  TryAcquire calls that found no free slot
@@ -255,9 +253,9 @@ func selfMeters(sink *telemetry.Sink) []*selfMeter {
 // expose renders as their _bound companion series. Every other meter
 // is exact. Hits are derived (cached reads minus misses, saturating).
 //
-// The read-cache meters, combiner ticks and refresh traces count per
-// object: a cached object, windowed or not, has one cache and one
-// combiner. A windowed cached object's combiner reads through a ring
+// The read-cache meters and refresh traces count per object: a cached
+// object, windowed or not, has one cache, refreshed only by the reads
+// that find it stale. A windowed cached object refreshes through a ring
 // handle of its own, which re-homes after every rotation and counts in
 // approx_runtime_rehomed_handles_total.
 //

@@ -118,10 +118,10 @@ func TestElidedWriteMeterDrainsOnRehome(t *testing.T) {
 // TestBatchedMeterLagCountsCallerSlots pins the batched meters' Buffer
 // term to the slots that can hold a batched telemetry local: the caller
 // slots, which mutate. A registry-owned cached object also has a
-// snapshot slot and a combiner slot, which only read, so with
+// snapshot slot and a refresh slot, which only read, so with
 // WithProcs(1) the term is 255, not 765. The windowed case rotates the
-// ring, so the combiner's window handle re-homes and flushes an empty
-// buffer while it serves inline refreshes.
+// ring, so the refresh slot's window handle re-homes and flushes an
+// empty buffer while it serves inline refreshes.
 func TestBatchedMeterLagCountsCallerSlots(t *testing.T) {
 	const incs, batch = 1000, 4
 	for _, procs := range []int{1, 3} {
